@@ -1,10 +1,11 @@
 // Command modemerged serves the mode-merging flow over an HTTP JSON API.
-// Clients POST a design + SDC modes to /v1/merge, poll /v1/jobs/{id},
-// and fetch merged SDC from /v1/jobs/{id}/result. Jobs run on a bounded
+// Clients POST a design + SDC modes to /v2/merge, poll /v2/jobs/{id},
+// and fetch merged SDC from /v2/jobs/{id}/result. Jobs run on a bounded
 // worker pool with content-addressed caching of parsed designs and
 // finished results; SIGINT/SIGTERM drains in-flight jobs before exit.
-// Observability: GET /metrics serves Prometheus text, every job exposes
-// its span tree at /v1/jobs/{id}/trace, and -debug-addr starts a separate
+// Observability: GET /v2/stats serves the counters as JSON and GET
+// /metrics the same snapshot as Prometheus text, every job exposes its
+// span tree at /v2/jobs/{id}/trace, and -debug-addr starts a separate
 // listener with net/http/pprof profiles. /v2 requests honor the W3C
 // traceparent header; -trace-export appends finished jobs' spans as
 // NDJSON, and -flight-dir keeps flight recordings (span tree + CPU

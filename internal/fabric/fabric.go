@@ -26,7 +26,6 @@ import (
 	"modemerge/internal/graph"
 	"modemerge/internal/incr"
 	"modemerge/internal/library"
-	"modemerge/internal/netlist"
 	"modemerge/internal/sdc"
 	"modemerge/internal/sta"
 )
@@ -113,12 +112,7 @@ type Executor struct {
 	parallelism int
 
 	mu      sync.Mutex
-	designs map[string]*prepared // keyed by design source hash
-}
-
-type prepared struct {
-	design *netlist.Design
-	graph  *graph.Graph
+	designs map[string]*graph.Graph // keyed by design source hash
 }
 
 // NewExecutor creates an executor over the shared artifact store. The
@@ -131,45 +125,29 @@ func NewExecutor(store incr.BlobStore, parallelism int) *Executor {
 		store:       store,
 		cache:       incr.New(4096).WithStore(store),
 		parallelism: parallelism,
-		designs:     map[string]*prepared{},
+		designs:     map[string]*graph.Graph{},
 	}
 }
 
-func (e *Executor) design(spec *Spec) (*prepared, error) {
+func (e *Executor) design(ctx context.Context, spec *Spec) (*graph.Graph, error) {
 	key := incr.Hash("lib", spec.Library, "top", spec.Top, "v", spec.Verilog)
 	e.mu.Lock()
-	p, ok := e.designs[key]
+	g, ok := e.designs[key]
 	e.mu.Unlock()
 	if ok {
-		return p, nil
+		return g, nil
 	}
-	lib := library.Default()
-	if spec.Library != "" {
-		parsed, err := library.Parse(spec.Library)
-		if err != nil {
-			return nil, fmt.Errorf("library: %w", err)
-		}
-		lib = parsed
-	}
-	design, err := netlist.ParseVerilog(spec.Verilog, lib, spec.Top)
+	g, _, err := graph.Load(ctx, spec.Verilog, spec.Library, spec.Top)
 	if err != nil {
-		return nil, fmt.Errorf("verilog: %w", err)
+		return nil, err
 	}
-	if _, err := design.Validate(); err != nil {
-		return nil, fmt.Errorf("design: %w", err)
-	}
-	g, err := graph.Build(design)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	p = &prepared{design: design, graph: g}
 	e.mu.Lock()
 	if len(e.designs) >= 8 { // tiny bound; specs of one job share a design
 		clear(e.designs)
 	}
-	e.designs[key] = p
+	e.designs[key] = g
 	e.mu.Unlock()
-	return p, nil
+	return g, nil
 }
 
 // Options reconstructs the core options a spec encodes. The fields set
@@ -194,25 +172,25 @@ func (e *Executor) Execute(ctx context.Context, spec *Spec) ([]byte, error) {
 	if len(spec.Members) < 2 {
 		return nil, fmt.Errorf("fabric: clique job needs at least 2 members, got %d", len(spec.Members))
 	}
-	p, err := e.design(spec)
+	g, err := e.design(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	group := make([]*sdc.Mode, len(spec.Members))
 	for i, m := range spec.Members {
-		mode, _, err := sdc.Parse(m.Name, m.SDC, p.design)
+		mode, _, err := sdc.Parse(m.Name, m.SDC, g.Design)
 		if err != nil {
 			return nil, fmt.Errorf("mode %s: %w", m.Name, err)
 		}
 		group[i] = mode
 	}
 	opt := e.Options(spec)
-	if key := core.CliqueKey(p.graph, opt, group); key != spec.Key {
+	if key := core.CliqueKey(g, opt, group); key != spec.Key {
 		// The job's identity must round-trip: a mismatch means the spec
 		// was corrupted or coordinator and worker disagree on options.
 		return nil, fmt.Errorf("fabric: clique key mismatch: spec %s, computed %s", spec.Key, key)
 	}
-	merged, report, err := core.MergeClique(ctx, p.graph, group, opt)
+	merged, report, err := core.MergeClique(ctx, g, group, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -152,6 +152,23 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
+// Counts returns one granularity's hit and miss counters.
+func (s StatsSnapshot) Counts(g Granularity) (hits, misses int64) {
+	switch g {
+	case GranContext:
+		return s.ContextHits, s.ContextMisses
+	case GranPair:
+		return s.PairHits, s.PairMisses
+	case GranClique:
+		return s.CliqueHits, s.CliqueMisses
+	case GranETM:
+		return s.ETMHits, s.ETMMisses
+	case GranMergedCtx:
+		return s.MergedCtxHits, s.MergedCtxMisses
+	}
+	return 0, 0
+}
+
 // Cache is one incremental sub-merge cache: a bounded in-memory LRU over
 // all three granularities plus an optional BlobStore behind the
 // serializable ones. The zero value is not usable; construct with New.

@@ -3,30 +3,11 @@ package service
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"sync"
 
 	"modemerge/internal/graph"
-	"modemerge/internal/library"
-	"modemerge/internal/netlist"
 )
-
-// contentHash hashes an ordered list of strings with length prefixes, so
-// no concatenation of parts can collide with a different split of the
-// same bytes. It is the content address for both cache layers.
-func contentHash(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // lruCache is a small thread-safe LRU keyed by content hash.
 type lruCache struct {
@@ -75,26 +56,20 @@ func (c *lruCache) put(key string, value any) {
 	}
 }
 
-// preparedDesign is a parsed and graph-built design, shared read-only by
-// every job that addresses the same (library, top, verilog) content.
-type preparedDesign struct {
-	lib    *library.Library
-	design *netlist.Design
-	graph  *graph.Graph
-}
-
 // designEntry carries the build-once state for one design key, so
 // concurrent first submissions of the same design parse it exactly once
 // (singleflight) while other designs build in parallel. done closes when
-// the build finishes; prep/err are immutable after that.
+// the build finishes; g/err are immutable after that. The built timing
+// graph (and the netlist it references) is shared read-only by every
+// job that addresses the same (library, top, verilog) content.
 type designEntry struct {
 	once sync.Once
 	done chan struct{}
-	prep *preparedDesign
+	g    *graph.Graph
 	err  error
 }
 
-// designCache content-addresses prepared designs.
+// designCache content-addresses built timing graphs.
 type designCache struct {
 	lru *lruCache
 }
@@ -103,12 +78,12 @@ func newDesignCache(capacity int) *designCache {
 	return &designCache{lru: newLRU(capacity)}
 }
 
-// get returns the prepared design for the key, building it at most once
+// get returns the timing graph for the key, building it at most once
 // per entry via build. hit reports whether the entry already existed
 // (even if its build is still in flight on another goroutine). The build
 // runs on its own goroutine so a waiter whose ctx ends leaves promptly
 // without aborting the shared entry for everyone else.
-func (c *designCache) get(ctx context.Context, key string, build func() (*preparedDesign, error)) (prep *preparedDesign, hit bool, err error) {
+func (c *designCache) get(ctx context.Context, key string, build func() (*graph.Graph, error)) (g *graph.Graph, hit bool, err error) {
 	c.lru.mu.Lock()
 	var entry *designEntry
 	if el, ok := c.lru.entries[key]; ok {
@@ -129,7 +104,7 @@ func (c *designCache) get(ctx context.Context, key string, build func() (*prepar
 	entry.once.Do(func() {
 		go func() {
 			defer close(entry.done)
-			entry.prep, entry.err = build()
+			entry.g, entry.err = build()
 		}()
 	})
 	select {
@@ -139,7 +114,7 @@ func (c *designCache) get(ctx context.Context, key string, build func() (*prepar
 			// the entry so it cannot serve a stale cancellation error.
 			c.evict(key, entry)
 		}
-		return entry.prep, hit, entry.err
+		return entry.g, hit, entry.err
 	case <-ctx.Done():
 		return nil, hit, ctx.Err()
 	}

@@ -2,8 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
-	"expvar"
 	"io"
 	"net/http"
 
@@ -11,42 +9,38 @@ import (
 	"modemerge/internal/obs"
 )
 
-// maxRequestBytes caps POST /v1/merge bodies (netlists are text; 32 MiB
-// is far beyond anything this flow handles in one job).
+// maxRequestBytes caps POST /v2/merge and /v2/matrix bodies (netlists
+// are text; 32 MiB is far beyond anything this flow handles in one job).
 const maxRequestBytes = 32 << 20
 
-// Handler returns the service's HTTP API. The /v2 surface (documented
-// in docs/api.md and docs/openapi.yaml) is the current one:
+// Handler returns the service's HTTP API (documented in docs/api.md and
+// docs/openapi.yaml):
 //
 //	POST /v2/merge            submit a job (202 + {id, status, cached, digest});
 //	                          honors Idempotency-Key
+//	POST /v2/matrix           submit an MCMM scenario-matrix job
 //	GET  /v2/jobs             list jobs (cursor pagination, ?status= filter)
 //	GET  /v2/jobs/{id}        job status snapshot
 //	GET  /v2/jobs/{id}/result finished result (409 until done)
+//	GET  /v2/jobs/{id}/matrix the reduced scenario matrix, paginated
 //	GET  /v2/jobs/{id}/trace  the job's span tree (stage timings, counters)
 //	POST /v2/jobs/{id}/cancel request cancellation (409 when already terminal)
 //	GET  /v2/jobs/{id}/flight the job's flight recording (404 when none)
 //	GET  /v2/flights          the flight recorder's ring, newest first
 //	GET  /v2/stats            this server's counters and stage timings
+//	GET  /v2/cluster          the merge fabric's cluster view
 //
 // Every /v2 route speaks W3C Trace Context: a valid traceparent request
 // header's trace id is adopted (jobs join the caller's trace) and every
 // response carries a traceparent header.
 // Errors on /v2 use a uniform envelope with stable codes (see http_v2.go).
-// The /v1 routes remain as a deprecated thin shim with their original
-// response shapes and send a Deprecation header. Unversioned:
+// Unversioned:
 //
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness probe
-//	GET  /debug/vars          process-wide expvar (includes "modemerged")
+//	/fabric/v1/...            cluster-internal wire API (fabric enabled only)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/merge", deprecatedV1(s.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs/{id}", deprecatedV1(s.handleJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", deprecatedV1(s.handleResult))
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", deprecatedV1(s.handleTrace))
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", deprecatedV1(s.handleCancel))
-	mux.HandleFunc("GET /v1/stats", deprecatedV1(s.handleStats))
 	s.registerV2(mux)
 	if s.fabric != nil {
 		// Cluster-internal wire API (join/poll/complete + blob
@@ -57,118 +51,18 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
 }
 
-// deprecatedV1 marks a /v1 response as deprecated (RFC 9745) and points
-// clients at the /v2 successor without changing the response body.
-func deprecatedV1(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "@1755043200") // 2025-08-13, the /v2 release
-		w.Header().Set("Link", "<docs/api.md>; rel=\"deprecation\", </v2>; rel=\"successor-version\"")
-		h(w, r)
-	}
-}
-
-type submitResponse struct {
-	ID     string `json:"id"`
-	Status Status `json:"status"`
-	Cached bool   `json:"cached"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	var req MergeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
-		return
-	}
-	job, err := s.Submit(&req)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	view := job.View()
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: job.ID, Status: view.Status, Cached: view.CacheHit})
-}
-
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	id := r.PathValue("id")
-	if !idSafe(id) {
-		writeError(w, http.StatusBadRequest, "malformed job id")
-		return nil, false
-	}
-	job, ok := s.Job(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+id)
-		return nil, false
-	}
-	return job, true
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if job, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, http.StatusOK, job.View())
-	}
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	view := job.View()
-	switch view.Status {
-	case StatusDone:
-		writeJSON(w, http.StatusOK, job.Result())
-	case StatusFailed, StatusCanceled:
-		writeError(w, http.StatusConflict, "job "+job.ID+" is "+string(view.Status)+": "+view.Error)
-	default:
-		writeError(w, http.StatusConflict, "job "+job.ID+" is still "+string(view.Status))
-	}
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	job.Cancel()
-	writeJSON(w, http.StatusAccepted, job.View())
-}
-
-// traceResponse is the GET /v1/jobs/{id}/trace payload.
+// traceResponse is the GET /v2/jobs/{id}/trace payload.
 type traceResponse struct {
 	ID     string          `json:"id"`
 	Status Status          `json:"status"`
 	Trace  []*obs.SpanView `json:"trace"`
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	tree := job.TraceTree()
-	if tree == nil {
-		tree = []*obs.SpanView{}
-	}
-	writeJSON(w, http.StatusOK, traceResponse{ID: job.ID, Status: job.Status(), Trace: tree})
-}
-
-// statsResponse extends the shared snapshot with queue occupancy; the
-// snapshot part is identical to the expvar "modemerged" variable.
+// statsResponse is the GET /v2/stats payload: the stats snapshot plus
+// queue occupancy.
 type statsResponse struct {
 	StatsSnapshot
 	Queue DrainTimeoutStatus `json:"queue"`
@@ -183,7 +77,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w) //nolint:errcheck // client gone; nothing to do
+	s.metrics.Snapshot().WritePrometheus(w) //nolint:errcheck // client gone; nothing to do
 	s.writeClusterMetrics(w)
 }
 
@@ -226,8 +120,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
 }

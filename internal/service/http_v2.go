@@ -13,8 +13,8 @@ import (
 	"modemerge/internal/obs"
 )
 
-// The /v2 API serves the same job machinery as /v1 behind a uniform
-// error envelope and precise status codes:
+// The /v2 API answers every error with a uniform envelope and precise
+// status codes:
 //
 //	{"error": {"code": "...", "message": "...", "details": {...}}}
 //
@@ -110,15 +110,15 @@ func withTraceContext(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // requestTraceID returns the trace id withTraceContext stored on the
-// request (zero when the middleware did not run, e.g. /v1 routes).
+// request (zero when the middleware did not run).
 func requestTraceID(r *http.Request) obs.TraceID {
 	id, _ := r.Context().Value(traceCtxKey{}).(obs.TraceID)
 	return id
 }
 
-// submitResponseV2 extends the v1 submit payload with the request's
-// content digest and the job's trace id so clients can correlate jobs
-// with inputs and with their own distributed traces.
+// submitResponseV2 is the submit payload: the job's id and state, the
+// request's content digest and the job's trace id, so clients can
+// correlate jobs with inputs and with their own distributed traces.
 type submitResponseV2 struct {
 	ID      string `json:"id"`
 	Status  Status `json:"status"`
@@ -290,7 +290,8 @@ func (s *Server) handleJobsListV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// lookupJobV2 is lookupJob with the /v2 error envelope.
+// lookupJobV2 resolves the {id} path parameter, answering 400 or 404
+// in the /v2 error envelope when it names no job.
 func (s *Server) lookupJobV2(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	if !idSafe(id) {
@@ -317,10 +318,18 @@ func (s *Server) handleResultV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if requireDone(w, job) {
+		writeJSON(w, http.StatusOK, job.Result())
+	}
+}
+
+// requireDone reports whether the job is done, answering 409 conflict
+// (naming the failure, or the state it is still in) when it is not.
+func requireDone(w http.ResponseWriter, job *Job) bool {
 	view := job.View()
 	switch view.Status {
 	case StatusDone:
-		writeJSON(w, http.StatusOK, job.Result())
+		return true
 	case StatusFailed, StatusCanceled:
 		writeErrorV2(w, http.StatusConflict, codeConflict,
 			"job "+job.ID+" is "+string(view.Status)+": "+view.Error,
@@ -330,6 +339,7 @@ func (s *Server) handleResultV2(w http.ResponseWriter, r *http.Request) {
 			"job "+job.ID+" is still "+string(view.Status),
 			map[string]any{"id": job.ID, "status": view.Status})
 	}
+	return false
 }
 
 // matrixResponse is the GET /v2/jobs/{id}/matrix payload: one page of
@@ -375,17 +385,7 @@ func (s *Server) handleJobMatrixV2(w http.ResponseWriter, r *http.Request) {
 		offset = n
 	}
 
-	view := job.View()
-	if view.Status != StatusDone {
-		if view.Status == StatusFailed || view.Status == StatusCanceled {
-			writeErrorV2(w, http.StatusConflict, codeConflict,
-				"job "+job.ID+" is "+string(view.Status)+": "+view.Error,
-				map[string]any{"id": job.ID, "status": view.Status})
-		} else {
-			writeErrorV2(w, http.StatusConflict, codeConflict,
-				"job "+job.ID+" is still "+string(view.Status),
-				map[string]any{"id": job.ID, "status": view.Status})
-		}
+	if !requireDone(w, job) {
 		return
 	}
 	result := job.Result()
@@ -456,9 +456,9 @@ func (s *Server) handleFlightV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// handleCancelV2 requests cancellation; unlike /v1 (which always accepts)
-// a job already in a terminal state is a 409 conflict, so clients can
-// distinguish "will stop" from "already over".
+// handleCancelV2 requests cancellation; a job already in a terminal
+// state is a 409 conflict, so clients can distinguish "will stop" from
+// "already over".
 func (s *Server) handleCancelV2(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookupJobV2(w, r)
 	if !ok {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"modemerge/internal/core"
+	"modemerge/internal/incr"
 	"modemerge/internal/library"
 	"modemerge/internal/obs"
 )
@@ -50,7 +51,7 @@ type RequestOptions struct {
 	MaxRefineIterations int     `json:"max_refine_iterations,omitempty"`
 }
 
-// MergeRequest is the POST /v1/merge payload.
+// MergeRequest is the POST /v2/merge (and /v2/matrix) payload.
 type MergeRequest struct {
 	// Verilog is the structural netlist source (required).
 	Verilog string `json:"verilog"`
@@ -147,12 +148,12 @@ func (r *MergeRequest) resultKey() string {
 	if len(r.Corners) > 0 {
 		parts = append(parts, "corners", library.CornerSetKey(r.coreCorners()))
 	}
-	return contentHash(parts...)
+	return incr.Hash(parts...)
 }
 
 // designKey content-addresses only the parse inputs.
 func (r *MergeRequest) designKey() string {
-	return contentHash("lib", r.Library, "top", r.Top, "v", r.Verilog)
+	return incr.Hash("lib", r.Library, "top", r.Top, "v", r.Verilog)
 }
 
 // MergedMode is one merged output mode.
@@ -241,7 +242,7 @@ type Job struct {
 	stages   map[string]time.Duration
 	result   *Result
 	// tracer collects the job's span tree while it executes; it stays
-	// readable after the job finishes (GET /v1/jobs/{id}/trace).
+	// readable after the job finishes (GET /v2/jobs/{id}/trace).
 	tracer *obs.Tracer
 	// panicMsg/panicStack record a worker panic for the flight recorder.
 	panicMsg   string
@@ -364,7 +365,7 @@ func (j *Job) finish(status Status, result *Result, err error) bool {
 	return true
 }
 
-// JobView is the JSON snapshot served at GET /v1/jobs/{id}.
+// JobView is the JSON snapshot served at GET /v2/jobs/{id}.
 type JobView struct {
 	ID        string            `json:"id"`
 	Digest    string            `json:"digest,omitempty"`

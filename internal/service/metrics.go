@@ -1,7 +1,6 @@
 package service
 
 import (
-	"expvar"
 	"io"
 	"runtime"
 	"sort"
@@ -14,8 +13,8 @@ import (
 )
 
 // incrHitGranularities fixes the label set of the incremental-cache
-// hit-latency histograms, so every granularity's family exists from the
-// first scrape (zero observations) instead of appearing on first hit.
+// event counters and hit-latency histograms, so every granularity's
+// series exists from the first scrape instead of appearing on first hit.
 var incrHitGranularities = []incr.Granularity{
 	incr.GranContext, incr.GranPair, incr.GranClique, incr.GranETM, incr.GranMergedCtx,
 }
@@ -27,14 +26,10 @@ var incrHitBuckets = []float64{
 	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 2.5e-2, 0.1,
 }
 
-// Metrics holds the service counters, per-stage timing aggregates and
-// latency histograms. A Server owns one instance; every update also
-// mirrors into the process-global aggregate published at /debug/vars, so
-// per-server stats (served at /v1/stats and /metrics) stay isolated while
-// expvar shows the whole process.
+// Metrics holds one server's counters, per-stage timing histograms and
+// latency histograms. Snapshot reads them once; GET /v2/stats and GET
+// /metrics both render that one snapshot.
 type Metrics struct {
-	parent *Metrics
-
 	JobsQueued   atomic.Int64
 	JobsRunning  atomic.Int64
 	JobsDone     atomic.Int64
@@ -48,7 +43,10 @@ type Metrics struct {
 	// mergeParallelism is the configured intra-merge worker bound,
 	// surfaced as a gauge so operators can correlate latency with the
 	// parallelism setting.
-	mergeParallelism atomic.Int64
+	mergeParallelism int64
+
+	// incr is the server's incremental sub-merge cache counters.
+	incr *incr.Stats
 
 	queueWait *obs.Histogram
 
@@ -57,35 +55,24 @@ type Metrics struct {
 	// incrHitGranularities), so concurrent Observe needs no lock.
 	incrHitHists map[incr.Granularity]*obs.Histogram
 
-	mu         sync.Mutex
-	stages     map[string]*stageStat
-	stageHists map[string]*obs.Histogram
-	// incrSources are the incremental sub-merge caches feeding this
-	// instance's incr_cache snapshot; the process aggregate sums every
-	// server's cache.
-	incrSources []*incr.Stats
+	mu     sync.Mutex
+	stages map[string]*stageStat
 }
 
+// stageStat is one stage's timings: the histogram carries count and
+// total, maxNs the slowest run.
 type stageStat struct {
-	Count   int64
-	TotalNs int64
-	MaxNs   int64
+	hist  *obs.Histogram
+	maxNs int64
 }
 
-// processMetrics aggregates every server in the process for /debug/vars.
-var processMetrics = newMetrics(nil)
-
-func init() {
-	expvar.Publish("modemerged", expvar.Func(func() any { return processMetrics.Snapshot() }))
-}
-
-func newMetrics(parent *Metrics) *Metrics {
+func newMetrics(mergeParallelism int, incrStats *incr.Stats) *Metrics {
 	m := &Metrics{
-		parent:       parent,
-		queueWait:    obs.NewHistogram(obs.DurationBuckets...),
-		incrHitHists: map[incr.Granularity]*obs.Histogram{},
-		stages:       map[string]*stageStat{},
-		stageHists:   map[string]*obs.Histogram{},
+		mergeParallelism: int64(mergeParallelism),
+		incr:             incrStats,
+		queueWait:        obs.NewHistogram(obs.DurationBuckets...),
+		incrHitHists:     map[incr.Granularity]*obs.Histogram{},
+		stages:           map[string]*stageStat{},
 	}
 	for _, g := range incrHitGranularities {
 		m.incrHitHists[g] = obs.NewHistogram(incrHitBuckets...)
@@ -93,58 +80,10 @@ func newMetrics(parent *Metrics) *Metrics {
 	return m
 }
 
-func (m *Metrics) add(c func(*Metrics) *atomic.Int64, delta int64) {
-	c(m).Add(delta)
-	if m.parent != nil {
-		c(m.parent).Add(delta)
-	}
-}
-
-// AddIncrSource registers an incremental cache's counters with this
-// instance (and, transitively, the process aggregate).
-func (m *Metrics) AddIncrSource(s *incr.Stats) {
-	m.mu.Lock()
-	m.incrSources = append(m.incrSources, s)
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddIncrSource(s)
-	}
-}
-
-// incrSnapshot sums the registered incremental caches' counters.
-func (m *Metrics) incrSnapshot() incr.StatsSnapshot {
-	m.mu.Lock()
-	sources := m.incrSources
-	m.mu.Unlock()
-	var out incr.StatsSnapshot
-	for _, s := range sources {
-		snap := s.Snapshot()
-		out.ContextHits += snap.ContextHits
-		out.ContextMisses += snap.ContextMisses
-		out.PairHits += snap.PairHits
-		out.PairMisses += snap.PairMisses
-		out.CliqueHits += snap.CliqueHits
-		out.CliqueMisses += snap.CliqueMisses
-	}
-	return out
-}
-
-// SetMergeParallelism records the server's configured intra-merge
-// parallelism (mirrored to the process aggregate; last server wins there).
-func (m *Metrics) SetMergeParallelism(n int) {
-	m.mergeParallelism.Store(int64(n))
-	if m.parent != nil {
-		m.parent.SetMergeParallelism(n)
-	}
-}
-
 // ObserveQueueWait records how long one job sat in the queue before a
 // worker picked it up.
 func (m *Metrics) ObserveQueueWait(d time.Duration) {
 	m.queueWait.Observe(d.Seconds())
-	if m.parent != nil {
-		m.parent.ObserveQueueWait(d)
-	}
 }
 
 // ObserveIncrHit records one incremental-cache hit's lookup latency.
@@ -155,34 +94,19 @@ func (m *Metrics) ObserveIncrHit(g incr.Granularity, d time.Duration) {
 	if h, ok := m.incrHitHists[g]; ok {
 		h.Observe(d.Seconds())
 	}
-	if m.parent != nil {
-		m.parent.ObserveIncrHit(g, d)
-	}
 }
 
 // ObserveStage records one stage execution time.
 func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	s := m.stages[stage]
 	if s == nil {
-		s = &stageStat{}
+		s = &stageStat{hist: obs.NewHistogram(obs.DurationBuckets...)}
 		m.stages[stage] = s
 	}
-	s.Count++
-	s.TotalNs += int64(d)
-	if int64(d) > s.MaxNs {
-		s.MaxNs = int64(d)
-	}
-	h := m.stageHists[stage]
-	if h == nil {
-		h = obs.NewHistogram(obs.DurationBuckets...)
-		m.stageHists[stage] = h
-	}
-	m.mu.Unlock()
-	h.Observe(d.Seconds())
-	if m.parent != nil {
-		m.parent.ObserveStage(stage, d)
-	}
+	s.hist.Observe(d.Seconds())
+	s.maxNs = max(s.maxNs, int64(d))
 }
 
 // StageSnapshot is the JSON view of one stage's timing aggregate.
@@ -192,6 +116,8 @@ type StageSnapshot struct {
 	TotalMS float64 `json:"total_ms"`
 	AvgMS   float64 `json:"avg_ms"`
 	MaxMS   float64 `json:"max_ms"`
+
+	hist obs.HistogramSnapshot
 }
 
 // QueueWaitSnapshot summarizes the queue-wait histogram.
@@ -226,9 +152,9 @@ func sampleRuntime() RuntimeSnapshot {
 	return out
 }
 
-// StatsSnapshot is the single typed view of the service counters, shared
-// verbatim by GET /v1/stats and the expvar "modemerged" variable so the
-// two surfaces can never drift apart.
+// StatsSnapshot is the single typed view of the service counters, taken
+// once per request: GET /v2/stats serves its JSON and GET /metrics
+// renders it with WritePrometheus, so the two surfaces cannot drift.
 type StatsSnapshot struct {
 	JobsQueued   int64 `json:"jobs_queued"`
 	JobsRunning  int64 `json:"jobs_running"`
@@ -241,7 +167,8 @@ type StatsSnapshot struct {
 	CacheMisses     int64 `json:"cache_misses"`
 
 	// IncrCache breaks the incremental sub-merge cache down by
-	// granularity (per-mode contexts, pair verdicts, clique artifacts).
+	// granularity (per-mode contexts, pair verdicts, clique artifacts,
+	// extracted timing models, merged-mode contexts).
 	IncrCache incr.StatsSnapshot `json:"incr_cache"`
 
 	MergeParallelism int64 `json:"merge_parallelism"`
@@ -251,9 +178,13 @@ type StatsSnapshot struct {
 
 	QueueWait QueueWaitSnapshot `json:"queue_wait"`
 	Stages    []StageSnapshot   `json:"stages"`
+
+	// The histograms only the Prometheus exposition renders in full.
+	queueWait obs.HistogramSnapshot
+	incrHits  []obs.HistSeries
 }
 
-// Snapshot captures the counters and stage aggregates.
+// Snapshot captures the counters, histograms and stage aggregates.
 func (m *Metrics) Snapshot() StatsSnapshot {
 	out := StatsSnapshot{
 		JobsQueued:       m.JobsQueued.Load(),
@@ -264,93 +195,88 @@ func (m *Metrics) Snapshot() StatsSnapshot {
 		CacheHitsResult:  m.CacheHitsResult.Load(),
 		CacheHitsDesign:  m.CacheHitsDesign.Load(),
 		CacheMisses:      m.CacheMisses.Load(),
-		IncrCache:        m.incrSnapshot(),
-		MergeParallelism: m.mergeParallelism.Load(),
+		IncrCache:        m.incr.Snapshot(),
+		MergeParallelism: m.mergeParallelism,
 		Runtime:          sampleRuntime(),
+		queueWait:        m.queueWait.Snapshot(),
 	}
-	qw := m.queueWait.Snapshot()
-	out.QueueWait.Count = int64(qw.Count)
-	if qw.Count > 0 {
-		out.QueueWait.AvgMS = qw.Sum / float64(qw.Count) * 1e3
+	out.QueueWait.Count = int64(out.queueWait.Count)
+	if out.queueWait.Count > 0 {
+		out.QueueWait.AvgMS = out.queueWait.Sum / float64(out.queueWait.Count) * 1e3
 	}
-	m.mu.Lock()
-	stages := make([]StageSnapshot, 0, len(m.stages))
-	for name, s := range m.stages {
-		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-		avg := int64(0)
-		if s.Count > 0 {
-			avg = s.TotalNs / s.Count
-		}
-		stages = append(stages, StageSnapshot{
-			Stage: name, Count: s.Count,
-			TotalMS: ms(s.TotalNs), AvgMS: ms(avg), MaxMS: ms(s.MaxNs),
-		})
-	}
-	m.mu.Unlock()
-	sort.Slice(stages, func(i, j int) bool { return stages[i].Stage < stages[j].Stage })
-	out.Stages = stages
-	return out
-}
-
-// WritePrometheus renders the counters and histograms in Prometheus text
-// exposition format (served at GET /metrics).
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	pw := obs.NewPromWriter(w)
-	pw.Counter("modemerged_jobs_total", "Jobs by terminal (or queued/running transition) state.",
-		obs.Series{Labels: []string{"state", "queued"}, Value: float64(m.JobsQueued.Load())},
-		obs.Series{Labels: []string{"state", "done"}, Value: float64(m.JobsDone.Load())},
-		obs.Series{Labels: []string{"state", "failed"}, Value: float64(m.JobsFailed.Load())},
-		obs.Series{Labels: []string{"state", "canceled"}, Value: float64(m.JobsCanceled.Load())})
-	pw.Gauge("modemerged_jobs_running", "Jobs currently executing on the worker pool.",
-		obs.Series{Value: float64(m.JobsRunning.Load())})
-	pw.Gauge("modemerged_merge_parallelism", "Configured intra-merge worker pool bound.",
-		obs.Series{Value: float64(m.mergeParallelism.Load())})
-	pw.Counter("modemerged_cache_events_total", "Cache hits and misses by cache.",
-		obs.Series{Labels: []string{"cache", "result", "event", "hit"}, Value: float64(m.CacheHitsResult.Load())},
-		obs.Series{Labels: []string{"cache", "design", "event", "hit"}, Value: float64(m.CacheHitsDesign.Load())},
-		obs.Series{Labels: []string{"cache", "result", "event", "miss"}, Value: float64(m.CacheMisses.Load())})
-	ic := m.incrSnapshot()
-	pw.Counter("modemerged_incr_cache_events_total",
-		"Incremental sub-merge cache hits and misses by granularity.",
-		obs.Series{Labels: []string{"granularity", "context", "event", "hit"}, Value: float64(ic.ContextHits)},
-		obs.Series{Labels: []string{"granularity", "context", "event", "miss"}, Value: float64(ic.ContextMisses)},
-		obs.Series{Labels: []string{"granularity", "pair", "event", "hit"}, Value: float64(ic.PairHits)},
-		obs.Series{Labels: []string{"granularity", "pair", "event", "miss"}, Value: float64(ic.PairMisses)},
-		obs.Series{Labels: []string{"granularity", "clique", "event", "hit"}, Value: float64(ic.CliqueHits)},
-		obs.Series{Labels: []string{"granularity", "clique", "event", "miss"}, Value: float64(ic.CliqueMisses)})
-	rt := sampleRuntime()
-	pw.Gauge("modemerged_runtime_goroutines", "Goroutines currently live in the process.",
-		obs.Series{Value: float64(rt.Goroutines)})
-	pw.Gauge("modemerged_runtime_heap_inuse_bytes", "Heap bytes in in-use spans.",
-		obs.Series{Value: float64(rt.HeapInuseBytes)})
-	pw.Gauge("modemerged_runtime_last_gc_pause_seconds", "Duration of the most recent GC stop-the-world pause.",
-		obs.Series{Value: rt.LastGCPauseMS / 1e3})
-	pw.Histogram("modemerged_queue_wait_seconds", "Time jobs spend queued before a worker picks them up.",
-		obs.HistSeries{Snap: m.queueWait.Snapshot()})
-	incrHitSeries := make([]obs.HistSeries, 0, len(incrHitGranularities))
 	for _, g := range incrHitGranularities {
-		incrHitSeries = append(incrHitSeries, obs.HistSeries{
+		out.incrHits = append(out.incrHits, obs.HistSeries{
 			Labels: []string{"granularity", string(g)},
 			Snap:   m.incrHitHists[g].Snapshot(),
 		})
 	}
-	pw.Histogram("modemerged_incr_cache_hit_seconds",
-		"Incremental sub-merge cache hit lookup latency by granularity.", incrHitSeries...)
-
 	m.mu.Lock()
-	names := make([]string, 0, len(m.stageHists))
-	for name := range m.stageHists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	series := make([]obs.HistSeries, 0, len(names))
-	for _, name := range names {
-		series = append(series, obs.HistSeries{
-			Labels: []string{"stage", name},
-			Snap:   m.stageHists[name].Snapshot(),
-		})
+	out.Stages = make([]StageSnapshot, 0, len(m.stages))
+	for name, s := range m.stages {
+		h := s.hist.Snapshot()
+		row := StageSnapshot{
+			Stage: name, Count: int64(h.Count),
+			TotalMS: h.Sum * 1e3, MaxMS: float64(s.maxNs) / 1e6, hist: h,
+		}
+		if h.Count > 0 {
+			row.AvgMS = row.TotalMS / float64(h.Count)
+		}
+		out.Stages = append(out.Stages, row)
 	}
 	m.mu.Unlock()
-	pw.Histogram("modemerged_stage_seconds", "Merge pipeline stage latency.", series...)
+	sort.Slice(out.Stages, func(i, j int) bool { return out.Stages[i].Stage < out.Stages[j].Stage })
+	return out
+}
+
+// incrEventLabel names a granularity in modemerged_incr_cache_events_total;
+// per-mode contexts keep the label the family has always used.
+func incrEventLabel(g incr.Granularity) string {
+	if g == incr.GranContext {
+		return "context"
+	}
+	return string(g)
+}
+
+// WritePrometheus renders the snapshot in Prometheus text exposition
+// format (served at GET /metrics).
+func (s StatsSnapshot) WritePrometheus(w io.Writer) error {
+	pw := obs.NewPromWriter(w)
+	pw.Counter("modemerged_jobs_total", "Jobs by terminal (or queued/running transition) state.",
+		obs.Series{Labels: []string{"state", "queued"}, Value: float64(s.JobsQueued)},
+		obs.Series{Labels: []string{"state", "done"}, Value: float64(s.JobsDone)},
+		obs.Series{Labels: []string{"state", "failed"}, Value: float64(s.JobsFailed)},
+		obs.Series{Labels: []string{"state", "canceled"}, Value: float64(s.JobsCanceled)})
+	pw.Gauge("modemerged_jobs_running", "Jobs currently executing on the worker pool.",
+		obs.Series{Value: float64(s.JobsRunning)})
+	pw.Gauge("modemerged_merge_parallelism", "Configured intra-merge worker pool bound.",
+		obs.Series{Value: float64(s.MergeParallelism)})
+	pw.Counter("modemerged_cache_events_total", "Cache hits and misses by cache.",
+		obs.Series{Labels: []string{"cache", "result", "event", "hit"}, Value: float64(s.CacheHitsResult)},
+		obs.Series{Labels: []string{"cache", "design", "event", "hit"}, Value: float64(s.CacheHitsDesign)},
+		obs.Series{Labels: []string{"cache", "result", "event", "miss"}, Value: float64(s.CacheMisses)})
+	incrEvents := make([]obs.Series, 0, 2*len(incrHitGranularities))
+	for _, g := range incrHitGranularities {
+		hits, misses := s.IncrCache.Counts(g)
+		incrEvents = append(incrEvents,
+			obs.Series{Labels: []string{"granularity", incrEventLabel(g), "event", "hit"}, Value: float64(hits)},
+			obs.Series{Labels: []string{"granularity", incrEventLabel(g), "event", "miss"}, Value: float64(misses)})
+	}
+	pw.Counter("modemerged_incr_cache_events_total",
+		"Incremental sub-merge cache hits and misses by granularity.", incrEvents...)
+	pw.Gauge("modemerged_runtime_goroutines", "Goroutines currently live in the process.",
+		obs.Series{Value: float64(s.Runtime.Goroutines)})
+	pw.Gauge("modemerged_runtime_heap_inuse_bytes", "Heap bytes in in-use spans.",
+		obs.Series{Value: float64(s.Runtime.HeapInuseBytes)})
+	pw.Gauge("modemerged_runtime_last_gc_pause_seconds", "Duration of the most recent GC stop-the-world pause.",
+		obs.Series{Value: s.Runtime.LastGCPauseMS / 1e3})
+	pw.Histogram("modemerged_queue_wait_seconds", "Time jobs spend queued before a worker picks them up.",
+		obs.HistSeries{Snap: s.queueWait})
+	pw.Histogram("modemerged_incr_cache_hit_seconds",
+		"Incremental sub-merge cache hit lookup latency by granularity.", s.incrHits...)
+	stages := make([]obs.HistSeries, len(s.Stages))
+	for i, st := range s.Stages {
+		stages[i] = obs.HistSeries{Labels: []string{"stage", st.Stage}, Snap: st.hist}
+	}
+	pw.Histogram("modemerged_stage_seconds", "Merge pipeline stage latency.", stages...)
 	return pw.Err()
 }

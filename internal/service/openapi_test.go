@@ -8,6 +8,8 @@ package service
 // fails the build.
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"sort"
@@ -121,4 +123,72 @@ func sorted(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestOpenAPIRouteSurface: Handler serves exactly the documented /v2
+// routes plus the unversioned /metrics and /healthz (and the fabric wire
+// API when the fabric is on). The retired /v1 routes and /debug/vars
+// answer 404.
+func TestOpenAPIRouteSurface(t *testing.T) {
+	removed := []string{
+		"POST /v1/merge", "GET /v1/jobs/j000001", "GET /v1/jobs/j000001/result",
+		"GET /v1/jobs/j000001/trace", "POST /v1/jobs/j000001/cancel", "GET /v1/stats",
+		"GET /debug/vars",
+	}
+	for _, fabricOn := range []bool{false, true} {
+		s := newTestServer(t, Config{Workers: 1, Fabric: FabricConfig{Enabled: fabricOn}})
+		mux, ok := s.Handler().(*http.ServeMux)
+		if !ok {
+			t.Fatalf("Handler is a %T, want *http.ServeMux", s.Handler())
+		}
+		allowed := map[string]bool{"GET /metrics": true, "GET /healthz": true}
+		for _, pattern := range V2Routes() {
+			allowed[pattern] = true
+		}
+		if fabricOn {
+			allowed["/fabric/v1/"] = true
+		}
+		probes := append([]string{"GET /", "GET /v2/", "GET /fabric/v1/poll", "GET /debug/pprof/"}, removed...)
+		for pattern := range allowed {
+			probes = append(probes, strings.Replace(pattern, "{id}", "j000001", 1))
+		}
+		served := map[string]bool{}
+		for _, probe := range probes {
+			method, path, _ := strings.Cut(probe, " ")
+			if method == "" || path == "" {
+				method, path = http.MethodGet, probe
+			}
+			_, pattern := mux.Handler(httptest.NewRequest(method, path, nil))
+			if pattern == "" {
+				continue
+			}
+			if !allowed[pattern] {
+				t.Errorf("fabric=%v: %s is served by unexpected route %q", fabricOn, probe, pattern)
+			}
+			served[pattern] = true
+		}
+		for pattern := range allowed {
+			if !served[pattern] {
+				t.Errorf("fabric=%v: route %q is not served", fabricOn, pattern)
+			}
+		}
+
+		ts := httptest.NewServer(mux)
+		for _, probe := range removed {
+			method, path, _ := strings.Cut(probe, " ")
+			req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("fabric=%v: %s = %d, want 404", fabricOn, probe, resp.StatusCode)
+			}
+		}
+		ts.Close()
+	}
 }

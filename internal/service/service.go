@@ -37,8 +37,6 @@ import (
 	"modemerge/internal/fabric"
 	"modemerge/internal/graph"
 	"modemerge/internal/incr"
-	"modemerge/internal/library"
-	"modemerge/internal/netlist"
 	"modemerge/internal/obs"
 	"modemerge/internal/pipeline"
 	"modemerge/internal/sdc"
@@ -201,7 +199,6 @@ func New(cfg Config) *Server {
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		metrics:    newMetrics(processMetrics),
 		logger:     cfg.Logger,
 		designs:    newDesignCache(cfg.DesignCacheSize),
 		results:    newLRU(cfg.ResultCacheSize),
@@ -250,9 +247,8 @@ func New(cfg Config) *Server {
 			s.flights = fr
 		}
 	}
-	s.metrics.AddIncrSource(s.incr.Stats())
+	s.metrics = newMetrics(cfg.MergeParallelism, s.incr.Stats())
 	s.incr.SetHitObserver(s.metrics.ObserveIncrHit)
-	s.metrics.SetMergeParallelism(cfg.MergeParallelism)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -260,7 +256,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Metrics exposes the server's counters (used by /v1/stats and tests).
+// Metrics exposes the server's counters (served at /v2/stats and /metrics).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // IncrCache exposes the shared incremental sub-merge cache.
@@ -313,8 +309,8 @@ func (s *Server) SubmitTraced(req *MergeRequest, traceID obs.TraceID) (*Job, err
 		}
 		s.jobs[id] = job
 		s.mu.Unlock()
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.CacheHitsResult }, 1)
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsDone }, 1)
+		s.metrics.CacheHitsResult.Add(1)
+		s.metrics.JobsDone.Add(1)
 		s.finishJob(job, StatusDone, cached.(*Result), nil)
 		return job, nil
 	}
@@ -333,8 +329,8 @@ func (s *Server) SubmitTraced(req *MergeRequest, traceID obs.TraceID) (*Job, err
 	case s.queue <- job:
 		s.jobs[id] = job
 		s.mu.Unlock()
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.CacheMisses }, 1)
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsQueued }, 1)
+		s.metrics.CacheMisses.Add(1)
+		s.metrics.JobsQueued.Add(1)
 		return job, nil
 	default:
 		s.mu.Unlock()
@@ -406,13 +402,13 @@ func (s *Server) runJob(job *Job) {
 			logger.Error("job panicked",
 				"stage", job.currentStage(), "panic", r, "stack", string(stack))
 			job.notePanic(fmt.Sprint(r), stack)
-			s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsFailed }, 1)
+			s.metrics.JobsFailed.Add(1)
 			s.finishJob(job, StatusFailed, nil, fmt.Errorf("internal error: %v", r))
 		}
 	}()
 	if job.ctx.Err() != nil {
 		// Canceled (or drained) while still queued.
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsCanceled }, 1)
+		s.metrics.JobsCanceled.Add(1)
 		s.finishJob(job, StatusCanceled, nil, job.ctx.Err())
 		return
 	}
@@ -429,8 +425,8 @@ func (s *Server) runJob(job *Job) {
 
 	wait := job.markRunning()
 	s.metrics.ObserveQueueWait(wait)
-	s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsRunning }, 1)
-	defer s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsRunning }, -1)
+	s.metrics.JobsRunning.Add(1)
+	defer s.metrics.JobsRunning.Add(-1)
 	logger.Info("job started",
 		"modes", len(req.Modes), "queue_wait_ms", wait.Milliseconds())
 
@@ -443,18 +439,20 @@ func (s *Server) runJob(job *Job) {
 	start := time.Now()
 	result, err := s.execute(ctx, job, req)
 	elapsed := time.Since(start)
+	// Each outcome is logged before the job turns terminal, so whoever
+	// waits on job.Done already sees the log record.
 	var pe *pipeline.PanicError
 	switch {
 	case err == nil:
 		s.results.put(req.resultKey(), result)
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsDone }, 1)
-		s.finishJob(job, StatusDone, result, nil)
+		s.metrics.JobsDone.Add(1)
 		logger.Info("job done", "elapsed_ms", elapsed.Milliseconds())
+		s.finishJob(job, StatusDone, result, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsCanceled }, 1)
-		s.finishJob(job, StatusCanceled, nil, err)
+		s.metrics.JobsCanceled.Add(1)
 		logger.Info("job canceled",
 			"stage", job.currentStage(), "elapsed_ms", elapsed.Milliseconds())
+		s.finishJob(job, StatusCanceled, nil, err)
 	case errors.As(err, &pe):
 		// A panic on a pipeline stage goroutine surfaces as an error from
 		// Group.Wait; map it onto the same crash accounting the worker's
@@ -462,14 +460,14 @@ func (s *Server) runJob(job *Job) {
 		logger.Error("job panicked",
 			"stage", job.currentStage(), "panic", pe.Value, "stack", string(pe.Stack))
 		job.notePanic(fmt.Sprint(pe.Value), pe.Stack)
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsFailed }, 1)
+		s.metrics.JobsFailed.Add(1)
 		s.finishJob(job, StatusFailed, nil, fmt.Errorf("internal error: %v", pe.Value))
 	default:
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsFailed }, 1)
-		s.finishJob(job, StatusFailed, nil, err)
+		s.metrics.JobsFailed.Add(1)
 		logger.Warn("job failed",
 			"stage", job.currentStage(),
 			"elapsed_ms", elapsed.Milliseconds(), "error", err)
+		s.finishJob(job, StatusFailed, nil, err)
 	}
 }
 
@@ -481,7 +479,7 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	}
 
 	// The job's tracer records the whole pipeline as one span tree, served
-	// at GET /v1/jobs/{id}/trace after (and during) execution. It carries
+	// at GET /v2/jobs/{id}/trace after (and during) execution. It carries
 	// the job's trace id so exported spans join the submitter's trace.
 	tracer := obs.NewTracerWithID(job.traceID)
 	job.setTracer(tracer)
@@ -499,11 +497,12 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	job.noteStage("parse")
 	parseSpan := root.Child("parse")
 	parseStart := time.Now()
-	prep, hit, err := s.designs.get(ctx, req.designKey(), func() (*preparedDesign, error) {
-		return prepareDesign(s.baseCtx, req)
+	g, hit, err := s.designs.get(ctx, req.designKey(), func() (*graph.Graph, error) {
+		g, _, err := graph.Load(s.baseCtx, req.Verilog, req.Library, req.Top)
+		return g, err
 	})
 	if hit {
-		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.CacheHitsDesign }, 1)
+		s.metrics.CacheHitsDesign.Add(1)
 		parseSpan.Add("design_cache_hit", 1)
 	}
 	if err != nil {
@@ -516,7 +515,7 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	}
 	modes := make([]*sdc.Mode, len(req.Modes))
 	for i, m := range req.Modes {
-		mode, _, err := sdc.Parse(m.Name, m.SDC, prep.design)
+		mode, _, err := sdc.Parse(m.Name, m.SDC, g.Design)
 		if err != nil {
 			parseSpan.Finish()
 			return nil, fmt.Errorf("mode %s: %w", m.Name, err)
@@ -539,11 +538,11 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 		Trace:               root,
 		Cache:               s.incr,
 	}
-	mb, cliques, err := core.PlanMerge(prep.graph, modes, opt)
+	mb, cliques, err := core.PlanMerge(g, modes, opt)
 	if err != nil {
 		return nil, err
 	}
-	merged, reports, err := s.mergeCliques(ctx, req, prep, modes, cliques, opt)
+	merged, reports, err := s.mergeCliques(ctx, req, g, modes, cliques, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +590,7 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 			}
 			vopt := opt
 			vopt.Trace = validateSpan.Child("validate:" + merged[ci].Name)
-			res, err := core.CheckEquivalence(ctx, prep.graph, group, merged[ci], vopt)
+			res, err := core.CheckEquivalence(ctx, g, group, merged[ci], vopt)
 			vopt.Trace.Finish()
 			if err != nil {
 				return nil, fmt.Errorf("validating %s: %w", merged[ci].Name, err)
@@ -625,7 +624,7 @@ type cliqueOut struct {
 // DispatchWidth in flight) and merged by whichever node is free first;
 // singletons pass straight through. Determinism of the merge engine
 // plus order preservation keeps the output byte-identical either way.
-func (s *Server) mergeCliques(ctx context.Context, req *MergeRequest, prep *preparedDesign, modes []*sdc.Mode, cliques [][]int, opt core.Options) ([]*sdc.Mode, []*core.Report, error) {
+func (s *Server) mergeCliques(ctx context.Context, req *MergeRequest, g *graph.Graph, modes []*sdc.Mode, cliques [][]int, opt core.Options) ([]*sdc.Mode, []*core.Report, error) {
 	width := 1
 	if s.fabric != nil {
 		width = s.cfg.Fabric.DispatchWidth
@@ -642,10 +641,10 @@ func (s *Server) mergeCliques(ctx context.Context, req *MergeRequest, prep *prep
 			group[i] = modes[mi]
 		}
 		if s.fabric != nil && len(group) > 1 {
-			m, rep, err := s.mergeOnFabric(cx, req, prep, group, opt)
+			m, rep, err := s.mergeOnFabric(cx, req, g, group, opt)
 			return cliqueOut{mode: m, report: rep}, err
 		}
-		m, rep, err := core.MergeClique(cx, prep.graph, group, opt)
+		m, rep, err := core.MergeClique(cx, g, group, opt)
 		return cliqueOut{mode: m, report: rep}, err
 	})
 	collected := pipeline.Collect(pg, outs)
@@ -667,7 +666,7 @@ func (s *Server) mergeCliques(ctx context.Context, req *MergeRequest, prep *prep
 // concurrent identical submissions and retries worker deaths), and
 // decode the artifact bytes. The span mirrors the one core.MergeClique
 // opens locally, so job traces keep their shape across deployments.
-func (s *Server) mergeOnFabric(ctx context.Context, req *MergeRequest, prep *preparedDesign, group []*sdc.Mode, opt core.Options) (*sdc.Mode, *core.Report, error) {
+func (s *Server) mergeOnFabric(ctx context.Context, req *MergeRequest, g *graph.Graph, group []*sdc.Mode, opt core.Options) (*sdc.Mode, *core.Report, error) {
 	names := make([]string, len(group))
 	members := make([]fabric.Mode, len(group))
 	for i, m := range group {
@@ -678,11 +677,11 @@ func (s *Server) mergeOnFabric(ctx context.Context, req *MergeRequest, prep *pre
 	}
 	span := opt.Trace.Child("merge:" + strings.Join(names, "+"))
 	defer span.Finish()
-	span.SetAttr("design", prep.graph.Design.Name)
+	span.SetAttr("design", g.Design.Name)
 	span.SetAttr("members", strings.Join(names, ","))
 	span.SetAttr("fabric", "1")
 	spec := fabric.Spec{
-		Key:                 core.CliqueKey(prep.graph, opt, group),
+		Key:                 core.CliqueKey(g, opt, group),
 		Verilog:             req.Verilog,
 		Top:                 req.Top,
 		Library:             req.Library,
@@ -697,50 +696,11 @@ func (s *Server) mergeOnFabric(ctx context.Context, req *MergeRequest, prep *pre
 	if err != nil {
 		return nil, nil, fmt.Errorf("merging %v: %w", names, err)
 	}
-	m, rep, err := core.DecodeCliqueArtifact(b, prep.graph)
+	m, rep, err := core.DecodeCliqueArtifact(b, g)
 	if err != nil {
 		return nil, nil, fmt.Errorf("merging %v: decoding artifact: %w", names, err)
 	}
 	return m, rep, nil
-}
-
-// prepareDesign parses the library and netlist and builds the timing
-// graph; the result is immutable and shared across jobs. ctx is checked
-// between the pipeline steps so a canceled build releases its goroutine
-// instead of grinding through a potentially huge design.
-func prepareDesign(ctx context.Context, req *MergeRequest) (*preparedDesign, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	lib := library.Default()
-	if req.Library != "" {
-		parsed, err := library.Parse(req.Library)
-		if err != nil {
-			return nil, fmt.Errorf("library: %w", err)
-		}
-		lib = parsed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	design, err := netlist.ParseVerilog(req.Verilog, lib, req.Top)
-	if err != nil {
-		return nil, fmt.Errorf("verilog: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if _, err := design.Validate(); err != nil {
-		return nil, fmt.Errorf("design: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g, err := graph.Build(design)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	return &preparedDesign{lib: lib, design: design, graph: g}, nil
 }
 
 // Shutdown drains the server: no new submissions, queued and running jobs
@@ -784,7 +744,7 @@ func (s *Server) closeFabric() {
 	}
 }
 
-// DrainTimeoutStatus summarizes queue state for /v1/stats.
+// DrainTimeoutStatus summarizes queue state for /v2/stats.
 type DrainTimeoutStatus struct {
 	Draining bool `json:"draining"`
 	Queued   int  `json:"queued"`

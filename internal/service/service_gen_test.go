@@ -38,11 +38,11 @@ func TestEndToEndGeneratedDesign(t *testing.T) {
 	defer ts.Close()
 
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/merge", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/merge", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub submitResponse
+	var sub submitResponseV2
 	decodeBody(t, resp, http.StatusAccepted, &sub)
 	if sub.ID == "" {
 		t.Fatalf("submit = %+v, want job id", sub)
@@ -51,7 +51,7 @@ func TestEndToEndGeneratedDesign(t *testing.T) {
 	var view JobView
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
+		resp, err := http.Get(ts.URL + "/v2/jobs/" + sub.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestEndToEndGeneratedDesign(t *testing.T) {
 		t.Fatalf("job = %+v, want done", view)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/result")
+	resp, err = http.Get(ts.URL + "/v2/jobs/" + sub.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"modemerge/internal/incr"
 	"modemerge/internal/library"
 	"modemerge/internal/netlist"
 	"modemerge/internal/sdc"
@@ -104,11 +105,11 @@ func TestEndToEndHTTP(t *testing.T) {
 	defer ts.Close()
 
 	body, _ := json.Marshal(quickRequest())
-	resp, err := http.Post(ts.URL+"/v1/merge", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/merge", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub submitResponse
+	var sub submitResponseV2
 	decodeBody(t, resp, http.StatusAccepted, &sub)
 	if sub.ID == "" || sub.Cached {
 		t.Fatalf("submit = %+v, want fresh job with id", sub)
@@ -118,7 +119,7 @@ func TestEndToEndHTTP(t *testing.T) {
 	var view JobView
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
+		resp, err := http.Get(ts.URL + "/v2/jobs/" + sub.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestEndToEndHTTP(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/result")
+	resp, err = http.Get(ts.URL + "/v2/jobs/" + sub.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +171,17 @@ func TestEndToEndHTTP(t *testing.T) {
 	}
 
 	// Resubmitting the identical request must come straight from cache.
-	resp, err = http.Post(ts.URL+"/v1/merge", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts.URL+"/v2/merge", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub2 submitResponse
+	var sub2 submitResponseV2
 	decodeBody(t, resp, http.StatusAccepted, &sub2)
-	if !sub2.Cached || sub2.Status != StatusDone {
-		t.Fatalf("resubmit = %+v, want cached done", sub2)
+	if !sub2.Cached || sub2.Status != StatusDone || sub2.Digest != sub.Digest {
+		t.Fatalf("resubmit = %+v, want cached done with digest %s", sub2, sub.Digest)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	resp, err = http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +194,14 @@ func TestEndToEndHTTP(t *testing.T) {
 		t.Errorf("jobs_done = %v, want >= 2", stats["jobs_done"])
 	}
 
-	// Liveness and expvar endpoints respond.
-	for _, path := range []string{"/healthz", "/debug/vars"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
-		}
+	// The liveness probe responds.
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz = %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -302,6 +301,40 @@ func TestCancellationNoLeak(t *testing.T) {
 	}
 }
 
+// TestStoppedServerIsFreed: once a server has shut down and its last
+// reference is dropped, nothing in the process may keep its incremental
+// cache (and the timing contexts in it) alive. The finalizer sits on an
+// entry rather than on the *incr.Cache itself, whose cycle with the hit
+// observer would keep its own finalizer from ever running.
+func TestStoppedServerIsFreed(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		s := New(Config{Workers: 1})
+		job, err := s.Submit(quickRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, job)
+		sentinel := new([64]byte)
+		runtime.SetFinalizer(sentinel, func(*[64]byte) { close(freed) })
+		s.IncrCache().PutObject(incr.GranContext, "sentinel", sentinel)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("a stopped server's incremental cache is still reachable")
+}
+
 // TestExplicitCancelWhileQueued cancels a job stuck behind a busy worker.
 func TestExplicitCancelWhileQueued(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
@@ -393,10 +426,33 @@ func TestResultKeyOrderMatters(t *testing.T) {
 	}
 }
 
-// TestContentHashLengthPrefix guards against concatenation collisions.
+// TestContentHashLengthPrefix guards the request keys against
+// concatenation collisions: moving bytes across a field boundary (mode
+// name into SDC text) must change the result key.
 func TestContentHashLengthPrefix(t *testing.T) {
-	if contentHash("ab", "c") == contentHash("a", "bc") {
-		t.Error("contentHash collides across part boundaries")
+	a := quickRequest()
+	b := quickRequest()
+	a.Modes[0].Name, a.Modes[0].SDC = "ab", "c"
+	b.Modes[0].Name, b.Modes[0].SDC = "a", "bc"
+	if a.resultKey() == b.resultKey() {
+		t.Error("result keys collide across field boundaries")
+	}
+}
+
+// TestResultKeyPinned pins the submit digest of the quickstart request:
+// result caches, idempotency keys and clients that stored digests all
+// depend on the content address never changing.
+func TestResultKeyPinned(t *testing.T) {
+	const (
+		wantResult = "d2a84009b6403e789f749fb30f7a5a63397b70b615cac70260fa380f0fd1bf7a"
+		wantDesign = "c2ee3fd5c33f39af6e15336bfa43e83bc4d8e859ae5961024f754ec06aa10637"
+	)
+	req := quickRequest()
+	if got := req.resultKey(); got != wantResult {
+		t.Errorf("quickRequest result key = %s, want %s", got, wantResult)
+	}
+	if got := req.designKey(); got != wantDesign {
+		t.Errorf("quickRequest design key = %s, want %s", got, wantDesign)
 	}
 }
 

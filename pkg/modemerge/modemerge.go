@@ -104,25 +104,9 @@ type Design struct {
 // it and builds the timing graph. top selects the top module; empty
 // infers it.
 func LoadDesign(verilog, librarySrc, top string) (*Design, error) {
-	lib := library.Default()
-	if librarySrc != "" {
-		parsed, err := library.Parse(librarySrc)
-		if err != nil {
-			return nil, fmt.Errorf("library: %w", err)
-		}
-		lib = parsed
-	}
-	design, err := netlist.ParseVerilog(verilog, lib, top)
+	g, warnings, err := graph.Load(context.Background(), verilog, librarySrc, top)
 	if err != nil {
-		return nil, fmt.Errorf("verilog: %w", err)
-	}
-	warnings, err := design.Validate()
-	if err != nil {
-		return nil, fmt.Errorf("design: %w", err)
-	}
-	g, err := graph.Build(design)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
+		return nil, err
 	}
 	return &Design{graph: g, warnings: warnings}, nil
 }
