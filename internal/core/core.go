@@ -99,8 +99,8 @@ type Options struct {
 // SlowPaths selects data-refinement optimizations to disable (debug
 // knobs; see Options.Slow).
 type SlowPaths struct {
-	// NoRelationCache disables the per-context relation memo and shared
-	// start-tracked propagation (sta.Options.DisableRelationMemo): every
+	// NoRelationCache disables the per-context relation memo and the
+	// batched start–end fill (sta.Options.DisableRelationMemo): every
 	// pass-2/3 query re-propagates its endpoint cone.
 	NoRelationCache bool
 	// NoEndpointPrune disables pass-1/2 fingerprint pruning: every

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,4 +158,79 @@ func firstLineDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("line count differs: %d vs %d", len(la), len(lb))
+}
+
+// subsetFaultMerges merges every multi-mode clique with the
+// KeepSubsetExceptions fault injected, so the merged modes relax member
+// paths and CheckEquivalence has optimistic mismatches to list.
+func subsetFaultMerges(t *testing.T, g *graph.Graph, modes []*sdc.Mode) (groups [][]*sdc.Mode, merged []*sdc.Mode) {
+	t.Helper()
+	_, cliques, err := PlanMerge(g, modes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clique := range cliques {
+		if len(clique) < 2 {
+			continue
+		}
+		var group []*sdc.Mode
+		for _, mi := range clique {
+			group = append(group, modes[mi])
+		}
+		m, _, err := MergeClique(context.Background(), g, group,
+			Options{Parallelism: 1, Inject: FaultInjection{KeepSubsetExceptions: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, group)
+		merged = append(merged, m)
+	}
+	return groups, merged
+}
+
+// checkEquivalenceAll runs CheckEquivalence on every merged clique.
+func checkEquivalenceAll(t *testing.T, g *graph.Graph, groups [][]*sdc.Mode, merged []*sdc.Mode, opt Options) []*EquivalenceResult {
+	t.Helper()
+	var out []*EquivalenceResult
+	for i := range groups {
+		res, err := CheckEquivalence(context.Background(), g, groups[i], merged[i], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
+// TestEquivalenceMismatchDeterminism pins the order of
+// EquivalenceResult.OptimisticMismatches: an optimistic merge checked
+// repeatedly, sequentially and in parallel, lists its mismatches in the
+// same order every time (they reach /v2 results and sdccheck output).
+func TestEquivalenceMismatchDeterminism(t *testing.T) {
+	for _, fx := range determinismFixtures(t) {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			t.Parallel()
+			groups, merged := subsetFaultMerges(t, fx.g, fx.modes)
+			var baseline []string
+			for _, res := range checkEquivalenceAll(t, fx.g, groups, merged, Options{Parallelism: 1}) {
+				baseline = append(baseline, res.OptimisticMismatches...)
+			}
+			if len(baseline) < 2 {
+				t.Fatalf("%d optimistic mismatches; the order check needs at least 2", len(baseline))
+			}
+			for _, p := range []int{1, 4} {
+				for rep := 0; rep < 10; rep++ {
+					var got []string
+					for _, res := range checkEquivalenceAll(t, fx.g, groups, merged, Options{Parallelism: p}) {
+						got = append(got, res.OptimisticMismatches...)
+					}
+					if !slices.Equal(got, baseline) {
+						t.Fatalf("parallelism=%d rep=%d: mismatch listing differs:\n got %q\nwant %q",
+							p, rep, got, baseline)
+					}
+				}
+			}
+		})
+	}
 }

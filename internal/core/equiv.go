@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"modemerge/internal/graph"
 	"modemerge/internal/relation"
@@ -27,7 +26,9 @@ type EquivalenceResult struct {
 	// relative to the target — sign-off violations. Must be empty for a
 	// valid merge.
 	OptimisticMismatches []string
-	// Unresolved groups stayed ambiguous through pass 3.
+	// Unresolved would list groups still ambiguous after pass 3. The
+	// checker leaves it empty: pass 3 skips any node where a side stays
+	// multi-state, since finer nodes resolve those groups.
 	Unresolved []string
 }
 
@@ -107,7 +108,9 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 		return false
 	}
 
-	// Pass 1.
+	// Pass 1. Groups classify in a fixed order — endpoints in graph
+	// order, each endpoint's keys in sortedRelKeys order — so the
+	// mismatch listing is the same on every run.
 	p1 := esp.Child("equiv_pass1")
 	perMode, mergedRels := mg.endpointAll(cx)
 	if err := cx.Err(); err != nil {
@@ -115,50 +118,48 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 		return nil, err
 	}
 	groups := mg.gatherGroups(perMode, mergedRels)
-	pass2 := nameSet{}
-	for k, gs := range groups {
-		if classify(k, gs) {
-			pass2.add(k.End)
+	byEnd := map[string][]sta.RelKey{}
+	for k := range groups {
+		byEnd[k.End] = append(byEnd[k.End], k)
+	}
+	var ends []graph.NodeID // ambiguous endpoints, in graph order
+	for _, end := range mg.g.Endpoints() {
+		keys := byEnd[mg.g.Node(end).Name]
+		sta.SortRelKeys(keys)
+		ambiguous := false
+		for _, k := range keys {
+			if classify(k, groups[k]) {
+				ambiguous = true
+			}
+		}
+		if ambiguous {
+			ends = append(ends, end)
 		}
 	}
 	p1.Add("path_groups", int64(len(groups)))
 	p1.Finish()
 
-	// Pass 2 (relations per endpoint computed in parallel).
+	// Pass 2: one batched fill per context, then the per-endpoint gather
+	// in parallel and classification in order.
 	p2 := esp.Child("equiv_pass2")
-	ends := pass2.sorted()
-	type sePair struct{ start, end string }
-	pass3 := map[sePair]bool{}
+	mg.eachContext(cx, func(ctx *sta.Context) { ctx.FillStartEndRelations(ends) })
 	seGroupsPerEnd := make([]map[sta.RelKey]*groupStates, len(ends))
-	var firstErr error
-	var errMu sync.Mutex
 	forEachParallel(cx, len(ends), mg.opt.parallelism(), func(i int) {
-		endID, ok := mg.g.NodeByName(ends[i])
-		if !ok {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("internal: endpoint %q not in graph", ends[i])
-			}
-			errMu.Unlock()
-			return
-		}
 		perModeSE := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
 		for m, ctx := range mg.ctxs {
-			perModeSE[m] = ctx.StartEndRelations(endID)
+			perModeSE[m] = ctx.StartEndRelations(ends[i])
 		}
-		seGroupsPerEnd[i] = mg.gatherGroups(perModeSE, mg.mctx.StartEndRelations(endID))
+		seGroupsPerEnd[i] = mg.gatherGroups(perModeSE, mg.mctx.StartEndRelations(ends[i]))
 	})
-	if firstErr != nil {
-		p2.Finish()
-		return nil, firstErr
-	}
 	if err := cx.Err(); err != nil {
 		p2.Finish()
 		return nil, err
 	}
+	type sePair struct{ start, end string }
+	pass3 := map[sePair]bool{}
 	for _, seGroups := range seGroupsPerEnd {
-		for k, gs := range seGroups {
-			if classify(k, gs) {
+		for _, k := range sortedRelKeys(seGroups) {
+			if classify(k, seGroups[k]) {
 				pass3[sePair{k.Start, k.End}] = true
 			}
 		}
@@ -166,7 +167,8 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 	p2.Add("endpoints", int64(len(ends)))
 	p2.Finish()
 
-	// Pass 3.
+	// Pass 3: through relations per pair in parallel, classification in
+	// pair order.
 	p3 := esp.Child("equiv_pass3")
 	defer p3.Finish()
 	var pairs []sePair
@@ -180,30 +182,42 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 		return pairs[i].end < pairs[j].end
 	})
 	p3.Add("pairs", int64(len(pairs)))
-	for _, p := range pairs {
-		if err := cx.Err(); err != nil {
-			return nil, err
+	type p3data struct {
+		perMode [][]sta.ThroughRel
+		merged  []sta.ThroughRel
+		err     error
+	}
+	data := make([]p3data, len(pairs))
+	forEachParallel(cx, len(pairs), mg.opt.parallelism(), func(i int) {
+		startID, ok1 := mg.g.NodeByName(pairs[i].start)
+		endID, ok2 := mg.g.NodeByName(pairs[i].end)
+		if !ok1 || !ok2 {
+			data[i].err = fmt.Errorf("internal: pass-3 pair %s→%s not in graph", pairs[i].start, pairs[i].end)
+			return
 		}
-		unresolved, err := mg.checkPass3(p.start, p.end, res)
-		if err != nil {
-			return nil, err
+		data[i].perMode = make([][]sta.ThroughRel, len(mg.ctxs))
+		for m, ctx := range mg.ctxs {
+			data[i].perMode[m] = ctx.ThroughRelations(startID, endID)
 		}
-		res.Unresolved = append(res.Unresolved, unresolved...)
+		data[i].merged = mg.mctx.ThroughRelations(startID, endID)
+	})
+	if err := cx.Err(); err != nil {
+		return nil, err
+	}
+	for i, p := range pairs {
+		if data[i].err != nil {
+			return nil, data[i].err
+		}
+		mg.checkPass3(p.start, p.end, data[i].perMode, data[i].merged, res)
 	}
 	return res, nil
 }
 
-// checkPass3 compares through-point relations for one pair, recording
-// matches/pessimism/optimism on res. Nodes that remain multi-state on
-// both sides after pass 3 are reported unresolved only when the sets
-// differ.
-func (mg *Merger) checkPass3(startName, endName string, res *EquivalenceResult) ([]string, error) {
-	startID, ok1 := mg.g.NodeByName(startName)
-	endID, ok2 := mg.g.NodeByName(endName)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("internal: pass-3 pair %s→%s not in graph", startName, endName)
-	}
-	perModeTR, mergedTR := mg.throughAll(startID, endID)
+// checkPass3 compares the through-point relations of one pair, counting
+// matches and pessimism on res and listing optimism. A node where the
+// merged set or some mode's set stays multi-state is skipped: finer
+// nodes resolve those reconvergent subclasses.
+func (mg *Merger) checkPass3(startName, endName string, perModeTR [][]sta.ThroughRel, mergedTR []sta.ThroughRel, res *EquivalenceResult) {
 	perMode := make([]map[graph.NodeID]map[sta.RelKey]relation.Set, len(mg.ctxs))
 	for m := range mg.ctxs {
 		perMode[m] = map[graph.NodeID]map[sta.RelKey]relation.Set{}
@@ -215,9 +229,9 @@ func (mg *Merger) checkPass3(startName, endName string, res *EquivalenceResult) 
 			perMode[m][tr.Node] = mapped
 		}
 	}
-	var unresolved []string
 	for _, tr := range mergedTR {
-		for k, mergedSet := range tr.States {
+		for _, k := range sortedRelKeys(tr.States) {
+			mergedSet := tr.States[k]
 			states := make([]relation.State, 0, len(mg.ctxs))
 			nodeAmbiguous := false
 			for m := range mg.ctxs {
@@ -238,9 +252,6 @@ func (mg *Merger) checkPass3(startName, endName string, res *EquivalenceResult) 
 			}
 			ms, single := mergedSet.Single()
 			if nodeAmbiguous || !single {
-				// Reconvergent subclasses meet here; finer nodes resolve
-				// them. Only a leaf-level disagreement is unresolved, and
-				// those were counted at the nodes that stayed uniform.
 				continue
 			}
 			target := relation.MergeTarget(states)
@@ -257,5 +268,4 @@ func (mg *Merger) checkPass3(startName, endName string, res *EquivalenceResult) 
 			}
 		}
 	}
-	return unresolved, nil
 }

@@ -16,20 +16,6 @@ import (
 	"modemerge/internal/sta"
 )
 
-// throughAll computes pass-3 relations for every context on the bounded
-// pool.
-func (mg *Merger) throughAll(startID, endID graph.NodeID) (perMode [][]sta.ThroughRel, merged []sta.ThroughRel) {
-	perMode = make([][]sta.ThroughRel, len(mg.ctxs))
-	forEachParallel(context.Background(), len(mg.ctxs)+1, mg.opt.parallelism(), func(m int) {
-		if m == len(mg.ctxs) {
-			merged = mg.mctx.ThroughRelations(startID, endID)
-		} else {
-			perMode[m] = mg.ctxs[m].ThroughRelations(startID, endID)
-		}
-	})
-	return perMode, merged
-}
-
 // forEachParallel runs fn(i) for i in [0,n) on a pool of at most workers
 // goroutines (0 → GOMAXPROCS; 1 runs inline, fully sequential).
 // Cancelling cx stops feeding new indices; already-started fn calls run
@@ -72,15 +58,30 @@ func forEachParallel(cx context.Context, n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
+// eachContext runs fn on the merged context and every member context on
+// the bounded pool. The merged context goes first: it carries the union
+// of the members' clocks and exceptions, so its propagations are
+// usually the longest, and starting the longest task first keeps the
+// pool from idling behind it. Callers check cx.Err() afterwards.
+func (mg *Merger) eachContext(cx context.Context, fn func(ctx *sta.Context)) {
+	forEachParallel(cx, len(mg.ctxs)+1, mg.opt.parallelism(), func(m int) {
+		if m == 0 {
+			fn(mg.mctx)
+		} else {
+			fn(mg.ctxs[m-1])
+		}
+	})
+}
+
 // endpointAll computes pass-1 relations for every context on the bounded
 // pool. On cancellation the maps are partial; callers check cx.Err().
 func (mg *Merger) endpointAll(cx context.Context) (perMode []map[sta.RelKey]relation.Set, merged map[sta.RelKey]relation.Set) {
 	perMode = make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
 	forEachParallel(cx, len(mg.ctxs)+1, mg.opt.parallelism(), func(m int) {
-		if m == len(mg.ctxs) {
+		if m == 0 { // merged first, as in eachContext
 			merged = mg.mctx.EndpointRelations(cx)
 		} else {
-			perMode[m] = mg.ctxs[m].EndpointRelations(cx)
+			perMode[m-1] = mg.ctxs[m-1].EndpointRelations(cx)
 		}
 	})
 	return perMode, merged
@@ -683,37 +684,20 @@ func (mg *Merger) prunePair(startID, endID graph.NodeID) bool {
 	return true
 }
 
-// warmContexts decides, per context and in parallel, whether to force the
-// shared propagation the coming pass reads (the pass-1 tag propagation at
-// granEndpoint, the start-tracked propagation at granStartEnd). A context
-// with enough cold endpoints amortizes one full-design propagation; a
-// context missing only a few (a later iteration's invalidation frontier)
-// skips the warm, and those misses are served by per-endpoint cone
-// propagations instead — identical results either way (see relcache.go).
-func (mg *Merger) warmContexts(cx context.Context, ends []graph.NodeID, gran relGranularity) {
-	forEachParallel(cx, len(mg.ctxs)+1, mg.opt.parallelism(), func(m int) {
-		ctx := mg.mctx
-		if m < len(mg.ctxs) {
-			ctx = mg.ctxs[m]
-		}
-		var missing int
-		if gran == granEndpoint {
-			missing = ctx.MissingEndpointRelations(ends)
-		} else {
-			missing = ctx.MissingStartEndRelations(ends)
-		}
+// warmContexts forces, per context and in parallel, the full pass-1 tag
+// propagation when enough endpoints are cold to amortize it. A context
+// missing only a few (a later iteration's invalidation frontier) skips
+// the warm, and those misses are served by per-endpoint cone
+// propagations instead — identical results either way (see
+// relcache.go). The forced tags stay on the context: slack, trace and
+// sign-off analysis read them too.
+func (mg *Merger) warmContexts(cx context.Context, ends []graph.NodeID) {
+	mg.eachContext(cx, func(ctx *sta.Context) {
+		missing := ctx.MissingEndpointRelations(ends)
 		if missing == 0 || missing*4 <= len(ends) && missing < 32 {
 			return
 		}
-		if gran == granEndpoint {
-			// Deliberately NOT the start-tracked propagation: pass 2 only
-			// needs start tracking at the endpoints pass 1 leaves ambiguous,
-			// and cone propagations serve those far cheaper than a full
-			// start-tracked run when the ambiguous set is small.
-			ctx.WarmEndpointRelations()
-		} else {
-			ctx.WarmStartRelations()
-		}
+		ctx.WarmEndpointRelations()
 	})
 }
 
@@ -726,7 +710,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	// ---- Pass 1: endpoint granularity ----
 	p1 := sp.Child("pass1")
 	ends := mg.g.Endpoints()
-	mg.warmContexts(cx, ends, granEndpoint)
+	mg.warmContexts(cx, ends)
 	if err := cx.Err(); err != nil {
 		p1.Finish()
 		return 0, err
@@ -856,12 +840,16 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		}
 		pass2IDs[i] = id
 	}
-	if len(pass2IDs) > 0 {
-		// One shared start-tracked propagation per context replaces the
-		// per-endpoint cone propagations when enough endpoints are cold;
-		// warm it in parallel before the endpoint loop fans out.
-		mg.warmContexts(cx, pass2IDs, granStartEnd)
+	// One batched cone propagation per context fills the start–end maps
+	// of every endpoint this pass gathers (replayed endpoints read none),
+	// in parallel before the endpoint loop fans out.
+	var fill []graph.NodeID
+	for _, id := range pass2IDs {
+		if mg.memo.p2Out[id] == nil {
+			fill = append(fill, id)
+		}
 	}
+	mg.eachContext(cx, func(ctx *sta.Context) { ctx.FillStartEndRelations(fill) })
 	type sePair struct{ start, end string }
 	pass3 := map[sePair]bool{}
 	// Per-endpoint relations (and prune fingerprints) compute in parallel

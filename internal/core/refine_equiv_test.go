@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,7 +126,10 @@ func slowKnobs() map[string]SlowPaths {
 // TestSlowKnobEquivalence pins the contract Options.Slow documents: every
 // data-refinement optimization is pure speed — disabling any knob (and
 // all of them together), at sequential and parallel worker counts, keeps
-// the merged SDC, explain reports and conflicts byte-identical.
+// the merged SDC, explain reports and conflicts byte-identical. The
+// equivalence checker shares the relation memo: on optimistic merges
+// (KeepSubsetExceptions) NoRelationCache must leave its counts and
+// mismatch listing unchanged.
 func TestSlowKnobEquivalence(t *testing.T) {
 	for _, fx := range slowPathFixtures(t) {
 		fx := fx
@@ -147,6 +151,20 @@ func TestSlowKnobEquivalence(t *testing.T) {
 					}
 				}
 			}
+
+			groups, merged := subsetFaultMerges(t, fx.g, fx.modes)
+			if len(groups) == 0 {
+				t.Fatal("no multi-mode clique to check equivalence on")
+			}
+			fast := checkEquivalenceAll(t, fx.g, groups, merged, Options{Parallelism: 1})
+			for _, p := range []int{1, 4} {
+				slow := checkEquivalenceAll(t, fx.g, groups, merged,
+					Options{Parallelism: p, Slow: SlowPaths{NoRelationCache: true}})
+				if !reflect.DeepEqual(slow, fast) {
+					t.Errorf("CheckEquivalence NoRelationCache parallelism=%d differs from fast path:\n got %+v\nwant %+v",
+						p, slow, fast)
+				}
+			}
 		})
 	}
 }
@@ -162,6 +180,11 @@ func mergeCounters(t *testing.T, g *graph.Graph, modes []*sdc.Mode, opt Options)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return spanCounters(tr)
+}
+
+// spanCounters sums every span counter of a finished trace.
+func spanCounters(tr *obs.Tracer) map[string]int64 {
 	c := map[string]int64{}
 	var walk func(vs []*obs.SpanView)
 	walk = func(vs []*obs.SpanView) {
@@ -180,7 +203,7 @@ func mergeCounters(t *testing.T, g *graph.Graph, modes []*sdc.Mode, opt Options)
 // on its fixtures the fast path actually prunes endpoints, replays
 // memoized endpoints across refinement iterations, and consults the
 // pass-3 pair prune — and disabling the matching knob makes the counter
-// drop to zero.
+// drop to zero. The equivalence-checker case reaches all three passes.
 func TestSlowKnobCoverage(t *testing.T) {
 	fxs := slowPathFixtures(t)
 	functional, variants := fxs[0], fxs[1]
@@ -206,6 +229,19 @@ func TestSlowKnobCoverage(t *testing.T) {
 		Options{Parallelism: 1, Slow: SlowPaths{NoCacheTransfer: true}})
 	if noTransfer["replayed_endpoints"] != 0 {
 		t.Errorf("NoCacheTransfer still replayed %d endpoints", noTransfer["replayed_endpoints"])
+	}
+
+	// The equivalence case: the optimistic variants merge lists
+	// mismatches and forwards pairs to pass 3, so pass 2 had endpoints.
+	groups, merged := subsetFaultMerges(t, variants.g, variants.modes)
+	tr := obs.NewTracer()
+	sp := tr.Start("equivalence")
+	checkEquivalenceAll(t, variants.g, groups, merged, Options{Parallelism: 1, Trace: sp})
+	sp.Finish()
+	eq := spanCounters(tr)
+	if eq["optimistic"] == 0 || eq["pairs"] == 0 {
+		t.Errorf("variants fixture: equivalence case is vacuous (optimistic=%d pass-3 pairs=%d)",
+			eq["optimistic"], eq["pairs"])
 	}
 }
 

@@ -28,8 +28,10 @@ type Reproducer struct {
 	// entries) or none at all (clean entries).
 	ExpectViolations bool `json:"expect_violations"`
 	// Properties lists which oracles must fire when ExpectViolations.
-	// Detail strings are NOT pinned — CheckEquivalence's mismatch listing
-	// order is not deterministic, only its contents are.
+	// Detail strings are NOT pinned: they quote pin names and relation
+	// states, which shift with any generator or refinement change. (The
+	// order of CheckEquivalence's mismatch listing is deterministic:
+	// endpoints in graph order, keys sorted within each.)
 	Properties []string `json:"properties,omitempty"`
 	// FoundBy records provenance (e.g. "modefuzz -seed 7 -trials 100").
 	FoundBy string `json:"found_by,omitempty"`

@@ -154,9 +154,8 @@ type Context struct {
 	clockActive []bool
 	activeGuard sync.Once
 
-	// rel memoizes relation-query results (shared start-tracked
-	// propagation, per-endpoint pass-1/2 maps, per-pair pass-3 slices and
-	// live-path profiles); see relcache.go.
+	// rel memoizes relation-query results (per-endpoint pass-1/2 maps,
+	// per-pair pass-3 slices and live-path profiles); see relcache.go.
 	rel relCache
 
 	// borrowNode/borrowClock hold set_max_time_borrow limits.

@@ -100,53 +100,20 @@ type propOpts struct {
 	seedFilter func(graph.NodeID) bool
 }
 
-// tags returns the cached full-design data propagation. When the shared
-// start-tracked propagation has already been forced, the plain tags
-// derive from it by collapsing the start field instead of re-propagating:
-// tag advancement never reads the startpoint, so collapsing a node's
-// start-tracked entries (first-occurrence order, arrival windows merged)
-// yields exactly the plain propagation's entries in its insertion order —
-// the same induction as the cone/full equivalence in relcache.go, with
-// the start dimension in place of the cone restriction.
+// tags returns the cached full-design data propagation.
 func (ctx *Context) tags() []tagMap {
 	ctx.tagsOnce.Do(func() {
-		if !ctx.Opt.DisableRelationMemo && ctx.rel.startTagsReady.Load() {
-			ctx.dataTags = collapseStartTags(ctx.rel.startTags)
-		} else {
-			ctx.dataTags = ctx.propagate(propOpts{})
-		}
+		ctx.dataTags = ctx.propagate(propOpts{})
 		ctx.rel.tagsReady.Store(true)
 	})
 	return ctx.dataTags
 }
 
-// collapseStartTags folds a start-tracked propagation into the plain
-// (start-free) one: per node, drop the start field, dedup to first
-// occurrence, merge arrival windows of collapsed duplicates.
-func collapseStartTags(src []tagMap) []tagMap {
-	out := make([]tagMap, len(src))
-	for id := range src {
-		entries := src[id].entries
-		if len(entries) == 0 {
-			continue
-		}
-		var m tagSet
-		m.reserve(len(entries))
-		for _, te := range entries {
-			t := te.tag
-			t.start = -1
-			m.add(t, te.arr)
-		}
-		out[id] = m
-	}
-	return out
-}
-
 // getTagArray borrows a zeroed node-indexed tag array from the context
 // pool; putTagArray returns it after the caller cleared the touched
-// entries. Pooling matters: pass-2 runs one restricted propagation per
-// ambiguous endpoint, and a fresh O(nodes) array per call is pure GC
-// churn.
+// entries. Pooling matters: pass 1 and pass 3 run one restricted
+// propagation per cold endpoint or pair, and a fresh O(nodes) array per
+// call is pure GC churn.
 func (ctx *Context) getTagArray() []tagMap {
 	if v := ctx.tagArrayPool.Get(); v != nil {
 		return v.([]tagMap)

@@ -112,46 +112,64 @@ func (ctx *Context) EndpointRelations(cx context.Context) map[RelKey]relation.Se
 }
 
 // StartEndRelations computes pass-2 timing relationships for one
-// endpoint: path groups keyed by concrete startpoint. The memoized path
-// reads the endpoint's tags off the shared start-tracked full propagation
-// (every propagation path into bwd(end) stays inside bwd(end), so the
-// full run's tags at the endpoint equal the cone-restricted run's — see
-// relcache.go); DisableRelationMemo restores the per-call propagation
-// restricted to the endpoint's fan-in cone.
+// endpoint: path groups keyed by concrete startpoint. A memo miss is a
+// one-endpoint FillStartEndRelations; callers querying many endpoints
+// fill them as one batch first. DisableRelationMemo recomputes the map
+// on every call from a propagation restricted to the endpoint's fan-in
+// cone — the same tags at the endpoint, in the same order (see
+// relcache.go).
 func (ctx *Context) StartEndRelations(end graph.NodeID) map[RelKey]relation.Set {
 	if ctx.Opt.DisableRelationMemo {
-		out := map[RelKey]relation.Set{}
-		ctx.coneStartAccumulate(out, end)
-		return out
+		return ctx.startEndMaps([]graph.NodeID{end})[0]
 	}
 	rc := ctx.relSlots()
 	if p := rc.startEnd[end].Load(); p != nil {
 		rc.hits.Add(1)
 		return *p
 	}
-	out := map[RelKey]relation.Set{}
-	if rc.startTagsReady.Load() {
-		ctx.accumulateRelations(out, end, rc.startTags[end], "")
-	} else {
-		// Shared start-tracked propagation not forced: a handful of cold
-		// endpoints (a warm re-merge's invalidation frontier) is cheaper
-		// served by per-endpoint cone propagations, which produce the
-		// identical map (see relcache.go).
-		ctx.coneStartAccumulate(out, end)
-	}
-	rc.startEnd[end].Store(&out)
-	rc.misses.Add(1)
-	return out
+	ctx.FillStartEndRelations([]graph.NodeID{end})
+	return *rc.startEnd[end].Load()
 }
 
-// coneStartAccumulate folds one endpoint's start-tracked relations from a
-// propagation restricted to the endpoint's fan-in cone.
-func (ctx *Context) coneStartAccumulate(out map[RelKey]relation.Set, end graph.NodeID) {
-	cone := ctx.G.BackwardReach([]graph.NodeID{end})
+// FillStartEndRelations memoizes the pass-2 relation maps of every given
+// endpoint that has none yet, from one transient start-tracked
+// propagation restricted to the union of their fan-in cones. The union
+// is backward-closed, so each endpoint's tags, and thus its map, equal
+// those of its own cone run (see relcache.go); each node is visited
+// once however many cones share it. Nothing but the finished maps is
+// kept. Under DisableRelationMemo it is a no-op.
+func (ctx *Context) FillStartEndRelations(ends []graph.NodeID) {
+	if ctx.Opt.DisableRelationMemo {
+		return
+	}
+	rc := ctx.relSlots()
+	var missing []graph.NodeID
+	for _, end := range ends {
+		if rc.startEnd[end].Load() == nil {
+			missing = append(missing, end)
+		}
+	}
+	if len(missing) == 0 {
+		return
+	}
+	for i, out := range ctx.startEndMaps(missing) {
+		rc.startEnd[missing[i]].Store(&out)
+	}
+	rc.misses.Add(int64(len(missing)))
+}
+
+// startEndMaps computes the pass-2 relation maps of the given endpoints
+// from one start-tracked propagation over the union of their cones.
+func (ctx *Context) startEndMaps(ends []graph.NodeID) []map[RelKey]relation.Set {
 	tags := ctx.getTagArray()
-	touched := ctx.propagateInto(propOpts{withStart: true, nodeFilter: cone}, tags)
-	ctx.accumulateRelations(out, end, tags[end], "")
+	touched := ctx.propagateInto(propOpts{withStart: true, nodeFilter: ctx.G.BackwardReach(ends)}, tags)
+	out := make([]map[RelKey]relation.Set, len(ends))
+	for i, end := range ends {
+		out[i] = map[RelKey]relation.Set{}
+		ctx.accumulateRelations(out[i], end, tags[end], "")
+	}
 	ctx.putTagArray(tags, touched)
+	return out
 }
 
 // accumulateRelations folds one endpoint's tags into relation sets.
@@ -329,15 +347,13 @@ func combineSuff(a, b suffStatus) suffStatus {
 // ThroughRelations computes pass-3 timing relationships: for every node on
 // a path between start and end, the constraint states of the path subset
 // through that node. It combines forward tags (prefix exception progress)
+// from a propagation seeded at start and restricted to the start→end cone
 // with a backward all/none/some completion DP per exception. Results are
-// memoized per (start, end) pair; the memoized path reads cone tags off
-// the shared start-tracked propagation filtered by startpoint (identical
-// tag set and insertion order, see relcache.go), while
-// DisableRelationMemo restores the per-call seeded cone propagation. The
-// returned slice is shared and must not be mutated.
+// memoized per (start, end) pair unless DisableRelationMemo. The returned
+// slice is shared and must not be mutated.
 func (ctx *Context) ThroughRelations(start, end graph.NodeID) []ThroughRel {
 	if ctx.Opt.DisableRelationMemo {
-		return ctx.throughRelations(start, end, false)
+		return ctx.throughRelations(start, end)
 	}
 	rc := ctx.relSlots()
 	key := [2]graph.NodeID{start, end}
@@ -345,16 +361,13 @@ func (ctx *Context) ThroughRelations(start, end graph.NodeID) []ThroughRel {
 		rc.hits.Add(1)
 		return v.([]ThroughRel)
 	}
-	// Read the shared start-tracked tags only when already forced; a cold
-	// context serves the pair from a seeded cone propagation instead of
-	// paying a full-design propagation (identical results either way).
-	out := ctx.throughRelations(start, end, rc.startTagsReady.Load())
+	out := ctx.throughRelations(start, end)
 	rc.through.Store(key, out)
 	rc.misses.Add(1)
 	return out
 }
 
-func (ctx *Context) throughRelations(start, end graph.NodeID, useSharedTags bool) []ThroughRel {
+func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 	g := ctx.G
 	fwd := g.ForwardReach([]graph.NodeID{start})
 	bwd := g.BackwardReach([]graph.NodeID{end})
@@ -370,20 +383,13 @@ func (ctx *Context) throughRelations(start, end graph.NodeID, useSharedTags bool
 		return nil
 	}
 
-	var entriesAt func(graph.NodeID) []tagEntry
-	if useSharedTags {
-		ctx.startTagsAll()
-		entriesAt = func(n graph.NodeID) []tagEntry { return ctx.startEntriesAt(n, start) }
-	} else {
-		tags := ctx.getTagArray()
-		touched := ctx.propagateInto(propOpts{
-			withStart:  true,
-			nodeFilter: cone,
-			seedFilter: func(s graph.NodeID) bool { return s == start },
-		}, tags)
-		defer ctx.putTagArray(tags, touched)
-		entriesAt = func(n graph.NodeID) []tagEntry { return tags[n].entries }
-	}
+	tags := ctx.getTagArray()
+	touchedTags := ctx.propagateInto(propOpts{
+		withStart:  true,
+		nodeFilter: cone,
+		seedFilter: func(s graph.NodeID) bool { return s == start },
+	}, tags)
+	defer ctx.putTagArray(tags, touchedTags)
 
 	// Backward DP per exception: status[n][p] with p = progress after n.
 	// The DP for one matcher is independent of the others, so it computes
@@ -479,7 +485,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID, useSharedTags bool
 
 	var out []ThroughRel
 	for _, n := range coneNodes {
-		entries := entriesAt(n)
+		entries := tags[n].entries
 		if len(entries) == 0 || !liveBwd[n] {
 			// No live paths start→n or n→end in this mode: the node's
 			// path subset is empty here and contributes no states.

@@ -16,20 +16,24 @@ import (
 // analysis results, so concurrent queries may race benignly (both sides
 // compute the same value; one store wins).
 //
-// Three layers:
+// It holds finished results only. Apart from the plain-tag propagation
+// (ctx.tags(), which slack and trace read too), no propagation outlives
+// the query that ran it:
 //
-//   - startTags is one full-design start-tracked data propagation shared
-//     by every pass-2/3 query. The per-endpoint cone-restricted
-//     propagation it replaces visits only bwd(end) — but any propagation
-//     path from a seed to a cone node provably stays inside the cone
-//     (an arc x→n with n ∈ bwd(end) puts x ∈ bwd(end) too), so the full
-//     propagation's tag entries at end, filtered by startpoint, are the
-//     restricted run's entries in the same first-insertion order.
-//   - pass1/startEnd/through memoize finished per-endpoint (per-pair)
-//     relation results, keyed by node id. Callers must treat returned
-//     maps and slices as immutable.
-//   - profile memoizes per-(start,end) live-path structure for the
-//     pass-3 reconvergence prune (see PairProfile).
+//   - pass1/startEnd hold per-endpoint relation maps, keyed by node id.
+//     A miss propagates only over fan-in cones: any propagation path from
+//     a seed to a node of bwd(end) provably stays inside bwd(end) (an arc
+//     x→n with n ∈ bwd(end) puts x ∈ bwd(end) too), so a cone-restricted
+//     run leaves exactly the full run's tags at the endpoint, in the same
+//     first-insertion order. A union of cones is backward-closed as well,
+//     so FillStartEndRelations serves a whole batch of endpoints from one
+//     transient propagation over the union with identical results.
+//   - through memoizes per-(start,end) pass-3 slices, each computed from a
+//     seeded cone propagation.
+//   - profile/liveBwd memoize per-pair live-path structure for the pass-3
+//     reconvergence prune (see PairProfile).
+//
+// Callers must treat returned maps and slices as immutable.
 type relCache struct {
 	slotsOnce sync.Once
 	// pass1/startEnd hold one atomic slot per graph node (only endpoint
@@ -40,19 +44,10 @@ type relCache struct {
 	profile  sync.Map // [2]graph.NodeID{start,end} → PairProfile
 	liveBwd  sync.Map // graph.NodeID end → []bool live backward reach
 
-	startTagsOnce  sync.Once
-	startTags      []tagMap
-	startTagsReady atomic.Bool
-	tagsReady      atomic.Bool // ctx.tags() full propagation forced
+	tagsReady atomic.Bool // ctx.tags() full propagation forced
 
 	topoOnce sync.Once
 	topoIdx  []int32
-
-	// startIdx memoizes, per node, the shared start-tracked tag entries
-	// grouped by startpoint (entry order preserved within each group) —
-	// pass-3 queries filter the same nodes' tags once per (start, end)
-	// pair, and a grouped index turns each filter into one lookup.
-	startIdx sync.Map // graph.NodeID → map[graph.NodeID][]tagEntry
 
 	hits, misses atomic.Int64
 }
@@ -68,16 +63,6 @@ func (ctx *Context) relSlots() *relCache {
 	return rc
 }
 
-// startTagsAll returns the shared start-tracked full propagation.
-func (ctx *Context) startTagsAll() []tagMap {
-	rc := &ctx.rel
-	rc.startTagsOnce.Do(func() {
-		rc.startTags = ctx.propagate(propOpts{withStart: true})
-		rc.startTagsReady.Store(true)
-	})
-	return rc.startTags
-}
-
 // topoIndex returns each node's position in the topological order
 // (lazy, shared).
 func (ctx *Context) topoIndex() []int32 {
@@ -90,22 +75,6 @@ func (ctx *Context) topoIndex() []int32 {
 		rc.topoIdx = idx
 	})
 	return rc.topoIdx
-}
-
-// startEntriesAt returns the shared start-tracked tag entries of node n
-// launched at the given startpoint, in propagation insertion order — the
-// exact subsequence a per-start filter of the full tag set would yield.
-func (ctx *Context) startEntriesAt(n, start graph.NodeID) []tagEntry {
-	rc := &ctx.rel
-	if v, ok := rc.startIdx.Load(n); ok {
-		return v.(map[graph.NodeID][]tagEntry)[start]
-	}
-	byStart := map[graph.NodeID][]tagEntry{}
-	for _, te := range ctx.startTagsAll()[n].entries {
-		byStart[te.tag.start] = append(byStart[te.tag.start], te)
-	}
-	rc.startIdx.Store(n, byStart)
-	return byStart[start]
 }
 
 // liveBwdMemo memoizes liveBackwardReach per endpoint: liveness depends
@@ -123,17 +92,6 @@ func (ctx *Context) liveBwdMemo(end graph.NodeID) []bool {
 	b := ctx.liveBackwardReach(end)
 	rc.liveBwd.Store(end, b)
 	return b
-}
-
-// WarmStartRelations forces the shared start-tracked propagation so that
-// subsequent StartEndRelations/ThroughRelations calls on this context are
-// pure accumulation. Under DisableRelationMemo it is a no-op (every query
-// re-propagates, as the slow path demands).
-func (ctx *Context) WarmStartRelations() {
-	if ctx.Opt.DisableRelationMemo {
-		return
-	}
-	ctx.startTagsAll()
 }
 
 // WarmEndpointRelations forces the full (non-start-tracked) propagation
@@ -190,22 +148,6 @@ func (ctx *Context) MissingEndpointRelations(ends []graph.NodeID) int {
 	n := 0
 	for _, end := range ends {
 		if rc.pass1[end].Load() == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// MissingStartEndRelations counts the given endpoints without a memoized
-// pass-2 relation map.
-func (ctx *Context) MissingStartEndRelations(ends []graph.NodeID) int {
-	if ctx.Opt.DisableRelationMemo {
-		return len(ends)
-	}
-	rc := ctx.relSlots()
-	n := 0
-	for _, end := range ends {
-		if rc.startEnd[end].Load() == nil {
 			n++
 		}
 	}
