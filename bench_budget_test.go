@@ -12,8 +12,7 @@ import (
 // merge takes ~30 ms single-threaded on the reference 1-CPU CI box
 // (see EXPERIMENTS.md), so 100 ms is roughly 3× headroom: generous
 // enough that runner noise never trips it, tight enough that losing the
-// data_refine caches or prunes (a 1.5–2× slowdown, plus growth) fails
-// loudly. Override with MODEMERGE_PERF_BUDGET_MS on slower or faster
+// data_refine caches (a 1.5–2× slowdown, plus growth) fails loudly. Override with MODEMERGE_PERF_BUDGET_MS on slower or faster
 // hardware.
 const largeMergeBudgetDefaultMS = 100
 

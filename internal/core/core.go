@@ -97,22 +97,17 @@ type Options struct {
 }
 
 // SlowPaths selects data-refinement optimizations to disable (debug
-// knobs; see Options.Slow).
+// knobs; see Options.Slow). Each knob guards a layer whose saving is
+// measured end to end (EXPERIMENTS.md, Ablation 4).
 type SlowPaths struct {
 	// NoRelationCache disables the per-context relation memo and the
 	// batched start–end fill (sta.Options.DisableRelationMemo): every
 	// pass-2/3 query re-propagates its endpoint cone.
 	NoRelationCache bool
-	// NoEndpointPrune disables pass-1/2 fingerprint pruning: every
-	// endpoint is gathered and compared even when all contexts provably
-	// agree.
-	NoEndpointPrune bool
-	// NoPairPrune disables the pass-3 reconvergence prune: every
-	// ambiguous (start, end) pair gets the full through-point scan.
-	NoPairPrune bool
 	// NoCacheTransfer drops all memoized merged-context relation results
-	// on every refinement rebuild instead of invalidating only endpoints
-	// reachable from the newly added exceptions.
+	// and recorded pass outcomes on every refinement rebuild instead of
+	// invalidating only endpoints reachable from the newly added
+	// exceptions.
 	NoCacheTransfer bool
 }
 
@@ -134,13 +129,6 @@ type FaultInjection struct {
 	// subset-only member relaxations leak into the stitched mode — an
 	// optimistic merge the hierarchical oracle must flag.
 	ETMKeepSubsetExceptions bool
-	// PruneSkipDifferingEndpoints breaks the pass-1/2 fingerprint prune:
-	// an endpoint is skipped whenever the member modes agree, without
-	// checking that the merged mode agrees too. Endpoints where the
-	// merged mode relaxes what every member constrains then keep their
-	// optimism uncorrected — caught by the equivalence oracle, which
-	// deliberately never prunes.
-	PruneSkipDifferingEndpoints bool
 	// MergeBestCornerOnly breaks the scenario-matrix merge: only the
 	// first corner's scenarios are built and refined, so a path that is
 	// false in corner 0 but timed in corner 1 gets a corrective false
@@ -154,7 +142,7 @@ type FaultInjection struct {
 // Any reports whether any fault is enabled.
 func (f FaultInjection) Any() bool {
 	return f.KeepSubsetExceptions || f.SkipClockRefinement || f.SkipDataRefinement ||
-		f.ETMKeepSubsetExceptions || f.PruneSkipDifferingEndpoints || f.MergeBestCornerOnly
+		f.ETMKeepSubsetExceptions || f.MergeBestCornerOnly
 }
 
 // stage times one flow stage and reports it to the hook.
@@ -309,7 +297,7 @@ type Merger struct {
 	// disables tracing).
 	span *obs.Span
 
-	// memo carries the data-refinement fingerprint tables and pending
+	// memo carries the data-refinement pass outcomes and pending
 	// exception tracking across refinement iterations (see refine.go).
 	memo refineMemo
 

@@ -60,12 +60,6 @@ func CheckEquivalence(cx context.Context, g *graph.Graph, individual []*sdc.Mode
 	return mg.checkEquivalence(cx)
 }
 
-// moreRelaxed reports whether the merged state relaxes the target —
-// an optimistic (unsafe) difference.
-func moreRelaxed(merged, target relation.State) bool {
-	return relation.Relaxed(merged, target)
-}
-
 // checkEquivalence runs the non-mutating 3-pass comparison on the
 // merger's current merged context.
 func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, error) {
@@ -100,7 +94,7 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 		switch {
 		case ms == ts:
 			res.MatchedGroups++
-		case moreRelaxed(ms, ts):
+		case relation.Relaxed(ms, ts):
 			res.OptimisticMismatches = append(res.OptimisticMismatches, describe(k, target, merged))
 		default:
 			res.PessimisticGroups++
@@ -258,7 +252,7 @@ func (mg *Merger) checkPass3(startName, endName string, perModeTR [][]sta.Throug
 			switch {
 			case ms == target:
 				res.MatchedGroups++
-			case moreRelaxed(ms, target):
+			case relation.Relaxed(ms, target):
 				res.OptimisticMismatches = append(res.OptimisticMismatches,
 					fmt.Sprintf("%s -through %s-> %s [%s/%s %s]: individual=%s merged=%s",
 						startName, tr.Name, endName, k.Launch, k.Capture, k.Check,

@@ -32,11 +32,10 @@ import (
 // every other.
 func (o Options) incrOptionsKey() string {
 	o = o.withDefaults()
-	return fmt.Sprintf("tol=%g|iters=%d|inject=%v/%v/%v/%v/%v/%v|edges=%d|hier=%v|corners=%s",
+	return fmt.Sprintf("tol=%g|iters=%d|inject=%v/%v/%v/%v/%v|edges=%d|hier=%v|corners=%s",
 		o.Tolerance, o.MaxRefineIterations,
 		o.Inject.KeepSubsetExceptions, o.Inject.SkipClockRefinement, o.Inject.SkipDataRefinement,
-		o.Inject.ETMKeepSubsetExceptions, o.Inject.PruneSkipDifferingEndpoints,
-		o.Inject.MergeBestCornerOnly,
+		o.Inject.ETMKeepSubsetExceptions, o.Inject.MergeBestCornerOnly,
 		o.STA.MaxLaunchEdges, o.Hierarchical != nil,
 		library.CornerSetKey(o.Corners))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -393,26 +394,10 @@ func sortedRelKeys[V any](m map[sta.RelKey]V) []sta.RelKey {
 	return keys
 }
 
-// relGranularity selects which fingerprint memo an endpoint prune
-// consults: pass-1 (endpoint) or pass-2 (start–end) relation maps.
-type relGranularity int
-
-const (
-	granEndpoint relGranularity = iota
-	granStartEnd
-)
-
-// relFP is one memoized endpoint fingerprint: the canonical hash of the
-// endpoint's relation map (sta.RelationFingerprint) plus whether every
-// state set in it is a singleton.
-type relFP struct {
-	hash   string
-	single bool
-}
-
 // epOutcome records one endpoint's complete pass-1 (or pass-2) effect in
 // an iteration that produced no fixes for it: the report-counter deltas
-// and what it forwarded to the next pass. An unaffected endpoint — not
+// and the startpoints of its ambiguous groups, which it forwarded to the
+// next pass (pass-1 keys all start at "*"). An unaffected endpoint — not
 // forward-reachable from any exception added since — classifies
 // identically in the next iteration (member relations never change and
 // its merged relations are untouched), so the recorded outcome replays
@@ -421,9 +406,7 @@ type relFP struct {
 // itself, so it lands in the invalidation frontier.
 type epOutcome struct {
 	ambiguous, mismatch, pessim int
-	pruned                      bool
-	forwarded                   bool     // pass 1: endpoint goes to pass 2
-	forwardStarts               []string // pass 2: starts forwarded to pass 3
+	forwardStarts               []string
 }
 
 // pairOutcome is the pass-3 analogue for one (start, end) pair that
@@ -433,75 +416,25 @@ type pairOutcome struct {
 }
 
 // refineMemo carries refinement state across iterations of the 3-pass
-// loop. Member-mode fingerprints stay valid for the whole merge (member
-// contexts never change); merged-mode fingerprints and recorded
-// endpoint/pair outcomes are dropped per endpoint when new exceptions
-// invalidate them (rebuildMergedForRefine). pending collects the
-// exceptions added since the last merged rebuild — their pins define the
-// invalidation frontier.
+// loop. Recorded endpoint/pair outcomes are dropped per endpoint when new
+// exceptions invalidate them (rebuildMergedForRefine). pending collects
+// the exceptions added since the last merged rebuild — their pins define
+// the invalidation frontier.
 type refineMemo struct {
-	mu       sync.Mutex
-	memberP1 []map[graph.NodeID]relFP
-	memberSE []map[graph.NodeID]relFP
-	mergedP1 map[graph.NodeID]relFP
-	mergedSE map[graph.NodeID]relFP
-	pending  []*sdc.Exception
+	pending []*sdc.Exception
 
-	p1Out map[graph.NodeID]*epOutcome
-	p2Out map[graph.NodeID]*epOutcome
+	epOut [2]map[graph.NodeID]*epOutcome // passes 1 and 2
 	p3Out map[[2]graph.NodeID]*pairOutcome
-
-	viableOnce sync.Once
-	viable     bool
 }
 
-// table returns (creating lazily) the fingerprint table for context m at
-// the given granularity; m == nModes addresses the merged context.
-func (mm *refineMemo) table(m int, gran relGranularity, nModes int) map[graph.NodeID]relFP {
-	if m == nModes {
-		if gran == granEndpoint {
-			if mm.mergedP1 == nil {
-				mm.mergedP1 = map[graph.NodeID]relFP{}
-			}
-			return mm.mergedP1
-		}
-		if mm.mergedSE == nil {
-			mm.mergedSE = map[graph.NodeID]relFP{}
-		}
-		return mm.mergedSE
-	}
-	tables := &mm.memberP1
-	if gran == granStartEnd {
-		tables = &mm.memberSE
-	}
-	if *tables == nil {
-		*tables = make([]map[graph.NodeID]relFP, nModes)
-	}
-	if (*tables)[m] == nil {
-		(*tables)[m] = map[graph.NodeID]relFP{}
-	}
-	return (*tables)[m]
-}
-
-// dropMerged invalidates merged-mode state — fingerprints and recorded
-// outcomes: all of it when affected is nil, otherwise only the endpoints
-// marked affected.
-func (mm *refineMemo) dropMerged(affected []bool) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
+// invalidate drops recorded outcomes: all of them when affected is
+// nil, otherwise only those of the endpoints marked affected.
+func (mm *refineMemo) invalidate(affected []bool) {
 	if affected == nil {
-		mm.mergedP1, mm.mergedSE = nil, nil
-		mm.p1Out, mm.p2Out, mm.p3Out = nil, nil, nil
+		mm.epOut, mm.p3Out = [2]map[graph.NodeID]*epOutcome{}, nil
 		return
 	}
-	for _, tbl := range []map[graph.NodeID]relFP{mm.mergedP1, mm.mergedSE} {
-		for end := range tbl {
-			if affected[end] {
-				delete(tbl, end)
-			}
-		}
-	}
-	for _, tbl := range []map[graph.NodeID]*epOutcome{mm.p1Out, mm.p2Out} {
+	for _, tbl := range mm.epOut {
 		for end := range tbl {
 			if affected[end] {
 				delete(tbl, end)
@@ -519,18 +452,11 @@ func (mm *refineMemo) dropMerged(affected []bool) {
 // phases and read by the next iteration's parallel phases, so plain map
 // access with lazy init suffices (no concurrent writers).
 
-func (mm *refineMemo) recordP1(end graph.NodeID, o *epOutcome) {
-	if mm.p1Out == nil {
-		mm.p1Out = map[graph.NodeID]*epOutcome{}
+func (mm *refineMemo) recordEp(pass int, end graph.NodeID, o *epOutcome) {
+	if mm.epOut[pass] == nil {
+		mm.epOut[pass] = map[graph.NodeID]*epOutcome{}
 	}
-	mm.p1Out[end] = o
-}
-
-func (mm *refineMemo) recordP2(end graph.NodeID, o *epOutcome) {
-	if mm.p2Out == nil {
-		mm.p2Out = map[graph.NodeID]*epOutcome{}
-	}
-	mm.p2Out[end] = o
+	mm.epOut[pass][end] = o
 }
 
 func (mm *refineMemo) recordP3(pair [2]graph.NodeID, o *pairOutcome) {
@@ -538,150 +464,6 @@ func (mm *refineMemo) recordP3(pair [2]graph.NodeID, o *pairOutcome) {
 		mm.p3Out = map[[2]graph.NodeID]*pairOutcome{}
 	}
 	mm.p3Out[pair] = o
-}
-
-// mapModeRels rewrites a mode-local relation map into the merged clock
-// namespace (two local keys may collapse onto one merged key; their sets
-// union, exactly as gatherGroups would accumulate them).
-func (mg *Merger) mapModeRels(m int, rels map[sta.RelKey]relation.Set) map[sta.RelKey]relation.Set {
-	out := make(map[sta.RelKey]relation.Set, len(rels))
-	for k, set := range rels {
-		mk := mg.mapRelKey(m, k)
-		cur := out[mk]
-		cur.AddSet(set)
-		out[mk] = cur
-	}
-	return out
-}
-
-// endpointFP returns the memoized relation fingerprint of one endpoint in
-// context m (m == len(ctxs) is the merged context) at the given
-// granularity. Member maps are fingerprinted in the merged clock
-// namespace so they compare across modes and against the merged mode.
-func (mg *Merger) endpointFP(m int, end graph.NodeID, gran relGranularity) relFP {
-	mm := &mg.memo
-	mm.mu.Lock()
-	tbl := mm.table(m, gran, len(mg.ctxs))
-	if fp, ok := tbl[end]; ok {
-		mm.mu.Unlock()
-		return fp
-	}
-	mm.mu.Unlock()
-	var rels map[sta.RelKey]relation.Set
-	switch {
-	case m == len(mg.ctxs) && gran == granEndpoint:
-		rels = mg.mctx.EndpointRelationsAt(end)
-	case m == len(mg.ctxs):
-		rels = mg.mctx.StartEndRelations(end)
-	case gran == granEndpoint:
-		rels = mg.mapModeRels(m, mg.ctxs[m].EndpointRelationsAt(end))
-	default:
-		rels = mg.mapModeRels(m, mg.ctxs[m].StartEndRelations(end))
-	}
-	hash, single := sta.RelationFingerprint(rels)
-	fp := relFP{hash: hash, single: single}
-	mm.mu.Lock()
-	mm.table(m, gran, len(mg.ctxs))[end] = fp
-	mm.mu.Unlock()
-	return fp
-}
-
-// pruneViable reports (computed once per merge) whether the cross-mode
-// fingerprint prune can ever fire: relation maps compare in the merged
-// clock namespace, so two modes' maps can only be key-equal when both
-// modes' clocks map onto the same merged clock-name set. Modes whose
-// clocks stay apart in the union (different periods or waveforms) can
-// never agree at any endpoint that has relations — fingerprinting them
-// is pure overhead, and the prune short-circuits to "not prunable".
-func (mg *Merger) pruneViable() bool {
-	mm := &mg.memo
-	mm.viableOnce.Do(func() {
-		var ref map[string]bool
-		for m, ctx := range mg.ctxs {
-			set := map[string]bool{}
-			for _, ci := range ctx.Clocks {
-				set[mg.cmap.mapName(m, ci.Def.Name)] = true
-			}
-			if m == 0 {
-				ref = set
-				continue
-			}
-			if len(set) != len(ref) {
-				return
-			}
-			for name := range set {
-				if !ref[name] {
-					return
-				}
-			}
-		}
-		mm.viable = true
-	})
-	return mm.viable
-}
-
-// pruneEndpoint reports whether an endpoint provably produces no
-// counters, no forwarding, and no fixes in a comparison pass, so the
-// pass can skip it without changing a single output byte. That holds
-// exactly when every mode's relation map (merged namespace) is the same
-// all-singleton map AND the merged mode's map equals it too: then every
-// path group's target is its own merged state — Compare returns Match
-// for all of them, which is the one classification with zero side
-// effects. Identical-but-multi-state maps are NOT prunable (the slow
-// path counts them ambiguous and forwards the endpoint).
-func (mg *Merger) pruneEndpoint(end graph.NodeID, gran relGranularity) bool {
-	first := mg.endpointFP(0, end, gran)
-	if !first.single {
-		return false
-	}
-	for m := 1; m < len(mg.ctxs); m++ {
-		if mg.endpointFP(m, end, gran).hash != first.hash {
-			return false
-		}
-	}
-	if mg.opt.Inject.PruneSkipDifferingEndpoints {
-		// Injected bug: agreement between the members alone "justifies"
-		// the prune — the merged mode is never consulted, so a merged
-		// context that relaxes the members' common relation (optimism)
-		// slips through unfixed.
-		return true
-	}
-	return mg.endpointFP(len(mg.ctxs), end, gran).hash == first.hash
-}
-
-// prunePair reports whether a pass-3 pair provably emits nothing: every
-// context's live start→end cone is divergence-free (at most one live
-// out-arc per node ⇒ a single live chain), and all contexts with a live
-// path share the same chain. Then every interior node lies on every live
-// path, its per-context state sets replicate the pair's pass-2 sets, and
-// the through-point scan can only rediscover the pass-2 ambiguity that
-// forwarded the pair — hitting `continue` at every node. Reconvergent
-// cones (the case pass 3 exists for) are Divergent somewhere and are
-// never pruned.
-func (mg *Merger) prunePair(startID, endID graph.NodeID) bool {
-	var ref sta.PairProfile
-	have := false
-	for m := 0; m <= len(mg.ctxs); m++ {
-		ctx := mg.mctx
-		if m < len(mg.ctxs) {
-			ctx = mg.ctxs[m]
-		}
-		p := ctx.PairProfile(startID, endID)
-		if p.Divergent {
-			return false
-		}
-		if !p.HasLive {
-			continue
-		}
-		if !have {
-			ref, have = p, true
-			continue
-		}
-		if p.LiveHash != ref.LiveHash {
-			return false
-		}
-	}
-	return true
 }
 
 // warmContexts forces, per context and in parallel, the full pass-1 tag
@@ -711,122 +493,20 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	p1 := sp.Child("pass1")
 	ends := mg.g.Endpoints()
 	mg.warmContexts(cx, ends)
-	if err := cx.Err(); err != nil {
-		p1.Finish()
-		return 0, err
-	}
-	usePrune := !mg.opt.Slow.NoEndpointPrune && mg.pruneViable()
-	// Per-endpoint gather (and prune fingerprinting) runs in parallel;
-	// classification and fix emission stay sequential, in graph endpoint
-	// order with sorted keys, so emitted constraints and counters are
-	// deterministic. Endpoints with a recorded outcome from the previous
-	// iteration replay it without touching any relation map.
-	type endpointWork struct {
-		replay *epOutcome
-		pruned bool
-		groups map[sta.RelKey]*groupStates
-		keys   []sta.RelKey
-	}
-	work := make([]endpointWork, len(ends))
-	forEachParallel(cx, len(ends), mg.opt.parallelism(), func(i int) {
-		endID := ends[i]
-		if o := mg.memo.p1Out[endID]; o != nil {
-			work[i].replay = o
-			return
-		}
-		if usePrune && mg.pruneEndpoint(endID, granEndpoint) {
-			work[i].pruned = true
-			return
-		}
-		perMode := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
-		for m, ctx := range mg.ctxs {
-			perMode[m] = ctx.EndpointRelationsAt(endID)
-		}
-		work[i].groups = mg.gatherGroups(perMode, mg.mctx.EndpointRelationsAt(endID))
-		work[i].keys = sortedRelKeys(work[i].groups)
-	})
-	if err := cx.Err(); err != nil {
-		p1.Finish()
-		return 0, err
-	}
-	// Pruned and replayed endpoints' groups are absent from `groups`, as
-	// are those of computed endpoints without fixes. That is safe for
-	// emitFixes: its closure checks only ever look up groups at the
-	// endpoints of the fixes themselves, and fix endpoints' groups are all
-	// present.
-	groups := map[sta.RelKey]*groupStates{}
 	pass2 := nameSet{} // ambiguous endpoints forwarded to pass 2
-	var p1Fixes []fixEntry
-	p1Groups, p1Pruned, p1Replayed := 0, 0, 0
-	for i := range work {
-		endID := ends[i]
-		if o := work[i].replay; o != nil {
-			p1Replayed++
-			mg.Report.Pass1Ambiguous += o.ambiguous
-			mg.Report.Pass1Mismatch += o.mismatch
-			mg.Report.PessimisticGroups += o.pessim
-			if o.pruned {
-				p1Pruned++
-			}
-			if o.forwarded {
-				pass2.add(mg.g.Node(endID).Name)
-			}
-			continue
-		}
-		if work[i].pruned {
-			p1Pruned++
-			mg.memo.recordP1(endID, &epOutcome{pruned: true})
-			continue
-		}
-		o := &epOutcome{}
-		var endFixes []fixEntry
-		for _, key := range work[i].keys {
-			gs := work[i].groups[key]
-			target, ok := gs.target()
-			if !ok {
-				o.ambiguous++
-				o.forwarded = true
-				continue
-			}
-			switch relation.Compare(target, gs.merged) {
-			case relation.Match:
-			case relation.Mismatch:
-				o.mismatch++
-				if f, ok := fixFor(key, target, gs.merged); ok {
-					endFixes = append(endFixes, f)
-				} else {
-					o.pessim++
-				}
-			case relation.Ambiguous:
-				o.ambiguous++
-				o.forwarded = true
-			}
-		}
-		p1Groups += len(work[i].keys)
-		mg.Report.Pass1Ambiguous += o.ambiguous
-		mg.Report.Pass1Mismatch += o.mismatch
-		mg.Report.PessimisticGroups += o.pessim
-		if o.forwarded {
-			pass2.add(mg.g.Node(endID).Name)
-		}
-		if len(endFixes) > 0 {
-			p1Fixes = append(p1Fixes, endFixes...)
-			for k, gs := range work[i].groups {
-				groups[k] = gs
-			}
-		} else {
-			// Fixless outcome: replayable next iteration while the endpoint
-			// stays outside the invalidation frontier. (Fix endpoints never
-			// replay — their own pins invalidate them.)
-			mg.memo.recordP1(endID, o)
-		}
-	}
-	added += mg.emitFixes(p1Fixes, groups, "data_refine/pass1", "§3.2 pass-1 endpoint comparison")
-	p1.Add("path_groups", int64(p1Groups))
-	p1.Add("fixes", int64(len(p1Fixes)))
-	p1.Add("pruned_endpoints", int64(p1Pruned))
-	p1.Add("replayed_endpoints", int64(p1Replayed))
+	n, err := mg.comparePass(cx, p1, ends, endpointPass{
+		idx:       0,
+		stage:     "data_refine/pass1",
+		rule:      "§3.2 pass-1 endpoint comparison",
+		relations: (*sta.Context).EndpointRelationsAt,
+		ambiguous: &mg.Report.Pass1Ambiguous,
+		mismatch:  &mg.Report.Pass1Mismatch,
+	}, func(end graph.NodeID, _ []string) { pass2.add(mg.g.Node(end).Name) })
 	p1.Finish()
+	added += n
+	if err != nil {
+		return added, err
+	}
 
 	// ---- Pass 2: startpoint–endpoint granularity ----
 	p2 := sp.Child("pass2")
@@ -845,111 +525,32 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	// in parallel before the endpoint loop fans out.
 	var fill []graph.NodeID
 	for _, id := range pass2IDs {
-		if mg.memo.p2Out[id] == nil {
+		if mg.memo.epOut[1][id] == nil {
 			fill = append(fill, id)
 		}
 	}
 	mg.eachContext(cx, func(ctx *sta.Context) { ctx.FillStartEndRelations(fill) })
 	type sePair struct{ start, end string }
 	pass3 := map[sePair]bool{}
-	// Per-endpoint relations (and prune fingerprints) compute in parallel
-	// (contexts are safe for concurrent relation queries); comparison
-	// stays sequential and deterministic. Fixes and fix endpoints' groups
-	// accumulate across endpoints so the emission step can aggregate
-	// clock-pair kills into few constraints (keys are unique per endpoint,
-	// so merging the maps is safe).
-	seWork := make([]endpointWork, len(pass2IDs))
-	forEachParallel(cx, len(pass2IDs), mg.opt.parallelism(), func(i int) {
-		endID := pass2IDs[i]
-		if o := mg.memo.p2Out[endID]; o != nil {
-			seWork[i].replay = o
-			return
+	n, err = mg.comparePass(cx, p2, pass2IDs, endpointPass{
+		idx:       1,
+		stage:     "data_refine/pass2",
+		rule:      "§3.2 pass-2 start-end comparison",
+		relations: (*sta.Context).StartEndRelations,
+		ambiguous: &mg.Report.Pass2Ambiguous,
+		mismatch:  &mg.Report.Pass2Mismatch,
+	}, func(end graph.NodeID, starts []string) {
+		name := mg.g.Node(end).Name
+		for _, start := range starts {
+			pass3[sePair{start, name}] = true
 		}
-		if usePrune && mg.pruneEndpoint(endID, granStartEnd) {
-			seWork[i].pruned = true
-			return
-		}
-		perModeSE := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
-		for m, ctx := range mg.ctxs {
-			perModeSE[m] = ctx.StartEndRelations(endID)
-		}
-		seWork[i].groups = mg.gatherGroups(perModeSE, mg.mctx.StartEndRelations(endID))
-		seWork[i].keys = sortedRelKeys(seWork[i].groups)
 	})
-	if err := cx.Err(); err != nil {
-		p2.Finish()
+	p2.Add("endpoints", int64(len(pass2Ends)))
+	p2.Finish()
+	added += n
+	if err != nil {
 		return added, err
 	}
-	allSEGroups := map[sta.RelKey]*groupStates{}
-	var p2Fixes []fixEntry
-	p2Groups, p2Pruned, p2Replayed := 0, 0, 0
-	for i := range seWork {
-		endID := pass2IDs[i]
-		endName := pass2Ends[i]
-		if o := seWork[i].replay; o != nil {
-			p2Replayed++
-			mg.Report.Pass2Ambiguous += o.ambiguous
-			mg.Report.Pass2Mismatch += o.mismatch
-			mg.Report.PessimisticGroups += o.pessim
-			if o.pruned {
-				p2Pruned++
-			}
-			for _, start := range o.forwardStarts {
-				pass3[sePair{start, endName}] = true
-			}
-			continue
-		}
-		if seWork[i].pruned {
-			p2Pruned++
-			mg.memo.recordP2(endID, &epOutcome{pruned: true})
-			continue
-		}
-		o := &epOutcome{}
-		var endFixes []fixEntry
-		for _, key := range seWork[i].keys {
-			gs := seWork[i].groups[key]
-			target, ok := gs.target()
-			if !ok {
-				o.ambiguous++
-				o.forwardStarts = append(o.forwardStarts, key.Start)
-				pass3[sePair{key.Start, key.End}] = true
-				continue
-			}
-			switch relation.Compare(target, gs.merged) {
-			case relation.Match:
-			case relation.Mismatch:
-				o.mismatch++
-				if f, ok := fixFor(key, target, gs.merged); ok {
-					endFixes = append(endFixes, f)
-				} else {
-					o.pessim++
-				}
-			case relation.Ambiguous:
-				o.ambiguous++
-				o.forwardStarts = append(o.forwardStarts, key.Start)
-				pass3[sePair{key.Start, key.End}] = true
-			}
-		}
-		p2Groups += len(seWork[i].keys)
-		mg.Report.Pass2Ambiguous += o.ambiguous
-		mg.Report.Pass2Mismatch += o.mismatch
-		mg.Report.PessimisticGroups += o.pessim
-		if len(endFixes) > 0 {
-			p2Fixes = append(p2Fixes, endFixes...)
-			for k, gs := range seWork[i].groups {
-				allSEGroups[k] = gs
-			}
-		} else {
-			mg.memo.recordP2(endID, o)
-		}
-	}
-	added += mg.emitFixes(p2Fixes, allSEGroups, "data_refine/pass2", "§3.2 pass-2 start-end comparison")
-	p2.Add("endpoints", int64(len(pass2Ends)))
-	p2.Add("path_groups", int64(p2Groups))
-	p2.Add("fixes", int64(len(p2Fixes)))
-	p2.Add("pruned_endpoints", int64(p2Pruned))
-	p2.Add("replayed_endpoints", int64(p2Replayed))
-	p2.Finish()
 
 	// ---- Pass 3: through-point granularity ----
 	p3 := sp.Child("pass3")
@@ -964,16 +565,13 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		}
 		return pairs[i].end < pairs[j].end
 	})
-	// Relations per pair (and reconvergence prunes) compute in parallel;
-	// comparison and constraint emission stay sequential and
-	// deterministic.
-	usePairPrune := !mg.opt.Slow.NoPairPrune
+	// Relations per pair compute in parallel; comparison and constraint
+	// emission stay sequential and deterministic.
 	type p3data struct {
 		perMode [][]sta.ThroughRel
 		merged  []sta.ThroughRel
 		ids     [2]graph.NodeID
 		replay  *pairOutcome
-		skip    bool
 		err     error
 	}
 	data := make([]p3data, len(pairs))
@@ -989,10 +587,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 			data[i].replay = o
 			return
 		}
-		if usePairPrune && mg.prunePair(startID, endID) {
-			data[i].skip = true
-			return
-		}
 		perMode := make([][]sta.ThroughRel, len(mg.ctxs))
 		for m, ctx := range mg.ctxs {
 			perMode[m] = ctx.ThroughRelations(startID, endID)
@@ -1003,7 +597,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	if err := cx.Err(); err != nil {
 		return added, err
 	}
-	p3Pruned, p3Replayed := 0, 0
+	p3Replayed := 0
 	for i, p := range pairs {
 		if data[i].err != nil {
 			return added, data[i].err
@@ -1012,10 +606,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 			p3Replayed++
 			mg.Report.Pass3Mismatch += o.mismatch
 			mg.Report.PessimisticGroups += o.pessim
-			continue
-		}
-		if data[i].skip {
-			p3Pruned++
 			continue
 		}
 		mis0, pes0 := mg.Report.Pass3Mismatch, mg.Report.PessimisticGroups
@@ -1034,8 +624,117 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		}
 	}
 	p3.Add("pairs", int64(len(pairs)))
-	p3.Add("pruned_pairs", int64(p3Pruned))
 	p3.Add("replayed_pairs", int64(p3Replayed))
+	return added, nil
+}
+
+// endpointPass describes one of §3.2's two endpoint-keyed comparisons.
+// Passes 1 and 2 run the same loop and differ only in the relation maps
+// they compare and in what an ambiguous group forwards.
+type endpointPass struct {
+	idx         int // refineMemo.epOut slot: 0 for pass 1, 1 for pass 2
+	stage, rule string
+	relations   func(ctx *sta.Context, end graph.NodeID) map[sta.RelKey]relation.Set
+	// ambiguous and mismatch point at the pass's Report counters.
+	ambiguous, mismatch *int
+}
+
+// comparePass runs one endpoint-keyed pass over ends and returns how many
+// constraints it added. Per-endpoint gathers run in parallel (contexts
+// are safe for concurrent relation queries); classification and fix
+// emission stay sequential, in ends order with sorted keys, so emitted
+// constraints and counters are deterministic. Endpoints with an outcome
+// recorded in the previous iteration replay it without touching any
+// relation map. forward receives each endpoint that has ambiguous groups,
+// with their startpoints in key order.
+func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.NodeID,
+	pass endpointPass, forward func(end graph.NodeID, starts []string)) (int, error) {
+	recorded := mg.memo.epOut[pass.idx]
+	type endpointWork struct {
+		replay *epOutcome
+		groups map[sta.RelKey]*groupStates
+		keys   []sta.RelKey
+	}
+	work := make([]endpointWork, len(ends))
+	forEachParallel(cx, len(ends), mg.opt.parallelism(), func(i int) {
+		end := ends[i]
+		if o := recorded[end]; o != nil {
+			work[i].replay = o
+			return
+		}
+		perMode := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
+		for m, ctx := range mg.ctxs {
+			perMode[m] = pass.relations(ctx, end)
+		}
+		work[i].groups = mg.gatherGroups(perMode, pass.relations(mg.mctx, end))
+		work[i].keys = sortedRelKeys(work[i].groups)
+	})
+	if err := cx.Err(); err != nil {
+		return 0, err
+	}
+	// Replayed endpoints' groups are absent from `groups`, as are those of
+	// computed endpoints without fixes. That is safe for emitFixes: its
+	// closure checks only ever look up groups at the endpoints of the
+	// fixes themselves, and fix endpoints' groups are all present. Fixes
+	// accumulate across endpoints so the emission step can aggregate
+	// clock-pair kills into few constraints (keys are unique per
+	// endpoint, so merging the maps is safe).
+	groups := map[sta.RelKey]*groupStates{}
+	var fixes []fixEntry
+	nGroups, replayed := 0, 0
+	for i := range work {
+		end := ends[i]
+		o := work[i].replay
+		if o != nil {
+			replayed++
+		} else {
+			o = &epOutcome{}
+			var endFixes []fixEntry
+			for _, key := range work[i].keys {
+				gs := work[i].groups[key]
+				target, ok := gs.target()
+				cmp := relation.Ambiguous
+				if ok {
+					cmp = relation.Compare(target, gs.merged)
+				}
+				switch cmp {
+				case relation.Match:
+				case relation.Mismatch:
+					o.mismatch++
+					if f, ok := fixFor(key, target, gs.merged); ok {
+						endFixes = append(endFixes, f)
+					} else {
+						o.pessim++
+					}
+				case relation.Ambiguous:
+					o.ambiguous++
+					// Keys sort by start, so a repeated start is adjacent.
+					if n := len(o.forwardStarts); n == 0 || o.forwardStarts[n-1] != key.Start {
+						o.forwardStarts = append(o.forwardStarts, key.Start)
+					}
+				}
+			}
+			nGroups += len(work[i].keys)
+			if len(endFixes) > 0 {
+				fixes = append(fixes, endFixes...)
+				maps.Copy(groups, work[i].groups)
+			} else {
+				// Fixless outcome: replayable next iteration while the
+				// endpoint stays outside the invalidation frontier.
+				mg.memo.recordEp(pass.idx, end, o)
+			}
+		}
+		*pass.ambiguous += o.ambiguous
+		*pass.mismatch += o.mismatch
+		mg.Report.PessimisticGroups += o.pessim
+		if len(o.forwardStarts) > 0 {
+			forward(end, o.forwardStarts)
+		}
+	}
+	added := mg.emitFixes(fixes, groups, pass.stage, pass.rule)
+	sp.Add("path_groups", int64(nGroups))
+	sp.Add("fixes", int64(len(fixes)))
+	sp.Add("replayed_endpoints", int64(replayed))
 	return added, nil
 }
 
@@ -1354,8 +1053,8 @@ func (mg *Merger) addFalsePath(e *sdc.Exception, stage, rule, detail string) {
 // exceptions added this iteration: an exception-only rebuild changes
 // nothing but exceptions, and a new exception can only complete at
 // endpoints its pins reach, so relation results everywhere else are
-// untouched. The invalidated endpoints also lose their merged
-// fingerprints in the prune memo.
+// untouched. The invalidated endpoints also lose their recorded pass
+// outcomes.
 func (mg *Merger) rebuildMergedForRefine() error {
 	prev := mg.mctx
 	pending := mg.memo.pending
@@ -1364,16 +1063,16 @@ func (mg *Merger) rebuildMergedForRefine() error {
 		return err
 	}
 	if mg.opt.Slow.NoCacheTransfer {
-		mg.memo.dropMerged(nil)
+		mg.memo.invalidate(nil)
 		return nil
 	}
 	affected := mg.affectedEndpoints(pending)
 	if affected == nil {
-		mg.memo.dropMerged(nil)
+		mg.memo.invalidate(nil)
 		return nil
 	}
 	mg.mctx.AdoptRelationResults(prev, func(end graph.NodeID) bool { return !affected[end] })
-	mg.memo.dropMerged(affected)
+	mg.memo.invalidate(affected)
 	return nil
 }
 

@@ -14,22 +14,17 @@ import (
 	"modemerge/internal/sdc"
 )
 
-// slowPathFixtures are two fixed designs chosen so the optimizations the
-// SlowPaths knobs disable actually execute on the fast path (verified by
-// TestSlowKnobCoverage below):
+// slowPathFixtures are two fixed designs the SlowPaths equivalence
+// checks run on:
 //
 //   - "functional": a functional-only family — every mode of a group
-//     creates the same clocks, so the cross-mode fingerprint prune is
-//     viable and pass 1 prunes agreeing endpoints (NoEndpointPrune flips
-//     live behaviour);
-//   - "variants": the generator's scan/test variants — prune is not
-//     viable, but refinement takes multiple iterations, so the
-//     merged-context memo replays endpoints across rebuilds
-//     (NoCacheTransfer and NoRelationCache flip live behaviour) and
-//     pass 3 consults the reconvergence prune on every forwarded pair
-//     (NoPairPrune flips the consultation; the skip branch itself never
-//     fires on generated designs — their forwarded pairs always have a
-//     reconvergent cone, which is exactly what the prune must refuse).
+//     creates the same clocks, so member relation maps share one
+//     merged clock namespace;
+//   - "variants": the generator's scan/test variants — refinement takes
+//     multiple iterations, so the merged-context memo replays endpoints
+//     across rebuilds (NoCacheTransfer and NoRelationCache flip live
+//     behaviour, verified by TestSlowKnobCoverage below), and ambiguous
+//     pairs reach pass 3.
 func slowPathFixtures(t *testing.T) []struct {
 	name  string
 	g     *graph.Graph
@@ -117,8 +112,6 @@ func slowFingerprint(t *testing.T, g *graph.Graph, modes []*sdc.Mode, opt Option
 func slowKnobs() map[string]SlowPaths {
 	return map[string]SlowPaths{
 		"NoRelationCache": {NoRelationCache: true},
-		"NoEndpointPrune": {NoEndpointPrune: true},
-		"NoPairPrune":     {NoPairPrune: true},
 		"NoCacheTransfer": {NoCacheTransfer: true},
 	}
 }
@@ -140,8 +133,7 @@ func TestSlowKnobEquivalence(t *testing.T) {
 				t.Fatal("empty baseline fingerprint")
 			}
 			cases := slowKnobs()
-			cases["all"] = SlowPaths{NoRelationCache: true, NoEndpointPrune: true,
-				NoPairPrune: true, NoCacheTransfer: true}
+			cases["all"] = SlowPaths{NoRelationCache: true, NoCacheTransfer: true}
 			for name, slow := range cases {
 				for _, p := range []int{1, 4} {
 					got := slowFingerprint(t, fx.g, fx.modes, Options{Parallelism: p, Slow: slow})
@@ -200,30 +192,19 @@ func spanCounters(tr *obs.Tracer) map[string]int64 {
 }
 
 // TestSlowKnobCoverage proves the equivalence test above is not vacuous:
-// on its fixtures the fast path actually prunes endpoints, replays
-// memoized endpoints across refinement iterations, and consults the
-// pass-3 pair prune — and disabling the matching knob makes the counter
-// drop to zero. The equivalence-checker case reaches all three passes.
+// on its fixtures the fast path actually replays memoized endpoints
+// across refinement iterations and reaches pass 3 — and disabling the
+// cache transfer makes the replay counter drop to zero. The
+// equivalence-checker case reaches all three passes.
 func TestSlowKnobCoverage(t *testing.T) {
-	fxs := slowPathFixtures(t)
-	functional, variants := fxs[0], fxs[1]
-
-	fast := mergeCounters(t, functional.g, functional.modes, Options{Parallelism: 1})
-	if fast["pruned_endpoints"] == 0 {
-		t.Error("functional fixture: endpoint prune never fired on the fast path")
-	}
-	noPrune := mergeCounters(t, functional.g, functional.modes,
-		Options{Parallelism: 1, Slow: SlowPaths{NoEndpointPrune: true}})
-	if noPrune["pruned_endpoints"] != 0 {
-		t.Errorf("NoEndpointPrune still pruned %d endpoints", noPrune["pruned_endpoints"])
-	}
+	variants := slowPathFixtures(t)[1]
 
 	vfast := mergeCounters(t, variants.g, variants.modes, Options{Parallelism: 1})
 	if vfast["replayed_endpoints"] == 0 {
 		t.Error("variants fixture: endpoint memo never replayed on the fast path")
 	}
 	if vfast["pairs"] == 0 {
-		t.Error("variants fixture: no pass-3 pairs — pair prune never consulted")
+		t.Error("variants fixture: no pass-3 pairs")
 	}
 	noTransfer := mergeCounters(t, variants.g, variants.modes,
 		Options{Parallelism: 1, Slow: SlowPaths{NoCacheTransfer: true}})

@@ -8,27 +8,26 @@ import (
 	"modemerge/internal/gen"
 )
 
-// pruneFaultSpec is a constructed reproducer for the
-// prune-skip-differing-endpoints fault. Random sampling essentially never
-// hits the required conjunction (0 detections in 200 seeded trials when
-// this was built), so the spec is built by hand around the fault's
-// mechanism:
+// dataRefineFaultSpec is a constructed reproducer for the
+// skip-data-refine fault. Random sampling rarely produces an endpoint
+// that every member excludes while the merged mode still times it, so
+// the spec is built by hand around that case:
 //
 //   - a functional-only two-mode group, so every mode creates the same
-//     clocks and the cross-mode fingerprint prune is viable at all;
+//     clocks and the members' relation maps compare key for key;
 //   - both modes relax the single register→output path, but through
 //     textually different exceptions (one scoped -to the port, one
 //     unscoped -from the register), so the intersection-based exception
 //     merge keeps neither and the merged mode still times the endpoint;
-//   - the members' relation maps at that endpoint are identical
-//     all-singleton false, so the clean prune check sees the merged
-//     mismatch and pass 1 emits the corrective false path — while the
-//     faulted prune trusts member agreement, skips the merged-side
-//     check, and leaves the endpoint timed (a conformity violation).
-func pruneFaultSpec() *TrialSpec {
+//   - the members' relation maps at that endpoint are all false, so
+//     pass 1 of data refinement emits the corrective false path — while
+//     the faulted merge skips data refinement and leaves the endpoint
+//     timed (a conformity violation; the merge is pessimistic, so the
+//     equivalence oracle stays silent).
+func dataRefineFaultSpec() *TrialSpec {
 	return &TrialSpec{
 		Design: gen.DesignSpec{
-			Name: "prune", Seed: 1,
+			Name: "dataref", Seed: 1,
 			Domains: 1, BlocksPerDomain: 1, Stages: 1, RegsPerStage: 1,
 			CloudDepth: 1, CrossPaths: 0, IOPairs: 1,
 		},
@@ -42,21 +41,19 @@ func pruneFaultSpec() *TrialSpec {
 	}
 }
 
-// TestPruneFaultCaughtByConformity pins detector power for the
-// prune-skip-differing-endpoints fault: the constructed spec must merge
-// clean without violations, must trip the conformity oracle under the
-// fault, must stay minimal under shrinking, and must round-trip through
-// a saved corpus file.
-func TestPruneFaultCaughtByConformity(t *testing.T) {
+// TestSkipDataRefineCaughtByConformity pins detector power for the
+// skip-data-refine fault: the constructed spec must merge clean without
+// violations, must trip the conformity oracle under the fault, must stay
+// minimal under shrinking, and must round-trip through a saved corpus
+// file. The fault is not marked Detectable — random trials rarely reach
+// this case — so the power check lives here instead.
+func TestSkipDataRefineCaughtByConformity(t *testing.T) {
 	cx := context.Background()
-	fault, err := ParseFault("prune-skip-differing-endpoints")
+	fault, err := ParseFault("skip-data-refine")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fault.Detectable {
-		t.Fatal("prune-skip-differing-endpoints must be marked detectable")
-	}
-	spec := pruneFaultSpec()
+	spec := dataRefineFaultSpec()
 
 	clean := Run(cx, spec, Fault{}.Inject)
 	if clean.Err != nil {
@@ -77,7 +74,7 @@ func TestPruneFaultCaughtByConformity(t *testing.T) {
 		}
 	}
 	if !sawConformity {
-		t.Fatalf("expected a conformity violation from the faulted prune, got %v", res.Violations)
+		t.Fatalf("expected a conformity violation with data refinement skipped, got %v", res.Violations)
 	}
 
 	// The hand-built spec must already be locally minimal: shrinking may
@@ -102,10 +99,10 @@ func TestPruneFaultCaughtByConformity(t *testing.T) {
 	dir := t.TempDir()
 	repro := &Reproducer{
 		Spec:             *spec,
-		Fault:            "prune-skip-differing-endpoints",
+		Fault:            "skip-data-refine",
 		ExpectViolations: true,
 		Properties:       []string{PropConformity},
-		FoundBy:          "TestPruneFaultCaughtByConformity",
+		FoundBy:          "TestSkipDataRefineCaughtByConformity",
 	}
 	path, err := repro.Save(dir)
 	if err != nil {

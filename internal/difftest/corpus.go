@@ -69,13 +69,6 @@ var FaultNames = map[string]Fault{
 		Note: "hierarchical harvest keeps subset-only member exceptions: optimism on hierarchical trials, " +
 			"caught by the hierarchical oracle (no effect on flat trials)",
 	},
-	"prune-skip-differing-endpoints": {
-		Inject:     core.FaultInjection{PruneSkipDifferingEndpoints: true},
-		Detectable: true,
-		Note: "fingerprint prune trusts member agreement without checking the merged mode: " +
-			"the pass-1 accuracy fix is skipped where the merged context still times paths every member " +
-			"excludes, caught by the conformity oracle",
-	},
 	"merge-best-corner-only": {
 		Inject:     core.FaultInjection{MergeBestCornerOnly: true},
 		Detectable: true,
@@ -105,7 +98,8 @@ var FaultNames = map[string]Fault{
 	"skip-data-refine": {
 		Inject: core.FaultInjection{SkipDataRefinement: true},
 		Note: "missing corrective false paths: pessimism, sign-off safe; the conformity oracle can catch " +
-			"the subset with unanimously excluded endpoints, but random trials hit that rarely",
+			"the subset with unanimously excluded endpoints, but random trials hit that rarely " +
+			"(constructed reproducer: dataRefineFaultSpec in conformity_test.go)",
 	},
 }
 

@@ -67,9 +67,8 @@ func RandomFamily(rng *rand.Rand) gen.FamilySpec {
 	groups := 1 + rng.Intn(3)
 	f := gen.FamilySpec{Groups: groups, BasePeriod: 1 + rng.Float64()*3}
 	// A third of the families are functional-only: every mode of a group
-	// shares the same clocks, which is the regime where the refinement
-	// engine's cross-mode fingerprint prune is viable — without these the
-	// fuzzer would never execute the prune at all.
+	// shares the same clocks, so member relation maps compare key for
+	// key across modes — a regime the scan/test variants never reach.
 	f.FunctionalOnly = rng.Intn(3) == 0
 	for i := 0; i < groups; i++ {
 		f.ModesPerGroup = append(f.ModesPerGroup, 1+rng.Intn(3))

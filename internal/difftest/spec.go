@@ -273,8 +273,9 @@ func (s *TrialSpec) CornerSet(g *gen.Generated) []library.Corner {
 // false_path: the first kills every path leaving the selected register,
 // the second only its paths into one output port. Together they let two
 // modes express the same relaxation at one endpoint through textually
-// different exceptions — the regime the refinement prune's merged-side
-// fingerprint check exists for (and the one its fault injection breaks).
+// different exceptions, which the intersection-based exception merge
+// keeps neither of, leaving data refinement to add the corrective false
+// path (see dataRefineFaultSpec).
 var PerturbKinds = []string{"false_path", "multicycle", "case", "disable", "false_path_from", "false_path_out"}
 
 func mod(v, n int) int {

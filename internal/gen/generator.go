@@ -294,8 +294,7 @@ type FamilySpec struct {
 	// (v=1, v=2) with functional variants of the same index, so every
 	// mode of a group creates the same clocks with the same periods.
 	// Such families are the ones whose merged clock namespace stays
-	// shared across members — the precondition for the refinement
-	// engine's cross-mode fingerprint prune to fire at all.
+	// shared across members, so member relation maps compare key for key.
 	FunctionalOnly bool
 	// Corners is the number of operating corners of the scenario matrix
 	// (see CornerSet); 0 means corner-less analysis.

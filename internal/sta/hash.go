@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
 	"strconv"
 
 	"modemerge/internal/graph"
-	"modemerge/internal/relation"
 	"modemerge/internal/sdc"
 )
 
@@ -48,61 +46,6 @@ func FingerprintText(g *graph.Graph, modeText string, opt Options) string {
 		h.Write([]byte(p))
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// RelationFingerprint content-hashes one endpoint's relation map in a
-// canonical order (keys via SortRelKeys, states sorted by kind/mult/
-// value, every field length-prefixed) and reports whether every state
-// set is a singleton. Two maps fingerprint equal iff they have the same
-// key set with equal state sets per key, independent of map iteration
-// and state insertion order — which is what lets the refinement passes
-// compare endpoints across modes by hash instead of by pairwise map
-// walks.
-func RelationFingerprint(rels map[RelKey]relation.Set) (sum string, allSingle bool) {
-	keys := make([]RelKey, 0, len(rels))
-	for k := range rels {
-		keys = append(keys, k)
-	}
-	sortRelKeys(keys)
-	h := sha256.New()
-	var n [8]byte
-	put := func(p string) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	allSingle = true
-	for _, k := range keys {
-		put(k.Start)
-		put(k.End)
-		put(k.Launch)
-		put(k.Capture)
-		put(strconv.Itoa(int(k.Check)))
-		set := rels[k]
-		if set.Len() != 1 {
-			allSingle = false
-		}
-		states := set.States()
-		// States() sorts by restrictiveness rank, which can tie across
-		// kinds; re-sort by raw fields for a canonical serialization.
-		sort.Slice(states, func(i, j int) bool {
-			a, b := states[i], states[j]
-			if a.Kind != b.Kind {
-				return a.Kind < b.Kind
-			}
-			if a.Mult != b.Mult {
-				return a.Mult < b.Mult
-			}
-			return a.Value < b.Value
-		})
-		put(strconv.Itoa(len(states)))
-		for _, st := range states {
-			put(strconv.Itoa(int(st.Kind)))
-			put(strconv.Itoa(st.Mult))
-			put(strconv.FormatFloat(st.Value, 'g', -1, 64))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), allSingle
 }
 
 // Stamp is the serializable identity + shape summary of a built context.

@@ -614,7 +614,7 @@ func RelationTable(rels map[RelKey]relation.Set) []string {
 	for k := range rels {
 		keys = append(keys, k)
 	}
-	sortRelKeys(keys)
+	SortRelKeys(keys)
 	var out []string
 	for _, k := range keys {
 		out = append(out, fmt.Sprintf("%s -> %s [%s/%s %s]: %s",
@@ -625,10 +625,8 @@ func RelationTable(rels map[RelKey]relation.Set) []string {
 
 // SortRelKeys sorts relation keys by (End, Start, Launch, Capture,
 // Check) — the deterministic comparison order shared by the refinement
-// passes and the relation fingerprint.
-func SortRelKeys(keys []RelKey) { sortRelKeys(keys) }
-
-func sortRelKeys(keys []RelKey) {
+// passes and the equivalence checker.
+func SortRelKeys(keys []RelKey) {
 	slices.SortFunc(keys, func(a, b RelKey) int {
 		if c := strings.Compare(a.End, b.End); c != 0 {
 			return c
