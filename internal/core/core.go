@@ -579,15 +579,37 @@ func (mg *Merger) Merged() *sdc.Mode { return mg.merged }
 // is looked up (and stored) by content address like the member contexts,
 // so warm re-merges and equivalence checks of a previously seen merged
 // mode skip the context rebuild entirely.
-func (mg *Merger) rebuildMerged() error {
+func (mg *Merger) rebuildMerged() error { return mg.rebuildMergedFrom(nil) }
+
+// rebuildMergedExcOnly is rebuildMerged for callers that changed nothing
+// but timing exceptions (the data-refinement loop: launch blocking and
+// per-iteration corrective false paths). A context it has to build is
+// derived from the previous one, sharing every exception-independent
+// analysis result and recompiling only the exception set; with an
+// incremental cache that happens on a merged-context miss, and the
+// derived context is stored. The NoCacheTransfer equivalence knob falls
+// back to the full rebuild so the slow path exercises a from-scratch
+// build.
+func (mg *Merger) rebuildMergedExcOnly() error {
+	if mg.mctx == nil || mg.opt.Slow.NoCacheTransfer {
+		return mg.rebuildMerged()
+	}
+	return mg.rebuildMergedFrom(mg.mctx)
+}
+
+// rebuildMergedFrom builds the merged context with sta.NewContext, or,
+// when prev is set, with sta.DeriveExceptionsOnly from prev.
+func (mg *Merger) rebuildMergedFrom(prev *sta.Context) error {
 	sp := mg.span.Child("rebuild_merged")
 	defer sp.Finish()
+	mode, staOpt := mg.merged, mg.staOptions()
+	var key string // set when the new context goes into the cache
 	if c := mg.opt.Cache; c != nil {
-		staOpt := mg.staOptions()
-		staOpt.Span = nil // cached contexts must not reference this merge's tracer
+		cachedOpt := staOpt
+		cachedOpt.Span = nil // cached contexts must not reference this merge's tracer
 		text := sdc.Write(mg.merged)
-		key := contextCacheKey(mg.g, text, staOpt, staOpt.Workers)
-		if v, ok := c.GetObject(incr.GranMergedCtx, key); ok {
+		k := contextCacheKey(mg.g, text, cachedOpt, cachedOpt.Workers)
+		if v, ok := c.GetObject(incr.GranMergedCtx, k); ok {
 			mg.mctx = v.(*sta.Context)
 			sp.Add("ctx_cache_hits", 1)
 			return nil
@@ -597,40 +619,23 @@ func (mg *Merger) rebuildMerged() error {
 		// text (the same Write→Parse round trip the clique artifact
 		// relies on) instead of aliasing the live mode.
 		if snap, _, err := sdc.Parse(mg.merged.Name, text, mg.design); err == nil {
-			ctx, err := sta.NewContext(mg.g, snap, staOpt)
-			if err != nil {
-				return fmt.Errorf("merged mode %s: %w", mg.merged.Name, err)
-			}
-			c.PutObject(incr.GranMergedCtx, key, ctx)
-			sp.Add("ctx_cache_misses", 1)
-			mg.mctx = ctx
-			return nil
+			mode, staOpt, key = snap, cachedOpt, k
 		}
 	}
-	ctx, err := sta.NewContext(mg.g, mg.merged, mg.staOptions())
-	if err != nil {
-		return fmt.Errorf("merged mode %s: %w", mg.merged.Name, err)
+	if prev != nil {
+		sp.Add("exc_only_derives", 1)
+		mg.mctx = sta.DeriveExceptionsOnly(prev, mode, staOpt)
+	} else {
+		ctx, err := sta.NewContext(mg.g, mode, staOpt)
+		if err != nil {
+			return fmt.Errorf("merged mode %s: %w", mg.merged.Name, err)
+		}
+		mg.mctx = ctx
 	}
-	mg.mctx = ctx
-	return nil
-}
-
-// rebuildMergedExcOnly is rebuildMerged for callers that changed nothing
-// but timing exceptions (the data-refinement loop: launch blocking and
-// per-iteration corrective false paths). It derives the new context from
-// the previous one, sharing every exception-independent analysis result
-// and recompiling only the exception set. The incremental-cache path and
-// the NoCacheTransfer equivalence knob fall back to the full rebuild —
-// the former because cached contexts must not alias the live merged mode,
-// the latter so the slow path exercises a from-scratch build.
-func (mg *Merger) rebuildMergedExcOnly() error {
-	if mg.mctx == nil || mg.opt.Cache != nil || mg.opt.Slow.NoCacheTransfer {
-		return mg.rebuildMerged()
+	if key != "" {
+		mg.opt.Cache.PutObject(incr.GranMergedCtx, key, mg.mctx)
+		sp.Add("ctx_cache_misses", 1)
 	}
-	sp := mg.span.Child("rebuild_merged")
-	defer sp.Finish()
-	sp.Add("exc_only_derives", 1)
-	mg.mctx = sta.DeriveExceptionsOnly(mg.mctx, mg.merged, mg.staOptions())
 	return nil
 }
 

@@ -100,14 +100,15 @@ type workerInfo struct {
 	completed int64
 }
 
-// NewCoordinator starts a coordinator over the shared artifact store,
-// including its lease reaper and any configured local executors.
-func NewCoordinator(store incr.BlobStore, cfg CoordinatorConfig) *Coordinator {
+// NewCoordinator starts a coordinator, including its lease reaper and
+// any configured local executors. The local executors merge through
+// exec, and exec's artifact store is the store shared with workers.
+func NewCoordinator(exec *Executor, cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
-		store:   store,
-		exec:    NewExecutor(store, 0),
+		store:   exec.store,
+		exec:    exec,
 		log:     cfg.Logger,
 		byKey:   map[string]*task{},
 		leased:  map[string]*task{},
@@ -122,10 +123,6 @@ func NewCoordinator(store incr.BlobStore, cfg CoordinatorConfig) *Coordinator {
 	}
 	return c
 }
-
-// Store exposes the shared artifact store (for mounting the blob
-// passthrough).
-func (c *Coordinator) Store() incr.BlobStore { return c.store }
 
 // Close stops the reaper and local executors and fails every queued and
 // in-flight job with ErrClosed.
@@ -267,10 +264,12 @@ func (c *Coordinator) Claim(ctx context.Context, workerID string, wait time.Dura
 			return nil, ErrClosed
 		}
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		c.touchLocked(workerID)
-		spec := c.leaseLocked(t, workerID)
-		c.mu.Unlock()
-		return spec, nil
+		if !c.liveLocked(t) {
+			return nil, nil // completed late while handed over
+		}
+		return c.leaseLocked(t, workerID), nil
 	case <-timer.C:
 	case <-ctx.Done():
 	}
@@ -286,9 +285,8 @@ func (c *Coordinator) Claim(ctx context.Context, workerID string, wait time.Dura
 	var stranded *Spec
 	select {
 	case t, ok := <-w:
-		if ok && t != nil {
-			spec := c.leaseLocked(t, workerID)
-			stranded = spec
+		if ok && c.liveLocked(t) {
+			stranded = c.leaseLocked(t, workerID)
 		}
 	default:
 	}
@@ -323,61 +321,92 @@ func (c *Coordinator) touchLocked(workerID string) {
 
 // Complete reports one claimed job's outcome. On success the artifact
 // must already be in the shared store under the clique key; the
-// coordinator reads it back and fans it out to subscribers. A stale
-// completion (lease already expired and job re-claimed or finished) is
-// ignored — first outcome wins, which is safe because all outcomes for
-// one key carry identical bytes.
+// coordinator reads it back and fans it out to subscribers. A success
+// from any worker counts once its artifact checks out, even when that
+// worker's lease already expired and the job was requeued or re-claimed:
+// all executions of one key write identical bytes, so the first
+// artifact settles the job. An error, or a success without an artifact,
+// counts only from the current lessee; stale ones are ignored.
 func (c *Coordinator) Complete(workerID, key string, execErr string) error {
+	var art []byte
+	var artErr error
+	if execErr == "" {
+		art, artErr = c.store.Get(string(incr.GranClique), key)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClosed
 	}
 	c.touchLocked(workerID)
-	t, ok := c.leased[key]
-	if !ok || t.lessee != workerID {
+	t, ok := c.byKey[key]
+	current := ok && c.leased[key] == t && t.lessee == workerID
+	if !ok || (!current && (execErr != "" || artErr != nil)) {
 		c.mu.Unlock()
 		return nil // stale or duplicate completion
 	}
-	delete(c.leased, key)
-	delete(c.byKey, key)
-	if w, ok := c.workers[workerID]; ok && w.active > 0 {
-		w.active--
-		if execErr == "" {
-			w.completed++
-		}
+	if w, ok := c.workers[workerID]; ok && execErr == "" {
+		w.completed++
 	}
+	if execErr == "" && artErr != nil {
+		// Completion without a durable artifact: treat as a lost
+		// execution and requeue (bounded by MaxAttempts).
+		c.releaseLocked(t)
+		c.mu.Unlock()
+		c.log.Warn("fabric completion without artifact", "worker", workerID, "key", key, "error", artErr)
+		c.requeue(t, fmt.Sprintf("artifact missing after completion by %s", workerID))
+		return nil
+	}
+	c.settleLocked(t)
+	r := taskResult{artifact: art}
 	if execErr != "" {
 		// A worker-reported merge error is deterministic (bad input, not
 		// worker death): retrying elsewhere would fail identically, so
 		// fail the job now.
+		r = taskResult{err: fmt.Errorf("fabric: clique %.12s failed on %s: %s", key, workerID, execErr)}
 		c.failed++
-		c.mu.Unlock()
-		deliver(t, taskResult{err: fmt.Errorf("fabric: clique %.12s failed on %s: %s", key, workerID, execErr)})
-		return nil
+	} else {
+		c.completed++
 	}
 	c.mu.Unlock()
-
-	b, err := c.store.Get(string(incr.GranClique), key)
-	if err != nil {
-		// Completion without a durable artifact: treat as a lost
-		// execution and requeue (bounded by MaxAttempts).
-		c.log.Warn("fabric completion without artifact", "worker", workerID, "key", key, "error", err)
-		c.requeue(t, fmt.Sprintf("artifact missing after completion by %s", workerID))
-		return nil
-	}
-	c.mu.Lock()
-	c.completed++
-	c.mu.Unlock()
-	deliver(t, taskResult{artifact: b})
+	deliver(t, r)
 	return nil
 }
 
+// liveLocked reports whether t is still an unsettled job: pending,
+// leased, or on its way between the two. Callers hold c.mu.
+func (c *Coordinator) liveLocked(t *task) bool { return c.byKey[t.spec.Key] == t }
+
+// releaseLocked ends t's lease, if it has one. Callers hold c.mu.
+func (c *Coordinator) releaseLocked(t *task) {
+	if c.leased[t.spec.Key] != t {
+		return
+	}
+	delete(c.leased, t.spec.Key)
+	if w, ok := c.workers[t.lessee]; ok && w.active > 0 {
+		w.active--
+	}
+}
+
+// settleLocked takes t off the queue: its lease released, and out of
+// pending and byKey. Callers hold c.mu.
+func (c *Coordinator) settleLocked(t *task) {
+	c.releaseLocked(t)
+	for i, p := range c.pending {
+		if p == t {
+			c.pending = append(c.pending[:i], c.pending[i+1:]...)
+			break
+		}
+	}
+	delete(c.byKey, t.spec.Key)
+}
+
 // requeue returns a lost task to the queue, failing it permanently when
-// attempts are exhausted.
+// attempts are exhausted. A task settled meanwhile (a late completion
+// arrived) stays settled.
 func (c *Coordinator) requeue(t *task, why string) {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || !c.liveLocked(t) {
 		c.mu.Unlock()
 		return
 	}
@@ -394,7 +423,6 @@ func (c *Coordinator) requeue(t *task, why string) {
 	attempts := t.attempts
 	key := t.spec.Key
 	c.retries++
-	c.byKey[key] = t
 	c.enqueueLocked(t)
 	c.mu.Unlock()
 	c.log.Warn("fabric clique requeued", "key", key, "attempts", attempts, "why", why)
@@ -415,12 +443,9 @@ func (c *Coordinator) reaper() {
 		var expired []*task
 		var lessees []string
 		c.mu.Lock()
-		for key, t := range c.leased {
+		for _, t := range c.leased {
 			if now.After(t.expiry) {
-				delete(c.leased, key)
-				if w, ok := c.workers[t.lessee]; ok && w.active > 0 {
-					w.active--
-				}
+				c.releaseLocked(t)
 				expired = append(expired, t)
 				lessees = append(lessees, t.lessee)
 			}

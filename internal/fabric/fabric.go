@@ -115,15 +115,16 @@ type Executor struct {
 	designs map[string]*graph.Graph // keyed by design source hash
 }
 
-// NewExecutor creates an executor over the shared artifact store. The
-// internal incremental cache (write-through to store) makes repeated
-// cliques of one design cheap and publishes pair verdicts and clique
-// artifacts for other nodes. parallelism bounds intra-merge worker
-// pools; it never affects merged bytes.
-func NewExecutor(store incr.BlobStore, parallelism int) *Executor {
+// NewExecutor creates an executor that merges through cache, whose
+// artifact store (cache.Store(), which must be set) is the store shared
+// with the coordinator. The cache's write-through makes repeated cliques
+// of one design cheap and publishes pair verdicts and clique artifacts
+// for other nodes. parallelism bounds intra-merge worker pools; it never
+// affects merged bytes.
+func NewExecutor(cache *incr.Cache, parallelism int) *Executor {
 	return &Executor{
-		store:       store,
-		cache:       incr.New(4096).WithStore(store),
+		store:       cache.Store(),
+		cache:       cache,
 		parallelism: parallelism,
 		designs:     map[string]*graph.Graph{},
 	}

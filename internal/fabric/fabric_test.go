@@ -48,6 +48,11 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(discard{}, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 }
 
+// memExecutor is an executor over a fresh in-memory artifact store.
+func memExecutor(parallelism int) *Executor {
+	return NewExecutor(incr.New(64).WithStore(incr.NewMemStore()), parallelism)
+}
+
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
@@ -92,7 +97,7 @@ func buildSpec(t *testing.T) (Spec, *graph.Graph, string) {
 func TestExecutorMatchesLocalMerge(t *testing.T) {
 	spec, g, want := buildSpec(t)
 	store := incr.NewMemStore()
-	exec := NewExecutor(store, 2)
+	exec := NewExecutor(incr.New(64).WithStore(store), 2)
 	art, err := exec.Execute(context.Background(), &spec)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +131,7 @@ func TestExecutorMatchesLocalMerge(t *testing.T) {
 func TestExecutorRejectsKeyMismatch(t *testing.T) {
 	spec, _, _ := buildSpec(t)
 	spec.Key = incr.Hash("not", "the", "right", "key")
-	exec := NewExecutor(incr.NewMemStore(), 1)
+	exec := memExecutor(1)
 	if _, err := exec.Execute(context.Background(), &spec); err == nil ||
 		!strings.Contains(err.Error(), "key mismatch") {
 		t.Fatalf("Execute = %v, want key mismatch error", err)
@@ -137,7 +142,7 @@ func TestExecutorRejectsKeyMismatch(t *testing.T) {
 // completes jobs (a cluster of one still works).
 func TestCoordinatorLocalExec(t *testing.T) {
 	spec, g, want := buildSpec(t)
-	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{
+	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
 		LocalExecutors: 1, Logger: quietLogger(),
 	})
 	defer c.Close()
@@ -164,7 +169,7 @@ func TestCoordinatorLocalExec(t *testing.T) {
 // executes the job; the coordinator has no local executors.
 func TestCoordinatorWorkerOverHTTP(t *testing.T) {
 	spec, g, want := buildSpec(t)
-	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{
+	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
 		LocalExecutors: 0, Logger: quietLogger(),
 	})
 	defer c.Close()
@@ -216,7 +221,7 @@ func TestLargeSpecOverHTTP(t *testing.T) {
 	// the worker-side graph — and therefore the clique key — is unchanged.
 	spec.Verilog = quickVerilog + strings.Repeat("\n", 4<<20)
 
-	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{
+	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
 		LocalExecutors: 0, Logger: quietLogger(),
 	})
 	defer c.Close()
@@ -257,7 +262,8 @@ func TestLargeSpecOverHTTP(t *testing.T) {
 // finishes it with byte-identical output.
 func TestWorkerDeathRetry(t *testing.T) {
 	spec, g, want := buildSpec(t)
-	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{
+	exec := memExecutor(2)
+	c := NewCoordinator(exec, CoordinatorConfig{
 		LocalExecutors: 0, LeaseTTL: 150 * time.Millisecond, MaxAttempts: 3,
 		Logger: quietLogger(),
 	})
@@ -301,7 +307,6 @@ func TestWorkerDeathRetry(t *testing.T) {
 
 	// After the lease expires the job is claimable again; a healthy
 	// executor picks it up and completes.
-	exec := NewExecutor(c.Store(), 2)
 	if err := c.Join("healthy", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +339,7 @@ func TestWorkerDeathRetry(t *testing.T) {
 // fails permanently with a descriptive error instead of looping forever.
 func TestJobLostAfterMaxAttempts(t *testing.T) {
 	spec, _, _ := buildSpec(t)
-	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{
+	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
 		LocalExecutors: 0, LeaseTTL: 50 * time.Millisecond, MaxAttempts: 2,
 		Logger: quietLogger(),
 	})
@@ -371,7 +376,7 @@ func TestJobLostAfterMaxAttempts(t *testing.T) {
 // share one execution and all receive the same artifact.
 func TestConcurrentExecShareOneRun(t *testing.T) {
 	spec, _, _ := buildSpec(t)
-	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{
+	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
 		LocalExecutors: 1, Logger: quietLogger(),
 	})
 	defer c.Close()
@@ -399,5 +404,88 @@ func TestConcurrentExecShareOneRun(t *testing.T) {
 	}
 	if st := c.Status(); st.Completed > 1 {
 		t.Fatalf("dedup failed: %d executions for one key", st.Completed)
+	}
+}
+
+// TestLateCompletionAccepted: worker A's lease expires mid-clique and
+// worker B re-claims the job; A then publishes and completes. A's
+// artifact checks out in the store, so the job is done with A's bytes —
+// it must not burn B's lease too and fail as lost.
+func TestLateCompletionAccepted(t *testing.T) {
+	spec, g, want := buildSpec(t)
+	exec := memExecutor(1)
+	c := NewCoordinator(exec, CoordinatorConfig{
+		LocalExecutors: 0, LeaseTTL: 50 * time.Millisecond, MaxAttempts: 2,
+		Logger: quietLogger(),
+	})
+	defer c.Close()
+	for _, id := range []string{"a", "b"} {
+		if err := c.Join(id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type outcome struct {
+		art []byte
+		err error
+	}
+	res := make(chan outcome, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		art, err := c.Exec(ctx, spec)
+		res <- outcome{art, err}
+	}()
+	claim := func(id string) *Spec {
+		deadline := time.Now().Add(20 * time.Second)
+		for time.Now().Before(deadline) {
+			s, err := c.Claim(context.Background(), id, 20*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s != nil {
+				return s
+			}
+		}
+		t.Fatalf("worker %s never claimed the job", id)
+		return nil
+	}
+
+	// A claims and publishes the artifact, but its lease runs out first.
+	a := claim("a")
+	if _, err := exec.Execute(context.Background(), a); err != nil {
+		t.Fatal(err)
+	}
+	// The job is requeued and B claims it (attempt 2 of 2) ...
+	b := claim("b")
+	if b.Key != spec.Key {
+		t.Fatalf("b claimed %s, want %s", b.Key, spec.Key)
+	}
+	// ... and A's completion arrives late.
+	if err := c.Complete("a", a.Key, ""); err != nil {
+		t.Fatal(err)
+	}
+	o := <-res
+	if o.err != nil {
+		t.Fatalf("Exec = %v, want A's late artifact", o.err)
+	}
+	mode, _, err := core.DecodeCliqueArtifact(o.art, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sdc.Write(mode); got != want {
+		t.Fatalf("late-completion merge diverged:\n got: %q\nwant: %q", got, want)
+	}
+	// B's own completion is now a duplicate and changes nothing.
+	if err := c.Complete("b", b.Key, ""); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Status()
+	if st.Completed != 1 || st.Failed != 0 || st.Pending != 0 || len(st.InFlight) != 0 {
+		t.Fatalf("status = %+v, want one completion and an empty queue", st)
+	}
+	for _, w := range st.Workers {
+		if w.Active != 0 {
+			t.Fatalf("worker %s still holds %d leases: %+v", w.ID, w.Active, st.Workers)
+		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"modemerge/internal/incr"
 )
 
 // WorkerConfig tunes a merge worker.
@@ -68,7 +70,7 @@ func NewWorker(joinURL string, cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:    cfg,
 		client: client,
-		exec:   NewExecutor(client.BlobStore(), cfg.Parallelism),
+		exec:   NewExecutor(incr.New(4096).WithStore(client.BlobStore()), cfg.Parallelism),
 		log:    cfg.Logger.With("worker", cfg.ID),
 	}
 }

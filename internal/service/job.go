@@ -77,9 +77,10 @@ type MergeRequest struct {
 	// server maximum are clamped.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// testPanic makes the worker panic right after the tracer is
-	// installed. Unexported so it is unreachable from JSON payloads;
-	// only the flight-recorder tests set it (same pattern as
+	// testPanic makes the merge of clique 0 panic: on the job's own
+	// goroutine on a solo server, on a clique goroutine when a fabric
+	// server runs the job's cliques in parallel. Unexported so it is
+	// unreachable from JSON payloads; only tests set it (same pattern as
 	// core.Options.Inject fault injection).
 	testPanic bool
 }

@@ -38,7 +38,6 @@ import (
 	"modemerge/internal/graph"
 	"modemerge/internal/incr"
 	"modemerge/internal/obs"
-	"modemerge/internal/pipeline"
 	"modemerge/internal/sdc"
 	"modemerge/internal/sta"
 )
@@ -91,7 +90,7 @@ type Config struct {
 	// that run slow, fail or panic. Zero value disables recording.
 	Flight FlightConfig
 	// Fabric configures the distributed merge fabric. Zero value:
-	// disabled — per-clique merges run in-process on one pipeline worker,
+	// disabled — per-clique merges run in-process on the job's goroutine,
 	// exactly the sequential order the single-process path always had.
 	Fabric FabricConfig
 }
@@ -111,7 +110,7 @@ type FabricConfig struct {
 	// (pure dispatcher — jobs wait for remote workers).
 	LocalExecutors int
 	// DispatchWidth bounds how many clique jobs one merge job keeps in
-	// flight on the fabric at once (the ParMap fan-out width). Default 8.
+	// flight on the fabric at once. Default 8.
 	DispatchWidth int
 	// LeaseTTL is how long a claimed clique job may go silent before the
 	// worker is presumed dead and the job is requeued. Default 30s.
@@ -219,11 +218,10 @@ func New(cfg Config) *Server {
 		// Coordinator and workers must share one artifact store: reuse the
 		// incremental cache's write-through store (disk when IncrCacheDir
 		// is set) so every locally merged clique is already published, or
-		// install an in-memory store when the cache had none.
-		store := s.incr.Store()
-		if store == nil {
-			store = incr.NewMemStore()
-			s.incr.WithStore(store)
+		// install an in-memory store when the cache had none. The local
+		// executors merge through that same cache at MergeParallelism.
+		if s.incr.Store() == nil {
+			s.incr.WithStore(incr.NewMemStore())
 		}
 		locals := cfg.Fabric.LocalExecutors
 		switch {
@@ -232,7 +230,8 @@ func New(cfg Config) *Server {
 		case locals < 0:
 			locals = 0
 		}
-		s.fabric = fabric.NewCoordinator(store, fabric.CoordinatorConfig{
+		exec := fabric.NewExecutor(s.incr, cfg.MergeParallelism)
+		s.fabric = fabric.NewCoordinator(exec, fabric.CoordinatorConfig{
 			LeaseTTL:       cfg.Fabric.LeaseTTL,
 			MaxAttempts:    cfg.Fabric.MaxAttempts,
 			LocalExecutors: locals,
@@ -396,14 +395,7 @@ func (s *Server) runJob(job *Job) {
 	logger := s.logger.With("job", job.ID, "trace_id", job.traceID.String())
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic in the merge flow on one job's input must not take
-			// down the daemon: fail the job and keep the worker alive.
-			stack := debug.Stack()
-			logger.Error("job panicked",
-				"stage", job.currentStage(), "panic", r, "stack", string(stack))
-			job.notePanic(fmt.Sprint(r), stack)
-			s.metrics.JobsFailed.Add(1)
-			s.finishJob(job, StatusFailed, nil, fmt.Errorf("internal error: %v", r))
+			s.failPanicked(job, logger, r, debug.Stack())
 		}
 	}()
 	if job.ctx.Err() != nil {
@@ -441,7 +433,7 @@ func (s *Server) runJob(job *Job) {
 	elapsed := time.Since(start)
 	// Each outcome is logged before the job turns terminal, so whoever
 	// waits on job.Done already sees the log record.
-	var pe *pipeline.PanicError
+	var pe *cliquePanic
 	switch {
 	case err == nil:
 		s.results.put(req.resultKey(), result)
@@ -454,14 +446,7 @@ func (s *Server) runJob(job *Job) {
 			"stage", job.currentStage(), "elapsed_ms", elapsed.Milliseconds())
 		s.finishJob(job, StatusCanceled, nil, err)
 	case errors.As(err, &pe):
-		// A panic on a pipeline stage goroutine surfaces as an error from
-		// Group.Wait; map it onto the same crash accounting the worker's
-		// own recover gives in-goroutine panics.
-		logger.Error("job panicked",
-			"stage", job.currentStage(), "panic", pe.Value, "stack", string(pe.Stack))
-		job.notePanic(fmt.Sprint(pe.Value), pe.Stack)
-		s.metrics.JobsFailed.Add(1)
-		s.finishJob(job, StatusFailed, nil, fmt.Errorf("internal error: %v", pe.Value))
+		s.failPanicked(job, logger, pe.value, pe.stack)
 	default:
 		s.metrics.JobsFailed.Add(1)
 		logger.Warn("job failed",
@@ -469,6 +454,17 @@ func (s *Server) runJob(job *Job) {
 			"elapsed_ms", elapsed.Milliseconds(), "error", err)
 		s.finishJob(job, StatusFailed, nil, err)
 	}
+}
+
+// failPanicked fails a job whose merge panicked, on the worker itself or
+// on a clique goroutine. A panic in the merge flow on one job's input
+// must not take down the daemon: fail the job and keep the worker alive.
+func (s *Server) failPanicked(job *Job, logger *slog.Logger, value any, stack []byte) {
+	logger.Error("job panicked",
+		"stage", job.currentStage(), "panic", value, "stack", string(stack))
+	job.notePanic(fmt.Sprint(value), stack)
+	s.metrics.JobsFailed.Add(1)
+	s.finishJob(job, StatusFailed, nil, fmt.Errorf("internal error: %v", value))
 }
 
 // execute runs the parse → merge → validate pipeline for one job.
@@ -486,9 +482,6 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	root := tracer.Start("job")
 	root.SetAttr("job_id", job.ID)
 	defer root.Finish()
-	if req.testPanic {
-		panic("test-injected panic")
-	}
 
 	// Parse (or reuse) the design, then parse the modes against it. The
 	// shared singleflight build runs under the server's base context, not
@@ -609,55 +602,103 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	return result, nil
 }
 
-// cliqueOut is one merged clique flowing through the merge stage.
-type cliqueOut struct {
-	mode   *sdc.Mode
-	report *core.Report
-}
-
-// mergeCliques is the per-clique merge stage of the job pipeline,
-// expressed as a typed dataflow: Emit(clique indices) → ParMap(merge) →
-// Collect, with ordered fan-in so assembly order equals clique order.
-// Without a fabric the stage runs one worker wide — the exact
-// sequential loop core.MergeAll runs, byte for byte. With a fabric,
-// multi-mode cliques are published to the work-stealing queue (up to
-// DispatchWidth in flight) and merged by whichever node is free first;
-// singletons pass straight through. Determinism of the merge engine
-// plus order preservation keeps the output byte-identical either way.
+// mergeCliques merges every clique and assembles the results in clique
+// order. Without a fabric it runs one clique at a time on the job's own
+// goroutine — the exact sequential loop core.MergeAll runs, byte for
+// byte. With a fabric, multi-mode cliques are published to the
+// work-stealing queue (up to DispatchWidth in flight) and merged by
+// whichever node is free first; singletons merge locally. Determinism
+// of the merge engine plus indexed assembly keeps the output
+// byte-identical either way.
 func (s *Server) mergeCliques(ctx context.Context, req *MergeRequest, g *graph.Graph, modes []*sdc.Mode, cliques [][]int, opt core.Options) ([]*sdc.Mode, []*core.Report, error) {
 	width := 1
 	if s.fabric != nil {
 		width = s.cfg.Fabric.DispatchWidth
 	}
-	pg, _ := pipeline.NewGroup(ctx)
-	idx := make([]int, len(cliques))
-	for i := range idx {
-		idx[i] = i
-	}
-	in := pipeline.Emit(pg, 1, idx...)
-	outs := pipeline.ParMap(pg, 1, width, in, func(cx context.Context, ci int) (cliqueOut, error) {
+	merged := make([]*sdc.Mode, len(cliques))
+	reports := make([]*core.Report, len(cliques))
+	err := forEachClique(ctx, len(cliques), width, func(cx context.Context, ci int) error {
+		if req.testPanic && ci == 0 {
+			panic("test-injected panic")
+		}
 		group := make([]*sdc.Mode, len(cliques[ci]))
 		for i, mi := range cliques[ci] {
 			group[i] = modes[mi]
 		}
+		var err error
 		if s.fabric != nil && len(group) > 1 {
-			m, rep, err := s.mergeOnFabric(cx, req, g, group, opt)
-			return cliqueOut{mode: m, report: rep}, err
+			merged[ci], reports[ci], err = s.mergeOnFabric(cx, req, g, group, opt)
+		} else {
+			merged[ci], reports[ci], err = core.MergeClique(cx, g, group, opt)
 		}
-		m, rep, err := core.MergeClique(cx, g, group, opt)
-		return cliqueOut{mode: m, report: rep}, err
+		return err
 	})
-	collected := pipeline.Collect(pg, outs)
-	if err := pg.Wait(); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
-	merged := make([]*sdc.Mode, len(*collected))
-	reports := make([]*core.Report, len(*collected))
-	for i, o := range *collected {
-		merged[i] = o.mode
-		reports[i] = o.report
-	}
 	return merged, reports, nil
+}
+
+// cliquePanic is a panic recovered on a forEachClique goroutine. runJob
+// gives it the same crash accounting as a panic on the job's own
+// goroutine.
+type cliquePanic struct {
+	value any
+	stack []byte
+}
+
+func (p *cliquePanic) Error() string { return fmt.Sprintf("clique merge panic: %v", p.value) }
+
+// forEachClique calls fn for every clique index in [0, n) on at most
+// width goroutines. The first failure cancels the remaining calls and
+// is returned; a panic on a helper goroutine comes back as a
+// *cliquePanic. Once ctx has ended no further call starts and, absent
+// an earlier failure, the result is ctx.Err(). At width 1 the calls run
+// in order on the caller's goroutine, so a panic there unwinds the
+// caller as usual.
+func forEachClique(ctx context.Context, n, width int, fn func(context.Context, int) error) error {
+	if width <= 1 {
+		for ci := 0; ci < n; ci++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(ctx, ci); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	var once sync.Once
+	var first error
+	fail := func(err error) { once.Do(func() { first = err }); cancel() }
+	slots := make(chan struct{}, width)
+	for ci := 0; ci < n; ci++ {
+		slots <- struct{}{} // a running call frees its slot, canceled or not
+		if cx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() {
+				if v := recover(); v != nil {
+					fail(&cliquePanic{value: v, stack: debug.Stack()})
+				}
+				<-slots
+				wg.Done()
+			}()
+			if err := fn(cx, ci); err != nil {
+				fail(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if first != nil {
+		return first
+	}
+	return ctx.Err()
 }
 
 // mergeOnFabric runs one multi-mode clique on the distributed fabric:
