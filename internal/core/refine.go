@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -72,20 +71,6 @@ func (mg *Merger) eachContext(cx context.Context, fn func(ctx *sta.Context)) {
 			fn(mg.ctxs[m-1])
 		}
 	})
-}
-
-// endpointAll computes pass-1 relations for every context on the bounded
-// pool. On cancellation the maps are partial; callers check cx.Err().
-func (mg *Merger) endpointAll(cx context.Context) (perMode []map[sta.RelKey]relation.Set, merged map[sta.RelKey]relation.Set) {
-	perMode = make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
-	forEachParallel(cx, len(mg.ctxs)+1, mg.opt.parallelism(), func(m int) {
-		if m == 0 { // merged first, as in eachContext
-			merged = mg.mctx.EndpointRelations(cx)
-		} else {
-			perMode[m-1] = mg.ctxs[m-1].EndpointRelations(cx)
-		}
-	})
-	return perMode, merged
 }
 
 // clockRefinement implements §3.1.8: walk the merged clock network and
@@ -155,7 +140,7 @@ func (mg *Merger) dataRefinement(cx context.Context, sp *obs.Span) error {
 		}
 		mg.Report.Iterations = iter + 1
 		isp := sp.Child(fmt.Sprintf("iteration_%d", iter+1))
-		added, err := mg.threePass(cx, isp)
+		added, err := mg.threePass(cx, isp, nil)
 		isp.Add("constraints_added", int64(added))
 		isp.Finish()
 		if err != nil {
@@ -296,23 +281,75 @@ func mergedTimes(gs *groupStates) bool {
 	return !gs.merged.Empty() && !gs.merged.Equal(relation.NewSet(relation.StateFalse))
 }
 
-// target computes the merged-target state set: for singleton per-mode
-// sets, the most restrictive state across modes (absent = not timed =
-// false). Multi-state mode sets make the group ambiguous (nil, false).
-func (gs *groupStates) target() (relation.Set, bool) {
-	states := make([]relation.State, 0, len(gs.perMode))
-	for _, set := range gs.perMode {
-		if set.Empty() {
-			states = append(states, relation.StateFalse)
-			continue
+// verdict is the §3.2 outcome of comparing one path group's merged state
+// with its target, the most restrictive member state. Refinement and the
+// equivalence check read the same verdicts; they differ only in what
+// they do with them (see threePass).
+type verdict int8
+
+const (
+	match       verdict = iota
+	pessimistic         // merged times the group tighter than the target
+	excess              // the target is false but the merged mode times the group
+	optimistic          // merged relaxes the target: a sign-off violation
+	ambiguous           // a side stays multi-state: the next, finer pass decides
+)
+
+// compare classifies the group and returns the target and merged states
+// it compared. A side without the group does not time it: absent is
+// false, for the members and the merged mode alike.
+func (gs *groupStates) compare() (v verdict, target, merged relation.State) {
+	for m, set := range gs.perMode {
+		st, ok := singleState(set)
+		if !ok {
+			return ambiguous, target, merged
 		}
-		st, single := set.Single()
-		if !single {
-			return relation.Set{}, false
+		if m == 0 {
+			target = st
+		} else {
+			target = relation.MoreRestrictive(target, st)
 		}
-		states = append(states, st)
 	}
-	return relation.NewSet(relation.MergeTarget(states)), true
+	merged, ok := singleState(gs.merged)
+	switch {
+	case !ok:
+		return ambiguous, target, merged
+	case merged == target:
+		return match, target, merged
+	case relation.Relaxed(merged, target):
+		return optimistic, target, merged
+	case target == relation.StateFalse:
+		return excess, target, merged
+	}
+	return pessimistic, target, merged
+}
+
+// singleState reads a state set as one state; an empty set is false.
+func singleState(set relation.Set) (relation.State, bool) {
+	if set.Empty() {
+		return relation.StateFalse, true
+	}
+	return set.Single()
+}
+
+// record tallies one classified group: the equivalence check's reading
+// of a verdict. An excess group is sign-off safe, so it counts as
+// pessimistic. through names the pass-3 through point ("" in passes 1
+// and 2).
+func (r *EquivalenceResult) record(v verdict, k sta.RelKey, through string, target, merged relation.State) {
+	switch v {
+	case match:
+		r.MatchedGroups++
+	case pessimistic, excess:
+		r.PessimisticGroups++
+	case optimistic:
+		if through != "" {
+			through = "-through " + through
+		}
+		r.OptimisticMismatches = append(r.OptimisticMismatches,
+			fmt.Sprintf("%s %s-> %s [%s/%s %s]: individual=%s merged=%s",
+				k.Start, through, k.End, k.Launch, k.Capture, k.Check, target, merged))
+	}
 }
 
 // mapRelKey rewrites a mode-local relation key into the merged clock
@@ -364,9 +401,8 @@ func (mg *Merger) gatherGroups(perMode []map[sta.RelKey]relation.Set, merged map
 	return out
 }
 
-// nameSet accumulates deduplicated names with deterministic extraction.
-// The refinement passes and the equivalence checker share it for
-// collecting the endpoints forwarded to the next pass.
+// nameSet accumulates deduplicated names with deterministic extraction;
+// threePass collects the endpoints pass 1 forwards to pass 2 in it.
 type nameSet map[string]bool
 
 func (s nameSet) add(name string) { s[name] = true }
@@ -483,10 +519,16 @@ func (mg *Merger) warmContexts(cx context.Context, ends []graph.NodeID) {
 	})
 }
 
-// threePass runs passes 1–3 of §3.2 once, emitting corrective false
-// paths; it returns how many constraints were added. Cancelling cx
-// aborts between and inside the passes with the context error.
-func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
+// threePass runs passes 1–3 of §3.2 once over the merged context. Every
+// path group gets one verdict (groupStates.compare), and an ambiguous
+// group moves on to the next, finer pass. res is the one switch over
+// what the other verdicts do. With res nil the passes refine: excess and
+// optimistic groups become corrective constraints, and threePass returns
+// how many it added. With res set they classify: every verdict is
+// recorded into res and nothing is emitted (CheckEquivalence).
+// Cancelling cx aborts between and inside the passes with the context
+// error.
+func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceResult) (int, error) {
 	added := 0
 
 	// ---- Pass 1: endpoint granularity ----
@@ -501,7 +543,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		relations: (*sta.Context).EndpointRelationsAt,
 		ambiguous: &mg.Report.Pass1Ambiguous,
 		mismatch:  &mg.Report.Pass1Mismatch,
-	}, func(end graph.NodeID, _ []string) { pass2.add(mg.g.Node(end).Name) })
+	}, res, func(end graph.NodeID, _ []string) { pass2.add(mg.g.Node(end).Name) })
 	p1.Finish()
 	added += n
 	if err != nil {
@@ -539,7 +581,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		relations: (*sta.Context).StartEndRelations,
 		ambiguous: &mg.Report.Pass2Ambiguous,
 		mismatch:  &mg.Report.Pass2Mismatch,
-	}, func(end graph.NodeID, starts []string) {
+	}, res, func(end graph.NodeID, starts []string) {
 		name := mg.g.Node(end).Name
 		for _, start := range starts {
 			pass3[sePair{start, name}] = true
@@ -598,7 +640,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		return added, err
 	}
 	p3Replayed := 0
-	for i, p := range pairs {
+	for i := range pairs {
 		if data[i].err != nil {
 			return added, data[i].err
 		}
@@ -609,12 +651,9 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 			continue
 		}
 		mis0, pes0 := mg.Report.Pass3Mismatch, mg.Report.PessimisticGroups
-		n, err := mg.pass3(p.start, p.end, data[i].perMode, data[i].merged)
-		if err != nil {
-			return added, err
-		}
+		n := mg.pass3(data[i].ids, data[i].perMode, data[i].merged, res)
 		added += n
-		if n == 0 {
+		if n == 0 && res == nil {
 			// An emitting pair invalidates its own endpoint (the fix pins
 			// include it); only silent pairs are replayable.
 			mg.memo.recordP3(data[i].ids, &pairOutcome{
@@ -640,15 +679,16 @@ type endpointPass struct {
 }
 
 // comparePass runs one endpoint-keyed pass over ends and returns how many
-// constraints it added. Per-endpoint gathers run in parallel (contexts
-// are safe for concurrent relation queries); classification and fix
-// emission stay sequential, in ends order with sorted keys, so emitted
-// constraints and counters are deterministic. Endpoints with an outcome
-// recorded in the previous iteration replay it without touching any
-// relation map. forward receives each endpoint that has ambiguous groups,
-// with their startpoints in key order.
+// constraints it added (always 0 when classifying into res). Per-endpoint
+// gathers run in parallel (contexts are safe for concurrent relation
+// queries); classification and fix emission stay sequential, in ends
+// order with sorted keys, so emitted constraints, counters and res are
+// deterministic. When refining, endpoints with an outcome recorded in the
+// previous iteration replay it without touching any relation map.
+// forward receives each endpoint that has ambiguous groups, with their
+// startpoints in key order.
 func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.NodeID,
-	pass endpointPass, forward func(end graph.NodeID, starts []string)) (int, error) {
+	pass endpointPass, res *EquivalenceResult, forward func(end graph.NodeID, starts []string)) (int, error) {
 	recorded := mg.memo.epOut[pass.idx]
 	type endpointWork struct {
 		replay *epOutcome
@@ -691,34 +731,29 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 			o = &epOutcome{}
 			var endFixes []fixEntry
 			for _, key := range work[i].keys {
-				gs := work[i].groups[key]
-				target, ok := gs.target()
-				cmp := relation.Ambiguous
-				if ok {
-					cmp = relation.Compare(target, gs.merged)
-				}
-				switch cmp {
-				case relation.Match:
-				case relation.Mismatch:
-					o.mismatch++
-					if f, ok := fixFor(key, target, gs.merged); ok {
-						endFixes = append(endFixes, f)
-					} else {
-						o.pessim++
-					}
-				case relation.Ambiguous:
+				v, target, merged := work[i].groups[key].compare()
+				switch {
+				case v == ambiguous:
 					o.ambiguous++
 					// Keys sort by start, so a repeated start is adjacent.
 					if n := len(o.forwardStarts); n == 0 || o.forwardStarts[n-1] != key.Start {
 						o.forwardStarts = append(o.forwardStarts, key.Start)
 					}
+				case res != nil:
+					res.record(v, key, "", target, merged)
+				case v == pessimistic:
+					o.mismatch++
+					o.pessim++
+				case v == excess || v == optimistic:
+					o.mismatch++
+					endFixes = append(endFixes, fixEntry{key: key, state: target})
 				}
 			}
 			nGroups += len(work[i].keys)
 			if len(endFixes) > 0 {
 				fixes = append(fixes, endFixes...)
 				maps.Copy(groups, work[i].groups)
-			} else {
+			} else if res == nil {
 				// Fixless outcome: replayable next iteration while the
 				// endpoint stays outside the invalidation frontier.
 				mg.memo.recordEp(pass.idx, end, o)
@@ -745,29 +780,6 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 type fixEntry struct {
 	key   sta.RelKey
 	state relation.State
-}
-
-// fixFor decides whether a pass-1/2 mismatch is correctable. Two cases
-// get a corrective constraint:
-//
-//   - the target is false (the merged mode times paths no mode times —
-//     the paper's accuracy fix, a corrective false path), or
-//   - the merged state relaxes the target (e.g. a kept MCP(3) where one
-//     mode demands MCP(2) — a sign-off safety fix, a corrective
-//     exception of the target state).
-//
-// Remaining differences leave the merged mode tighter than needed, which
-// is sign-off safe and only counted.
-func fixFor(key sta.RelKey, target, merged relation.Set) (fixEntry, bool) {
-	ts, ok1 := target.Single()
-	ms, ok2 := merged.Single()
-	if !ok1 || !ok2 {
-		return fixEntry{}, false
-	}
-	if ts != relation.StateFalse && !relation.Relaxed(ms, ts) {
-		return fixEntry{}, false
-	}
-	return fixEntry{key: key, state: ts}, true
 }
 
 // fixException builds the corrective exception skeleton for a target
@@ -1120,52 +1132,31 @@ func (mg *Merger) affectedEndpoints(excs []*sdc.Exception) []bool {
 	return mg.g.ForwardReach(seeds)
 }
 
-// pass3 refines one ambiguous (start, end) pair at through-point
-// granularity.
-func (mg *Merger) pass3(startName, endName string, perModeTR [][]sta.ThroughRel, mergedRels []sta.ThroughRel) (int, error) {
-	startID, ok1 := mg.g.NodeByName(startName)
-	endID, ok2 := mg.g.NodeByName(endName)
-	if !ok1 || !ok2 {
-		return 0, fmt.Errorf("internal: pass-3 pair %s→%s not in graph", startName, endName)
-	}
-	// Through relations per mode and merged, indexed by node.
-	type nodeStates struct {
-		perMode []map[sta.RelKey]relation.Set
-		merged  map[sta.RelKey]relation.Set
-		modeAmb []bool
-		mergAmb bool
-	}
-	byNode := map[graph.NodeID]*nodeStates{}
-	get := func(n graph.NodeID) *nodeStates {
-		ns := byNode[n]
-		if ns == nil {
-			ns = &nodeStates{perMode: make([]map[sta.RelKey]relation.Set, len(mg.ctxs)),
-				modeAmb: make([]bool, len(mg.ctxs))}
-			byNode[n] = ns
-		}
-		return ns
-	}
+// pass3 compares one forwarded (start, end) pair at through-point
+// granularity, walking the merged mode's through nodes in topological
+// order with each node's keys sorted, so emitted fixes (and thus merged
+// output and provenance) and res are deterministic. Only groups the
+// merged mode times through a node are compared. When refining, it
+// collects per (launch, capture, check, target) the frontier of fixed
+// nodes not downstream of an already chosen one and emits one constraint
+// per frontier. Refinement skips two kinds of node that the equivalence
+// check still classifies: the pair's own start and end, which carry the
+// whole pair group (pass 2's granularity), and merged nodes marked
+// Ambiguous. It returns how many constraints it added.
+func (mg *Merger) pass3(ids [2]graph.NodeID, perModeTR [][]sta.ThroughRel, mergedTR []sta.ThroughRel, res *EquivalenceResult) int {
+	// Member through relations per node, keys in the merged namespace.
+	perMode := make([]map[graph.NodeID]map[sta.RelKey]relation.Set, len(mg.ctxs))
 	for m := range mg.ctxs {
+		perMode[m] = make(map[graph.NodeID]map[sta.RelKey]relation.Set, len(perModeTR[m]))
 		for _, tr := range perModeTR[m] {
-			ns := get(tr.Node)
 			mapped := make(map[sta.RelKey]relation.Set, len(tr.States))
 			for k, set := range tr.States {
 				mapped[mg.mapRelKey(m, k)] = set
 			}
-			ns.perMode[m] = mapped
-			ns.modeAmb[m] = tr.Ambiguous
+			perMode[m][tr.Node] = mapped
 		}
 	}
-	for _, tr := range mergedRels {
-		ns := get(tr.Node)
-		ns.merged = tr.States
-		ns.mergAmb = tr.Ambiguous
-	}
 
-	// Walk cone nodes in topological order; collect the frontier of
-	// mismatching nodes (not dominated by an already-chosen node) per
-	// (launch, capture, check).
-	cone := mg.g.ConeBetween(startID, endID)
 	type fixKey struct {
 		launch, capture string
 		check           relation.CheckType
@@ -1192,99 +1183,52 @@ func (mg *Merger) pass3(startName, endName string, perModeTR [][]sta.ThroughRel,
 		}
 	}
 
-	for _, n := range cone {
-		if n == startID || n == endID {
+	gs := groupStates{perMode: make([]relation.Set, len(mg.ctxs))}
+	for _, tr := range mergedTR {
+		n := tr.Node
+		if res == nil && (n == ids[0] || n == ids[1]) {
 			continue
 		}
-		ns := byNode[n]
-		if ns == nil {
-			continue
-		}
-		// Align keys across modes and merged for this node, in sorted
-		// order so fix emission (and thus merged output and provenance
-		// records) stays deterministic across runs. Every key at a node
-		// shares this pair's Start/End, so the canonical RelKey order is
-		// exactly launch/capture/check order; duplicates from different
-		// maps land adjacent and compact away.
-		var sortedKeys []sta.RelKey
-		for _, rels := range ns.perMode {
-			for k := range rels {
-				sortedKeys = append(sortedKeys, k)
-			}
-		}
-		for k := range ns.merged {
-			sortedKeys = append(sortedKeys, k)
-		}
-		sta.SortRelKeys(sortedKeys)
-		sortedKeys = slices.Compact(sortedKeys)
-		for _, k := range sortedKeys {
+		for _, k := range sortedRelKeys(tr.States) {
 			covKey := fixKey{launch: k.Launch, capture: k.Capture, check: k.Check}
-			if ns.merged != nil && !ns.merged[k].Empty() {
-				allPairs[[2]string{k.Launch, k.Capture}] = true
-			}
+			allPairs[[2]string{k.Launch, k.Capture}] = true
 			if cov := covered[covKey]; cov != nil && cov[n] {
 				continue
 			}
-			// Target over scenario contexts at this node.
-			states := make([]relation.State, 0, len(mg.ctxs))
-			ambiguous := false
-			for m := range mg.ctxs {
-				var set relation.Set
-				if ns.perMode[m] != nil {
-					set = ns.perMode[m][k]
-				}
-				if set.Empty() {
-					states = append(states, relation.StateFalse)
-					continue
-				}
-				st, single := set.Single()
-				if !single {
-					ambiguous = true
-					break
-				}
-				states = append(states, st)
+			for m := range perMode {
+				gs.perMode[m] = perMode[m][n][k]
 			}
-			if ambiguous || ns.mergAmb {
-				continue // finer than pass 3; no fix at this node
-			}
-			target := relation.MergeTarget(states)
-			var mergedSet relation.Set
-			if ns.merged != nil {
-				mergedSet = ns.merged[k]
-			}
-			if mergedSet.Empty() {
-				continue // merged does not time these paths
-			}
-			ms, single := mergedSet.Single()
-			if !single {
-				continue // reconverging subclasses; a later node resolves them
-			}
-			if ms == target {
-				continue
-			}
-			if target != relation.StateFalse && !relation.Relaxed(ms, target) {
+			gs.merged = tr.States[k]
+			v, target, merged := gs.compare()
+			switch {
+			case v == ambiguous:
+				// Reconverging subclasses: a later node resolves them.
+			case res != nil:
+				res.record(v, k, tr.Name, target, merged)
+			case tr.Ambiguous:
+				// Some exception matches only part of the through paths
+				// here: no fix at any of the node's groups.
+			case v == pessimistic:
 				mg.Report.PessimisticGroups++
-				continue
+			case v == excess || v == optimistic:
+				// Constrain paths through this node to the target state.
+				mg.Report.Pass3Mismatch++
+				fk := fixKey{k.Launch, k.Capture, k.Check, target}
+				if len(chosen[fk]) == 0 {
+					chosenOrder = append(chosenOrder, fk)
+				}
+				chosen[fk] = append(chosen[fk], n)
+				markCovered(covKey, n)
 			}
-			// False target or relaxed mismatch: constrain paths through
-			// this node to the target state.
-			mg.Report.Pass3Mismatch++
-			fk := fixKey{k.Launch, k.Capture, k.Check, target}
-			if len(chosen[fk]) == 0 {
-				chosenOrder = append(chosenOrder, fk)
-			}
-			chosen[fk] = append(chosen[fk], n)
-			markCovered(covKey, n)
 		}
 	}
 
-	added := 0
+	startName, endName := mg.g.Node(ids[0]).Name, mg.g.Node(ids[1]).Name
 	for _, fk := range chosenOrder {
-		nodes := chosen[fk]
 		e := fixException(fk.state, fk.check)
 		e.Comment = "inferred by pass-3 refinement"
 		e.From = &sdc.PointList{Pins: []sdc.ObjRef{mg.objRefFor(startName)}}
-		e.Throughs = []*sdc.PointList{{Pins: mg.nodeRefs(nodes)}}
+		e.Throughs = []*sdc.PointList{{Pins: mg.nodeRefs(chosen[fk])}}
 		e.To = &sdc.PointList{Pins: []sdc.ObjRef{mg.objRefFor(endName)}}
 		if len(allPairs) > 1 {
 			// Several clock pairs share the cone: keep the fix scoped to
@@ -1296,9 +1240,8 @@ func (mg *Merger) pass3(startName, endName string, perModeTR [][]sta.ThroughRel,
 		}
 		mg.addFalsePath(e, "data_refine/pass3", "§3.2 pass-3 through-point refinement",
 			"mismatch localized to through points inside the start-end cone")
-		added++
 	}
-	return added, nil
+	return len(chosenOrder)
 }
 
 // objRefFor builds a pin or port reference for a flat name.

@@ -226,9 +226,9 @@ func TestSlowKnobCoverage(t *testing.T) {
 	}
 }
 
-// TestNameSet covers the nameSet helper the refinement passes and the
-// equivalence checker share: insertion deduplicates and extraction is
-// sorted regardless of insertion order.
+// TestNameSet covers the nameSet helper that collects the endpoints pass
+// 1 forwards to pass 2: insertion deduplicates and extraction is sorted
+// regardless of insertion order.
 func TestNameSet(t *testing.T) {
 	s := nameSet{}
 	if got := s.sorted(); len(got) != 0 {

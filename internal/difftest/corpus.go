@@ -31,7 +31,8 @@ type Reproducer struct {
 	// Detail strings are NOT pinned: they quote pin names and relation
 	// states, which shift with any generator or refinement change. (The
 	// order of CheckEquivalence's mismatch listing is deterministic:
-	// endpoints in graph order, keys sorted within each.)
+	// pass 1 by endpoint in graph order, pass 2 by endpoint name, pass 3
+	// by (start, end) pair, keys sorted within each.)
 	Properties []string `json:"properties,omitempty"`
 	// FoundBy records provenance (e.g. "modefuzz -seed 7 -trials 100").
 	FoundBy string `json:"found_by,omitempty"`

@@ -324,7 +324,8 @@ type ThroughRel struct {
 	// Ambiguous marks nodes where some exception matched only part of the
 	// through paths — a finer granularity than pass 3 would be required,
 	// which the algorithm does not expect (paper: "No ambiguity is
-	// expected at this phase").
+	// expected at this phase"). The affected groups hold both V and FP;
+	// refinement places no pass-3 fix at such a merged node at all.
 	Ambiguous bool
 }
 
