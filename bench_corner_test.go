@@ -40,7 +40,7 @@ func benchCornerMatrix(b *testing.B, corners int) {
 	opt := core.Options{Corners: gd.CornerSet(family)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.MergeWithGraph(context.Background(), g, modes, opt); err != nil {
+		if _, _, err := core.MergeClique(context.Background(), g, modes, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

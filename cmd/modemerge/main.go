@@ -7,8 +7,9 @@
 // SDC file in the output directory, together with a merge report. Modes
 // that cannot merge with anything are copied through unchanged.
 //
-// With -cache-dir, sub-merge products (pairwise mergeability verdicts
-// and whole-clique merge artifacts) persist across runs, so re-running
+// The merge and -validate share one in-memory incremental cache. With
+// -cache-dir, sub-merge products (pairwise mergeability verdicts and
+// whole-clique merge artifacts) also persist across runs, so re-running
 // after editing one mode of N redoes only that mode's share of the work.
 //
 // With -hier, the netlist is loaded hierarchically (top + block
@@ -47,12 +48,12 @@ func main() {
 		outDir    = flag.String("o", "merged", "output directory for merged SDC files")
 		tolerance = flag.Float64("tolerance", 0.05, "relative tolerance for clock/drive/load constraint merging")
 		workers   = flag.Int("workers", 0, "worker count (0 = all cores)")
-		jobs      = flag.Int("j", 0, "intra-merge parallelism: bounds the sharded endpoint loops and pairwise mergeability analysis; output is byte-identical for any value (0 = all cores, 1 = sequential)")
+		jobs      = flag.Int("j", 0, "intra-merge parallelism: bounds the parallel relation fills, endpoint loops and pairwise mergeability analysis; output is byte-identical for any value (0 = all cores, 1 = sequential)")
 		validate  = flag.Bool("validate", true, "run the equivalence check on each merged mode")
 		quiet     = flag.Bool("q", false, "suppress progress output")
 		explain   = flag.Bool("explain", false, "print an explain report per merged mode and write <name>.explain.{txt,json} beside the SDC output")
 		timeout   = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit); exits with code 3 on deadline")
-		cacheDir  = flag.String("cache-dir", "", "incremental re-merge cache directory: persists sub-merge products across runs (empty = no reuse)")
+		cacheDir  = flag.String("cache-dir", "", "incremental re-merge cache directory: persists sub-merge products across runs (empty = no reuse across runs)")
 		hier      = flag.Bool("hier", false, "treat the netlist as hierarchical (top + block modules) and merge per block through extracted timing models; output is never optimistic relative to a flat merge and scales past flat refinement")
 		corners   = flag.String("corners", "", "JSON corner-set file spanning a multi-corner scenario matrix; writes one <name>@<corner>.sdc deployment per merged mode and corner")
 	)
@@ -175,12 +176,13 @@ func run(ctx context.Context, verilog, top, libFile, outDir, cacheDir, cornersFi
 				len(sdcFiles), len(crns), strings.Join(names, ", "))
 		}
 	}
+	// The merge and -validate share one in-memory cache, so the check
+	// reuses the merge's analysis contexts instead of rebuilding them.
+	opt.Cache = modemerge.NewCache(0)
 	if cacheDir != "" {
-		cache := modemerge.NewCache(0)
-		if err := cache.WithDisk(cacheDir); err != nil {
+		if err := opt.Cache.WithDisk(cacheDir); err != nil {
 			return fmt.Errorf("cache dir: %w", err)
 		}
-		opt.Cache = cache
 	}
 	merged, reports, mb, err := modemerge.MergeAll(ctx, design, modes, opt)
 	if err != nil {
@@ -190,11 +192,9 @@ func run(ctx context.Context, verilog, top, libFile, outDir, cacheDir, cornersFi
 	if !quiet {
 		fmt.Fprint(os.Stderr, modemerge.FormatMergeability(mb, cliques))
 		fmt.Fprintf(os.Stderr, "%d modes -> %d merged modes\n", len(modes), len(merged))
-		if opt.Cache != nil {
-			cs := opt.Cache.Stats()
-			fmt.Fprintf(os.Stderr, "cache: pair %d/%d hits, clique %d/%d hits\n",
-				cs.PairHits, cs.PairHits+cs.PairMisses, cs.CliqueHits, cs.CliqueHits+cs.CliqueMisses)
-		}
+		cs := opt.Cache.Stats()
+		fmt.Fprintf(os.Stderr, "cache: pair %d/%d hits, clique %d/%d hits\n",
+			cs.PairHits, cs.PairHits+cs.PairMisses, cs.CliqueHits, cs.CliqueHits+cs.CliqueMisses)
 	}
 
 	if err := os.MkdirAll(outDir, 0o755); err != nil {

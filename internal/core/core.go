@@ -38,12 +38,12 @@ type Options struct {
 	// MaxRefineIterations bounds the refine→validate loop. Default 4.
 	MaxRefineIterations int
 	// Parallelism bounds the intra-merge worker pools: per-mode context
-	// builds, the sharded whole-design endpoint loops, the per-endpoint
-	// pass-2/3 relation queries and the pairwise mergeability analysis.
+	// builds, the per-context relation fills, the per-endpoint and
+	// per-pair relation queries and the pairwise mergeability analysis.
 	// 0 means GOMAXPROCS; 1 forces the fully sequential path. Workers
-	// emit per-shard results that are reduced in a fixed order, so the
-	// merged SDC, provenance and explain output are byte-identical for
-	// every setting (see DESIGN.md).
+	// write index-addressed results that are reduced in a fixed order,
+	// so the merged SDC, provenance and explain output are
+	// byte-identical for every setting (see DESIGN.md).
 	Parallelism int
 	// STA carries analysis options (worker count etc.).
 	STA sta.Options
@@ -643,21 +643,6 @@ func (mg *Merger) rebuildMergedFrom(prev *sta.Context) error {
 // Cancelling cx aborts the flow promptly with the context error.
 func Merge(cx context.Context, design *netlist.Design, modes []*sdc.Mode, opt Options) (*sdc.Mode, *Report, error) {
 	mg, err := NewMerger(cx, design, modes, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	merged, err := mg.Merge(cx)
-	if err != nil {
-		return nil, mg.Report, err
-	}
-	return merged, mg.Report, nil
-}
-
-// MergeWithGraph is Merge for callers that already built the design's
-// timing graph, so repeated merges (and the incremental cache, whose
-// keys include the graph fingerprint) do not rebuild it per call.
-func MergeWithGraph(cx context.Context, g *graph.Graph, modes []*sdc.Mode, opt Options) (*sdc.Mode, *Report, error) {
-	mg, err := newMergerWithGraph(cx, g, modes, opt)
 	if err != nil {
 		return nil, nil, err
 	}

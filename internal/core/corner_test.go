@@ -43,9 +43,9 @@ func cornerFixture(t *testing.T, corners int) (*graph.Graph, []*sdc.Mode, []libr
 
 func mergeText(t *testing.T, g *graph.Graph, modes []*sdc.Mode, opt Options) string {
 	t.Helper()
-	merged, _, err := MergeWithGraph(context.Background(), g, modes, opt)
+	merged, _, err := MergeClique(context.Background(), g, modes, opt)
 	if err != nil {
-		t.Fatalf("MergeWithGraph: %v", err)
+		t.Fatalf("MergeClique: %v", err)
 	}
 	return sdc.Write(merged)
 }
@@ -149,7 +149,7 @@ func TestCornerMatrixDeterminism(t *testing.T) {
 // mode@corner scenario it contributed.
 func TestCornerProvenanceAndReport(t *testing.T) {
 	g, modes, corners := cornerFixture(t, 2)
-	_, rep, err := MergeWithGraph(context.Background(), g, modes, Options{Corners: corners})
+	_, rep, err := MergeClique(context.Background(), g, modes, Options{Corners: corners})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +194,11 @@ func TestCornerAcrossCornerWorstCase(t *testing.T) {
 		{Name: "wc", SDC: overlay},
 		{Name: "bc"},
 	}
-	clean, cleanRep, err := MergeWithGraph(context.Background(), g, modes, Options{Corners: corners})
+	clean, cleanRep, err := MergeClique(context.Background(), g, modes, Options{Corners: corners})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, faultRep, err := MergeWithGraph(context.Background(), g, modes,
+	faulted, faultRep, err := MergeClique(context.Background(), g, modes,
 		Options{Corners: corners, Inject: FaultInjection{MergeBestCornerOnly: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestCornerValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := MergeWithGraph(context.Background(), g, modes, Options{Corners: tc.corners})
+			_, _, err := MergeClique(context.Background(), g, modes, Options{Corners: tc.corners})
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantSub)
 			}

@@ -502,23 +502,6 @@ func (mm *refineMemo) recordP3(pair [2]graph.NodeID, o *pairOutcome) {
 	mm.p3Out[pair] = o
 }
 
-// warmContexts forces, per context and in parallel, the full pass-1 tag
-// propagation when enough endpoints are cold to amortize it. A context
-// missing only a few (a later iteration's invalidation frontier) skips
-// the warm, and those misses are served by per-endpoint cone
-// propagations instead — identical results either way (see
-// relcache.go). The forced tags stay on the context: slack, trace and
-// sign-off analysis read them too.
-func (mg *Merger) warmContexts(cx context.Context, ends []graph.NodeID) {
-	mg.eachContext(cx, func(ctx *sta.Context) {
-		missing := ctx.MissingEndpointRelations(ends)
-		if missing == 0 || missing*4 <= len(ends) && missing < 32 {
-			return
-		}
-		ctx.WarmEndpointRelations()
-	})
-}
-
 // threePass runs passes 1–3 of §3.2 once over the merged context. Every
 // path group gets one verdict (groupStates.compare), and an ambiguous
 // group moves on to the next, finer pass. res is the one switch over
@@ -534,12 +517,12 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 	// ---- Pass 1: endpoint granularity ----
 	p1 := sp.Child("pass1")
 	ends := mg.g.Endpoints()
-	mg.warmContexts(cx, ends)
 	pass2 := nameSet{} // ambiguous endpoints forwarded to pass 2
 	n, err := mg.comparePass(cx, p1, ends, endpointPass{
 		idx:       0,
 		stage:     "data_refine/pass1",
 		rule:      "§3.2 pass-1 endpoint comparison",
+		fill:      (*sta.Context).FillEndpointRelations,
 		relations: (*sta.Context).EndpointRelationsAt,
 		ambiguous: &mg.Report.Pass1Ambiguous,
 		mismatch:  &mg.Report.Pass1Mismatch,
@@ -562,22 +545,13 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 		}
 		pass2IDs[i] = id
 	}
-	// One batched cone propagation per context fills the start–end maps
-	// of every endpoint this pass gathers (replayed endpoints read none),
-	// in parallel before the endpoint loop fans out.
-	var fill []graph.NodeID
-	for _, id := range pass2IDs {
-		if mg.memo.epOut[1][id] == nil {
-			fill = append(fill, id)
-		}
-	}
-	mg.eachContext(cx, func(ctx *sta.Context) { ctx.FillStartEndRelations(fill) })
 	type sePair struct{ start, end string }
 	pass3 := map[sePair]bool{}
 	n, err = mg.comparePass(cx, p2, pass2IDs, endpointPass{
 		idx:       1,
 		stage:     "data_refine/pass2",
 		rule:      "§3.2 pass-2 start-end comparison",
+		fill:      (*sta.Context).FillStartEndRelations,
 		relations: (*sta.Context).StartEndRelations,
 		ambiguous: &mg.Report.Pass2Ambiguous,
 		mismatch:  &mg.Report.Pass2Mismatch,
@@ -669,22 +643,25 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 
 // endpointPass describes one of §3.2's two endpoint-keyed comparisons.
 // Passes 1 and 2 run the same loop and differ only in the relation maps
-// they compare and in what an ambiguous group forwards.
+// they fill and compare and in what an ambiguous group forwards.
 type endpointPass struct {
 	idx         int // refineMemo.epOut slot: 0 for pass 1, 1 for pass 2
 	stage, rule string
+	fill        func(ctx *sta.Context, ends []graph.NodeID)
 	relations   func(ctx *sta.Context, end graph.NodeID) map[sta.RelKey]relation.Set
 	// ambiguous and mismatch point at the pass's Report counters.
 	ambiguous, mismatch *int
 }
 
 // comparePass runs one endpoint-keyed pass over ends and returns how many
-// constraints it added (always 0 when classifying into res). Per-endpoint
-// gathers run in parallel (contexts are safe for concurrent relation
-// queries); classification and fix emission stay sequential, in ends
+// constraints it added (always 0 when classifying into res). When
+// refining, endpoints with an outcome recorded in the previous iteration
+// replay it without touching any relation map. Every context first fills
+// the maps of the endpoints without a replay (pass.fill, one batched
+// cone propagation), in parallel across contexts; the per-endpoint
+// gathers then run in parallel as memo reads. Classification and fix emission stay sequential, in ends
 // order with sorted keys, so emitted constraints, counters and res are
-// deterministic. When refining, endpoints with an outcome recorded in the
-// previous iteration replay it without touching any relation map.
+// deterministic.
 // forward receives each endpoint that has ambiguous groups, with their
 // startpoints in key order.
 func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.NodeID,
@@ -695,6 +672,13 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 		groups map[sta.RelKey]*groupStates
 		keys   []sta.RelKey
 	}
+	var cold []graph.NodeID
+	for _, end := range ends {
+		if recorded[end] == nil {
+			cold = append(cold, end)
+		}
+	}
+	mg.eachContext(cx, func(ctx *sta.Context) { pass.fill(ctx, cold) })
 	work := make([]endpointWork, len(ends))
 	forEachParallel(cx, len(ends), mg.opt.parallelism(), func(i int) {
 		end := ends[i]

@@ -68,16 +68,6 @@ type Model struct {
 	CaptureClasses []Class `json:"capture_classes"`
 }
 
-// IsClockIn reports whether the port feeds register clock pins.
-func (m *Model) IsClockIn(port string) bool {
-	for _, c := range m.ClockIns {
-		if c == port {
-			return true
-		}
-	}
-	return false
-}
-
 // MarshalBinary serializes the model for the incremental disk cache.
 func (m *Model) MarshalBinary() ([]byte, error) { return json.Marshal(m) }
 

@@ -60,9 +60,9 @@ type ClockAtNode struct {
 
 // Options tunes an analysis context.
 type Options struct {
-	// Workers bounds the whole-design worker pools (endpoint slack
-	// analysis and the sharded endpoint-relation loop); 0 means
-	// GOMAXPROCS, 1 forces the sequential path.
+	// Workers bounds the worker pool of the whole-design endpoint slack
+	// analysis (AnalyzeEndpoints); 0 means GOMAXPROCS, 1 forces the
+	// sequential path.
 	Workers int
 	// MaxLaunchEdges caps the hyperperiod expansion when relating two
 	// clock waveforms; 0 means the default of 64.

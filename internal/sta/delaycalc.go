@@ -173,10 +173,6 @@ func (ctx *Context) computeDelays() {
 	}
 }
 
-// ArcDelayAt returns the mode-resolved late rise delay of an arc (the
-// representative value for reports).
-func (ctx *Context) ArcDelayAt(ai int32) float64 { return ctx.delays[ai].riseMax }
-
 // SlewAt returns the computed transition time at a node.
 func (ctx *Context) SlewAt(id graph.NodeID) float64 { return ctx.slews[id] }
 

@@ -327,48 +327,9 @@ func (ctx *Context) LaunchClockTable(names []string) [][]bool {
 	return rows
 }
 
-// HasLaunchClockAt reports whether data launched by the named clock
-// reaches the node in this mode.
-func (ctx *Context) HasLaunchClockAt(id graph.NodeID, name string) bool {
-	cid, ok := ctx.clockByName[name]
-	if !ok {
-		return false
-	}
-	for _, te := range ctx.tags()[id].entries {
-		if te.tag.launch == cid {
-			return true
-		}
-	}
-	return false
-}
-
 // ArcDisabledAt exposes arc liveness for the merger's cross-mode flow
 // justification (arc indices are shared across contexts on one graph).
 func (ctx *Context) ArcDisabledAt(ai int32) bool { return ctx.ArcDisabled[ai] }
-
-// LaunchClocksAt returns the distinct launch-clock names of the data tags
-// present at a node (full-design propagation).
-func (ctx *Context) LaunchClocksAt(id graph.NodeID) []string {
-	seen := map[ClockID]bool{}
-	var out []string
-	for _, te := range ctx.tags()[id].entries {
-		if te.tag.launch == NoClock || seen[te.tag.launch] {
-			continue
-		}
-		seen[te.tag.launch] = true
-		out = append(out, ctx.Clocks[te.tag.launch].Def.Name)
-	}
-	sortStringsInPlace(out)
-	return out
-}
-
-func sortStringsInPlace(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
 
 // ConstPortsNeverTiming returns input ports that are case-constant (so
 // they never launch data), used by the merger to infer set_disable_timing
@@ -394,16 +355,6 @@ func (ctx *Context) ConstValueAt(name string) (library.Logic, bool) {
 	}
 	v := ctx.Consts[id]
 	return v, v.Known()
-}
-
-// HasDirectCase reports whether a node carries a direct set_case_analysis.
-func (ctx *Context) HasDirectCase(name string) (library.Logic, bool) {
-	id, ok := ctx.G.NodeByName(name)
-	if !ok {
-		return library.LX, false
-	}
-	v, has := ctx.forcedCase[id]
-	return v, has
 }
 
 // StartpointLaunchClocks returns the clock names that can launch paths

@@ -3,9 +3,9 @@ package sta
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
-	"sync"
 
 	"modemerge/internal/graph"
 	"modemerge/internal/relation"
@@ -28,20 +28,14 @@ type RelKey struct {
 // constraint states over all paths reaching it. Path groups with no live
 // paths are absent; callers treat absence as "not timed" (false).
 //
-// The endpoint loop shards across Opt.Workers goroutines, each folding a
-// contiguous endpoint range into a private map under its own child span;
-// the shards then reduce in shard order. Relation keys embed the endpoint
-// name (RelKey.End), so shard key sets are disjoint and the reduced map —
-// and everything derived from it — is identical to the sequential result
-// for any worker count. Per-endpoint results come from the context's
-// relation memo (relcache.go) unless DisableRelationMemo, so repeated
-// calls across refinement iterations are pure map assembly. Cancelling cx
-// aborts the loop early; the returned map is then partial and the caller
-// must consult cx.Err() before trusting it.
+// It is one FillEndpointRelations over every endpoint followed by map
+// assembly, so repeated calls across refinement iterations are pure
+// assembly from the context's relation memo (relcache.go). Cancelling cx
+// aborts the assembly early; the returned map is then partial and the
+// caller must consult cx.Err() before trusting it.
 func (ctx *Context) EndpointRelations(cx context.Context) map[RelKey]relation.Set {
 	sp := ctx.Opt.Span.Child("endpoint_relations")
 	defer sp.Finish()
-	tags := ctx.tags() // force propagation before fan-out
 	ends := ctx.G.Endpoints()
 	sp.Add("endpoints", int64(len(ends)))
 	hits0, misses0 := ctx.RelCacheStats()
@@ -50,125 +44,15 @@ func (ctx *Context) EndpointRelations(cx context.Context) map[RelKey]relation.Se
 		sp.Add("cache_hits", hits1-hits0)
 		sp.Add("cache_misses", misses1-misses0)
 	}()
-
-	fold := func(out map[RelKey]relation.Set, end graph.NodeID) {
-		if ctx.Opt.DisableRelationMemo {
-			ctx.accumulateRelations(out, end, tags[end], "*")
-			return
-		}
-		for k, set := range ctx.EndpointRelationsAt(end) {
-			out[k] = set
-		}
-	}
-
-	workers := ctx.Opt.WorkerCount(len(ends))
-	if workers <= 1 {
-		out := map[RelKey]relation.Set{}
-		for _, end := range ends {
-			if cx.Err() != nil {
-				return out
-			}
-			fold(out, end)
-		}
-		sp.Add("path_groups", int64(len(out)))
-		return out
-	}
-
-	shards := make([]map[RelKey]relation.Set, workers)
-	chunk := (len(ends) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(ends) {
-			break
-		}
-		hi := min(lo+chunk, len(ends))
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			wsp := sp.Child(fmt.Sprintf("shard_%d", w))
-			defer wsp.Finish()
-			out := map[RelKey]relation.Set{}
-			for i := lo; i < hi; i++ {
-				if cx.Err() != nil {
-					break
-				}
-				fold(out, ends[i])
-			}
-			wsp.Add("endpoints", int64(hi-lo))
-			wsp.Add("path_groups", int64(len(out)))
-			shards[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	ctx.FillEndpointRelations(ends)
 	out := map[RelKey]relation.Set{}
-	for _, shard := range shards {
-		for k, set := range shard {
-			out[k] = set
+	for _, end := range ends {
+		if cx.Err() != nil {
+			return out
 		}
+		maps.Copy(out, ctx.EndpointRelationsAt(end))
 	}
 	sp.Add("path_groups", int64(len(out)))
-	return out
-}
-
-// StartEndRelations computes pass-2 timing relationships for one
-// endpoint: path groups keyed by concrete startpoint. A memo miss is a
-// one-endpoint FillStartEndRelations; callers querying many endpoints
-// fill them as one batch first. DisableRelationMemo recomputes the map
-// on every call from a propagation restricted to the endpoint's fan-in
-// cone — the same tags at the endpoint, in the same order (see
-// relcache.go).
-func (ctx *Context) StartEndRelations(end graph.NodeID) map[RelKey]relation.Set {
-	if ctx.Opt.DisableRelationMemo {
-		return ctx.startEndMaps([]graph.NodeID{end})[0]
-	}
-	rc := ctx.relSlots()
-	if p := rc.startEnd[end].Load(); p != nil {
-		rc.hits.Add(1)
-		return *p
-	}
-	ctx.FillStartEndRelations([]graph.NodeID{end})
-	return *rc.startEnd[end].Load()
-}
-
-// FillStartEndRelations memoizes the pass-2 relation maps of every given
-// endpoint that has none yet, from one transient start-tracked
-// propagation restricted to the union of their fan-in cones. The union
-// is backward-closed, so each endpoint's tags, and thus its map, equal
-// those of its own cone run (see relcache.go); each node is visited
-// once however many cones share it. Nothing but the finished maps is
-// kept. Under DisableRelationMemo it is a no-op.
-func (ctx *Context) FillStartEndRelations(ends []graph.NodeID) {
-	if ctx.Opt.DisableRelationMemo {
-		return
-	}
-	rc := ctx.relSlots()
-	var missing []graph.NodeID
-	for _, end := range ends {
-		if rc.startEnd[end].Load() == nil {
-			missing = append(missing, end)
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	for i, out := range ctx.startEndMaps(missing) {
-		rc.startEnd[missing[i]].Store(&out)
-	}
-	rc.misses.Add(int64(len(missing)))
-}
-
-// startEndMaps computes the pass-2 relation maps of the given endpoints
-// from one start-tracked propagation over the union of their cones.
-func (ctx *Context) startEndMaps(ends []graph.NodeID) []map[RelKey]relation.Set {
-	tags := ctx.getTagArray()
-	touched := ctx.propagateInto(propOpts{withStart: true, nodeFilter: ctx.G.BackwardReach(ends)}, tags)
-	out := make([]map[RelKey]relation.Set, len(ends))
-	for i, end := range ends {
-		out[i] = map[RelKey]relation.Set{}
-		ctx.accumulateRelations(out[i], end, tags[end], "")
-	}
-	ctx.putTagArray(tags, touched)
 	return out
 }
 

@@ -16,17 +16,19 @@ import (
 // compute the same value; one store wins).
 //
 // It holds finished results only. Apart from the plain-tag propagation
-// (ctx.tags(), which slack and trace read too), no propagation outlives
-// the query that ran it:
+// (ctx.tags(), which LaunchClockTable, slack and trace read), no
+// propagation outlives the query that ran it:
 //
-//   - pass1/startEnd hold per-endpoint relation maps, keyed by node id.
-//     A miss propagates only over fan-in cones: any propagation path from
-//     a seed to a node of bwd(end) provably stays inside bwd(end) (an arc
-//     x→n with n ∈ bwd(end) puts x ∈ bwd(end) too), so a cone-restricted
-//     run leaves exactly the full run's tags at the endpoint, in the same
-//     first-insertion order. A union of cones is backward-closed as well,
-//     so FillStartEndRelations serves a whole batch of endpoints from one
-//     transient propagation over the union with identical results.
+//   - pass1/startEnd hold per-endpoint relation maps, keyed by node id,
+//     filled by fillRelations. A fill propagates only over the union of
+//     the queried endpoints' fan-in cones: any propagation path from a
+//     seed to a node of bwd(end) provably stays inside bwd(end) (an arc
+//     x→n with n ∈ bwd(end) puts x ∈ bwd(end) too), so a union of cones
+//     is backward-closed and a cone-restricted run leaves exactly the full
+//     run's tags at each of its endpoints, in the same first-insertion
+//     order. The same argument lets a pass-1 fill read the retained full
+//     tags instead when the context already holds them. A memo miss is a
+//     one-endpoint fill.
 //   - through memoizes per-(start,end) pass-3 slices, each computed from a
 //     seeded cone propagation.
 //   - liveBwd memoizes each endpoint's live backward reach, which the
@@ -58,6 +60,14 @@ func (ctx *Context) relSlots() *relCache {
 	return rc
 }
 
+// slots returns the memo slots of pass 1 or, startTracked, pass 2.
+func (rc *relCache) slots(startTracked bool) []atomic.Pointer[map[RelKey]relation.Set] {
+	if startTracked {
+		return rc.startEnd
+	}
+	return rc.pass1
+}
+
 // liveBwdMemo memoizes liveBackwardReach per endpoint: liveness depends
 // only on disables and case constants, never on exceptions, so entries
 // stay valid across exception-only rebuilds (and transfer with
@@ -75,64 +85,107 @@ func (ctx *Context) liveBwdMemo(end graph.NodeID) []bool {
 	return b
 }
 
-// WarmEndpointRelations forces the full (non-start-tracked) propagation
-// that pass-1 queries read.
-func (ctx *Context) WarmEndpointRelations() {
-	ctx.tags()
-}
-
 // RelCacheStats returns the memo hit/miss counters (monotonic, atomic).
 func (ctx *Context) RelCacheStats() (hits, misses int64) {
 	return ctx.rel.hits.Load(), ctx.rel.misses.Load()
 }
 
-// EndpointRelationsAt computes (or recalls) the pass-1 relation map of a
-// single endpoint. The returned map is shared and must not be mutated.
-// When the full propagation has not been forced (WarmEndpointRelations),
-// a miss is served by a propagation restricted to the endpoint's fan-in
-// cone — identical tags at the endpoint, in identical insertion order
-// (every propagation path into bwd(end) stays inside bwd(end)).
+// EndpointRelationsAt returns the pass-1 relation map of one endpoint:
+// its path groups at endpoint granularity (Start "*"). A memo miss is a
+// one-endpoint FillEndpointRelations; callers querying many endpoints
+// fill them as one batch first. DisableRelationMemo rebuilds the map on
+// every call from the full propagation. The returned map is shared and
+// must not be mutated.
 func (ctx *Context) EndpointRelationsAt(end graph.NodeID) map[RelKey]relation.Set {
 	if ctx.Opt.DisableRelationMemo {
 		out := map[RelKey]relation.Set{}
 		ctx.accumulateRelations(out, end, ctx.tags()[end], "*")
 		return out
 	}
+	return ctx.relationsAt(end, false)
+}
+
+// StartEndRelations returns the pass-2 relation map of one endpoint: its
+// path groups keyed by concrete startpoint. A memo miss is a
+// one-endpoint FillStartEndRelations. DisableRelationMemo recomputes the
+// map on every call from a propagation restricted to the endpoint's
+// fan-in cone. The returned map is shared and must not be mutated.
+func (ctx *Context) StartEndRelations(end graph.NodeID) map[RelKey]relation.Set {
+	if ctx.Opt.DisableRelationMemo {
+		return ctx.relationMaps([]graph.NodeID{end}, true)[0]
+	}
+	return ctx.relationsAt(end, true)
+}
+
+// relationsAt recalls one endpoint's memoized map, filling it on a miss.
+func (ctx *Context) relationsAt(end graph.NodeID, startTracked bool) map[RelKey]relation.Set {
 	rc := ctx.relSlots()
-	if p := rc.pass1[end].Load(); p != nil {
+	slot := &rc.slots(startTracked)[end]
+	if p := slot.Load(); p != nil {
 		rc.hits.Add(1)
 		return *p
 	}
-	out := make(map[RelKey]relation.Set, 16)
-	if rc.tagsReady.Load() {
-		ctx.accumulateRelations(out, end, ctx.dataTags[end], "*")
-	} else {
-		cone := ctx.G.BackwardReach([]graph.NodeID{end})
-		tags := ctx.getTagArray()
-		touched := ctx.propagateInto(propOpts{nodeFilter: cone}, tags)
-		ctx.accumulateRelations(out, end, tags[end], "*")
-		ctx.putTagArray(tags, touched)
-	}
-	rc.pass1[end].Store(&out)
-	rc.misses.Add(1)
-	return out
+	ctx.fillRelations([]graph.NodeID{end}, startTracked)
+	return *slot.Load()
 }
 
-// MissingEndpointRelations counts the given endpoints without a memoized
-// pass-1 relation map — the refinement's warm policy forces the full
-// propagation only when the count is large enough to amortize it.
-func (ctx *Context) MissingEndpointRelations(ends []graph.NodeID) int {
+// FillEndpointRelations memoizes the pass-1 relation maps of every given
+// endpoint that has none yet (see fillRelations).
+func (ctx *Context) FillEndpointRelations(ends []graph.NodeID) { ctx.fillRelations(ends, false) }
+
+// FillStartEndRelations memoizes the pass-2 relation maps of every given
+// endpoint that has none yet (see fillRelations).
+func (ctx *Context) FillStartEndRelations(ends []graph.NodeID) { ctx.fillRelations(ends, true) }
+
+// fillRelations memoizes the relation maps of every given endpoint whose
+// slot is still empty, from one transient propagation over the union of
+// their fan-in cones; each node is visited once however many cones share
+// it, and nothing but the finished maps is kept. Under
+// DisableRelationMemo it is a no-op.
+func (ctx *Context) fillRelations(ends []graph.NodeID, startTracked bool) {
 	if ctx.Opt.DisableRelationMemo {
-		return len(ends)
+		return
 	}
 	rc := ctx.relSlots()
-	n := 0
+	slots := rc.slots(startTracked)
+	var missing []graph.NodeID
 	for _, end := range ends {
-		if rc.pass1[end].Load() == nil {
-			n++
+		if slots[end].Load() == nil {
+			missing = append(missing, end)
 		}
 	}
-	return n
+	if len(missing) == 0 {
+		return
+	}
+	for i, out := range ctx.relationMaps(missing, startTracked) {
+		slots[missing[i]].Store(&out)
+	}
+	rc.misses.Add(int64(len(missing)))
+}
+
+// relationMaps computes the relation maps of the given endpoints from one
+// propagation (start-tracked for pass 2) over the union of their cones.
+// A pass-1 computation reads the retained full tags instead when the
+// context already holds them.
+func (ctx *Context) relationMaps(ends []graph.NodeID, startTracked bool) []map[RelKey]relation.Set {
+	var tags []tagMap
+	if !startTracked && ctx.rel.tagsReady.Load() {
+		tags = ctx.dataTags
+	} else {
+		tags = ctx.getTagArray()
+		touched := ctx.propagateInto(propOpts{withStart: startTracked, nodeFilter: ctx.G.BackwardReach(ends)}, tags)
+		defer ctx.putTagArray(tags, touched)
+	}
+	label := "*"
+	if startTracked {
+		label = ""
+	}
+	out := make([]map[RelKey]relation.Set, len(ends))
+	for i, end := range ends {
+		out[i] = map[RelKey]relation.Set{}
+		ctx.accumulateRelations(out[i], end, tags[end], label)
+	}
+	return out
 }
 
 // AdoptRelationResults transfers memoized relation results from a

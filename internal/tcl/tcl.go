@@ -77,9 +77,6 @@ func New() *Interp {
 // Register installs or replaces a command.
 func (i *Interp) Register(name string, c Command) { i.cmds[name] = c }
 
-// HasCommand reports whether name is a registered command.
-func (i *Interp) HasCommand(name string) bool { _, ok := i.cmds[name]; return ok }
-
 // SetVar sets a variable.
 func (i *Interp) SetVar(name, value string) { i.vars[name] = value }
 

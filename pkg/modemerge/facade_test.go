@@ -197,6 +197,43 @@ func TestFacadeHierarchicalMerge(t *testing.T) {
 	}
 }
 
+// TestFacadeMergeHierarchical pins Merge to MergeAll's clique path: with
+// Options.Hierarchical, Merge must refine per block (HierBlocksMerged > 0)
+// and emit the same SDC that MergeAll emits for the same clique.
+func TestFacadeMergeHierarchical(t *testing.T) {
+	design, modes := hierFixture(t)
+	opt := modemerge.Options{Hierarchical: true}
+	all, reports, mb, err := modemerge.MergeAll(context.Background(), design, modes, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for ci, clique := range mb.Cliques() {
+		if len(clique) < 2 {
+			continue
+		}
+		var group []*modemerge.Mode
+		for _, mi := range clique {
+			group = append(group, modes[mi])
+		}
+		merged, report, err := modemerge.Merge(context.Background(), design, group, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.HierBlocksMerged == 0 || report.HierBlocksMerged != reports[ci].HierBlocksMerged {
+			t.Errorf("clique %d: Merge HierBlocksMerged = %d, MergeAll %d; want equal and > 0",
+				ci, report.HierBlocksMerged, reports[ci].HierBlocksMerged)
+		}
+		if got, want := modemerge.WriteSDC(merged), modemerge.WriteSDC(all[ci]); got != want {
+			t.Errorf("clique %d: Merge SDC differs from MergeAll's", ci)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("fixture produced no multi-member clique")
+	}
+}
+
 func TestFacadeHierarchicalRequiresHierDesign(t *testing.T) {
 	design, modes := fixture(t)
 	if design.Hierarchical() {

@@ -293,14 +293,16 @@ func (o Options) coreFor(d *Design) (core.Options, error) {
 }
 
 // Merge merges the modes (assumed mergeable; check with
-// AnalyzeMergeability or use MergeAll) into one superset mode.
-// Cancelling ctx aborts the merge.
+// AnalyzeMergeability or use MergeAll) into one superset mode. It is
+// one clique of MergeAll: it honours Options.Hierarchical and the
+// clique level of Options.Cache, and a single mode passes through
+// unchanged with an empty report. Cancelling ctx aborts the merge.
 func Merge(ctx context.Context, d *Design, modes []*Mode, opt Options) (*Mode, *Report, error) {
 	copt, err := opt.coreFor(d)
 	if err != nil {
 		return nil, nil, err
 	}
-	return core.MergeWithGraph(ctx, d.graph, modes, copt)
+	return core.MergeClique(ctx, d.graph, modes, copt)
 }
 
 // MergeAll analyzes pairwise mergeability, partitions the modes into
