@@ -340,6 +340,9 @@ func (mb *Mergeability) GroupNames(cliques [][]int) [][]string {
 // MergeClique) in any order, on any node, and the results reassembled in
 // clique order are byte-identical to a sequential MergeAll.
 func PlanMerge(g *graph.Graph, modes []*sdc.Mode, opt Options) (*Mergeability, [][]int, error) {
+	if err := checkModeNames(modes); err != nil {
+		return nil, nil, err
+	}
 	sp := opt.Trace.Child("mergeability")
 	done := opt.stage("mergeability")
 	mb, pst, err := analyzeMergeability(g, modes, opt)
@@ -372,6 +375,9 @@ func PlanMerge(g *graph.Graph, modes []*sdc.Mode, opt Options) (*Mergeability, [
 func MergeClique(cx context.Context, g *graph.Graph, group []*sdc.Mode, opt Options) (*sdc.Mode, *Report, error) {
 	if len(group) == 0 {
 		return nil, nil, fmt.Errorf("core: empty merge clique")
+	}
+	if err := checkModeNames(group); err != nil {
+		return nil, nil, err
 	}
 	if len(group) == 1 {
 		return group[0], &Report{}, nil
@@ -426,6 +432,19 @@ func MergeClique(cx context.Context, g *graph.Graph, group []*sdc.Mode, opt Opti
 		storeClique(opt.Cache, key, merged, mg.Report, mg.stamps())
 	}
 	return merged, mg.Report, nil
+}
+
+// checkModeNames rejects two modes with one name: merged mode names,
+// reports and provenance tell members apart by name alone.
+func checkModeNames(modes []*sdc.Mode) error {
+	seen := make(map[string]bool, len(modes))
+	for _, m := range modes {
+		if seen[m.Name] {
+			return fmt.Errorf("core: duplicate mode name %q", m.Name)
+		}
+		seen[m.Name] = true
+	}
+	return nil
 }
 
 // MergeAll analyzes mergeability, groups the modes into cliques and merges

@@ -14,9 +14,16 @@ type clockKey struct {
 	inv   bool
 }
 
-// propagateClocks walks the propagation arcs in topological order and
-// computes the set of clocks (with polarity and min/max network arrival)
-// present at every node. Rules:
+// propagateClocks computes the set of clocks (with polarity and min/max
+// network arrival) present at every node: the unfiltered clockNetwork.
+func (ctx *Context) propagateClocks() error {
+	tags, _, err := ctx.clockNetwork(nil)
+	ctx.ClockTags = tags
+	return err
+}
+
+// clockNetwork walks the propagation arcs in topological order and
+// returns a fresh node array of the clocks present at every node. Rules:
 //
 //   - A root clock seeds its source nodes with arrival 0.
 //   - A generated clock replaces its master at the generated clock's
@@ -28,9 +35,19 @@ type clockKey struct {
 //     block propagation; a stopped clock is absent from the blocking node
 //     itself, matching the paper's "stops the propagation of the clock
 //     from that point onwards".
-func (ctx *Context) propagateClocks() error {
+//
+// With a non-nil justify, each clock still present at a node after
+// stop_propagation is asked justify(node, clock); a rejected clock is
+// dropped there in both polarities and the node joins its frontier once.
+// Frontiers list clocks in order of first block, nodes in topological
+// order. Only the unfiltered run warns: it is the one NewContext makes.
+func (ctx *Context) clockNetwork(justify func(node graph.NodeID, clock string) bool) ([][]ClockAtNode, []Frontier, error) {
 	g := ctx.G
-	ctx.ClockTags = make([][]ClockAtNode, g.NumNodes())
+	out := make([][]ClockAtNode, g.NumNodes())
+	warnf := ctx.warnf
+	if justify != nil {
+		warnf = func(string, ...any) {}
+	}
 
 	// Index seeds.
 	rootAt := map[graph.NodeID][]ClockID{}
@@ -49,21 +66,21 @@ func (ctx *Context) propagateClocks() error {
 	stop := map[graph.NodeID]map[ClockID]bool{}
 	for _, s := range ctx.Mode.ClockSenses {
 		if !s.StopPropagation {
-			ctx.warnf("set_clock_sense without -stop_propagation ignored")
+			warnf("set_clock_sense without -stop_propagation ignored")
 			continue
 		}
 		var clocks []ClockID
 		for _, name := range s.Clocks {
 			id, ok := ctx.clockByName[name]
 			if !ok {
-				return fmt.Errorf("set_clock_sense: unknown clock %q", name)
+				return nil, nil, fmt.Errorf("set_clock_sense: unknown clock %q", name)
 			}
 			clocks = append(clocks, id)
 		}
 		for _, pin := range s.Pins {
 			id, ok := g.NodeByName(pin.Name)
 			if !ok {
-				return fmt.Errorf("set_clock_sense: object %q not in design", pin.Name)
+				return nil, nil, fmt.Errorf("set_clock_sense: object %q not in design", pin.Name)
 			}
 			set := stop[id]
 			if set == nil {
@@ -85,6 +102,10 @@ func (ctx *Context) propagateClocks() error {
 		}
 		return set[NoClock] || set[c]
 	}
+
+	// frontier collects each rejected clock's blocking nodes.
+	frontier := map[ClockID][]graph.NodeID{}
+	var order []ClockID
 
 	type acc struct{ arrMin, arrMax float64 }
 	for _, id := range g.Topo() {
@@ -112,7 +133,7 @@ func (ctx *Context) propagateClocks() error {
 				if a.Kind == graph.LaunchArc {
 					continue // clocks do not cross registers
 				}
-				for _, t := range ctx.ClockTags[a.From] {
+				for _, t := range out[a.From] {
 					emit := func(inv bool) {
 						trans := sdc.EdgeRise
 						if inv {
@@ -141,7 +162,7 @@ func (ctx *Context) propagateClocks() error {
 				gc := ctx.Clocks[gid]
 				masterID, ok := ctx.clockByName[gc.Def.Master]
 				if !ok {
-					return fmt.Errorf("generated clock %s: unknown master %q", gc.Def.Name, gc.Def.Master)
+					return nil, nil, fmt.Errorf("generated clock %s: unknown master %q", gc.Def.Name, gc.Def.Master)
 				}
 				first := true
 				var inherit acc
@@ -157,7 +178,7 @@ func (ctx *Context) propagateClocks() error {
 					}
 				}
 				if first {
-					ctx.warnf("generated clock %s: master %s does not reach source %s",
+					warnf("generated clock %s: master %s does not reach source %s",
 						gc.Def.Name, gc.Def.Master, g.Node(id).Name)
 					continue
 				}
@@ -179,15 +200,42 @@ func (ctx *Context) propagateClocks() error {
 		if len(tags) == 0 {
 			continue
 		}
-		out := make([]ClockAtNode, 0, len(tags))
+		here := make([]ClockAtNode, 0, len(tags))
 		for k, a := range tags {
-			out = append(out, ClockAtNode{Clock: k.clock, Inv: k.inv, ArrMin: a.arrMin, ArrMax: a.arrMax})
+			here = append(here, ClockAtNode{Clock: k.clock, Inv: k.inv, ArrMin: a.arrMin, ArrMax: a.arrMax})
 		}
-		// Deterministic order for reports and comparisons.
-		sortClockTags(out)
-		ctx.ClockTags[id] = out
+		// Deterministic order for reports, comparisons and frontiers.
+		sortClockTags(here)
+		if justify != nil {
+			// One verdict per clock covers both polarities.
+			kept := here[:0]
+			last, ok := NoClock, false
+			for _, t := range here {
+				if t.Clock != last {
+					last, ok = t.Clock, justify(id, ctx.Clocks[t.Clock].Def.Name)
+					if !ok {
+						if frontier[t.Clock] == nil {
+							order = append(order, t.Clock)
+						}
+						frontier[t.Clock] = append(frontier[t.Clock], id)
+					}
+				}
+				if ok {
+					kept = append(kept, t)
+				}
+			}
+			if here = kept; len(here) == 0 {
+				continue
+			}
+		}
+		out[id] = here
 	}
-	return nil
+
+	fronts := make([]Frontier, len(order))
+	for i, c := range order {
+		fronts[i] = Frontier{Clock: ctx.Clocks[c].Def.Name, Nodes: frontier[c]}
+	}
+	return out, fronts, nil
 }
 
 func sortClockTags(tags []ClockAtNode) {

@@ -74,10 +74,10 @@ type Options struct {
 	// disables tracing.
 	Span *obs.Span
 	// DisableRelationMemo forces every relation query back onto the
-	// uncached per-query propagation path (pass 2/3 re-propagate the
-	// endpoint cone per call, pass 1 rebuilds its map per call). Results
-	// are byte-identical either way — this is a debug/equivalence-test
-	// knob, excluded from Fingerprint like Workers and Span.
+	// uncached per-query propagation path (every pass re-propagates the
+	// endpoint cone per call). Results are byte-identical either way —
+	// this is a debug/equivalence-test knob, excluded from Fingerprint
+	// like Workers and Span.
 	DisableRelationMemo bool
 	// Corner selects the operating corner the context analyzes: its
 	// derates scale the delay calculation and check margins. Nil means
@@ -140,12 +140,8 @@ type Context struct {
 	// forcedCase records the direct case-analysis values by node.
 	forcedCase map[graph.NodeID]library.Logic
 
-	// dataTags holds the forward data propagation result (lazy,
-	// concurrency-safe via tagsOnce).
-	dataTags []tagMap
-	tagsOnce sync.Once
-	// tagArrayPool recycles node-indexed tag arrays for restricted
-	// propagations (see getTagArray).
+	// tagArrayPool recycles node-indexed tag arrays for the transient
+	// data propagations (see propagate).
 	tagArrayPool sync.Pool
 
 	// clockActive caches per-clock activity (lazy, once-protected so a
@@ -176,8 +172,8 @@ type Context struct {
 }
 
 // NewContext resolves a mode against a design's timing graph: clocks,
-// constants, disabled arcs and clock propagation. Data propagation runs
-// lazily on first use.
+// constants, disabled arcs and clock propagation. Data propagations run
+// per query and are not kept.
 func NewContext(g *graph.Graph, mode *sdc.Mode, opt Options) (*Context, error) {
 	if opt.MaxLaunchEdges <= 0 {
 		opt.MaxLaunchEdges = 64
@@ -220,8 +216,8 @@ func NewContext(g *graph.Graph, mode *sdc.Mode, opt Options) (*Context, error) {
 // the other mode sections alone, so the derived context shares those
 // (immutable after construction) and re-runs only exception compilation.
 // This is the refinement loop's rebuild fast path: each iteration appends
-// corrective false paths and nothing else. Lazy state (data propagations,
-// the relation memo) starts empty; the caller transfers still-valid
+// corrective false paths and nothing else. Lazy state (the relation memo,
+// clock activity) starts empty; the caller transfers still-valid
 // relation results via AdoptRelationResults. The caller is responsible
 // for the only-exceptions-changed precondition — a mode edited anywhere
 // else must go through NewContext.

@@ -100,50 +100,34 @@ type propOpts struct {
 	seedFilter func(graph.NodeID) bool
 }
 
-// tags returns the cached full-design data propagation.
-func (ctx *Context) tags() []tagMap {
-	ctx.tagsOnce.Do(func() {
-		ctx.dataTags = ctx.propagate(propOpts{})
-		ctx.rel.tagsReady.Store(true)
-	})
-	return ctx.dataTags
-}
-
-// getTagArray borrows a zeroed node-indexed tag array from the context
-// pool; putTagArray returns it after the caller cleared the touched
-// entries. Pooling matters: pass 1 and pass 3 run one restricted
-// propagation per cold endpoint or pair, and a fresh O(nodes) array per
-// call is pure GC churn.
-func (ctx *Context) getTagArray() []tagMap {
+// propagate runs one transient data propagation (propagateInto) on a
+// node-indexed tag array borrowed from the context pool; release clears
+// the touched entries and returns the array. No propagation outlives its
+// caller, and pooling matters: the relation passes run one per fill or
+// pair, and a fresh O(nodes) array per call is pure GC churn.
+func (ctx *Context) propagate(o propOpts) (tags []tagMap, release func()) {
 	if v := ctx.tagArrayPool.Get(); v != nil {
-		return v.([]tagMap)
+		tags = v.([]tagMap)
+	} else {
+		tags = make([]tagMap, ctx.G.NumNodes())
 	}
-	return make([]tagMap, ctx.G.NumNodes())
+	touched := ctx.propagateInto(o, tags)
+	return tags, func() {
+		for _, id := range touched {
+			tags[id] = tagMap{}
+		}
+		ctx.tagArrayPool.Put(tags)
+	}
 }
 
-func (ctx *Context) putTagArray(out []tagMap, touched []graph.NodeID) {
-	for _, id := range touched {
-		out[id] = tagMap{}
-	}
-	ctx.tagArrayPool.Put(out)
-}
-
-// propagate performs forward data propagation over the timing graph.
+// propagateInto performs forward data propagation over the timing graph
+// into a zeroed array, returning the node ids it stored tags at.
 //
 // Paths are launched at register clock pins (one tag per clock present at
 // the pin, via the clk→Q launch arc) and at input ports carrying
 // set_input_delay (one tag per reference clock). Tags move over net and
 // combinational arcs, transitions follow arc unateness, and exception
 // progress vectors advance at every traversed node.
-func (ctx *Context) propagate(o propOpts) []tagMap {
-	out := make([]tagMap, ctx.G.NumNodes())
-	ctx.propagateInto(o, out)
-	return out
-}
-
-// propagateInto is propagate writing into a caller-provided (zeroed)
-// array; it returns the node ids it stored tags at, so the caller can
-// clear and recycle the array.
 func (ctx *Context) propagateInto(o propOpts, out []tagMap) (touched []graph.NodeID) {
 	g := ctx.G
 	allow := func(id graph.NodeID) bool {

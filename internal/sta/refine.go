@@ -1,8 +1,6 @@
 package sta
 
 import (
-	"sort"
-
 	"modemerge/internal/graph"
 	"modemerge/internal/library"
 	"modemerge/internal/netlist"
@@ -15,127 +13,19 @@ type Frontier struct {
 	Nodes []graph.NodeID
 }
 
-// ExtraClocks re-propagates this context's clocks through the clock
-// network, asking the justify callback at every node whether each clock is
-// allowed there (i.e. present at that node in at least one individual
-// mode). Unjustified clocks are blocked on the spot — exactly the paper's
-// §3.1.8 breadth-first clock refinement — and the blocking frontier is
-// returned so the merger can emit set_clock_sense -stop_propagation
-// constraints. Blocking is applied on the fly, so downstream nodes only
-// see justified clocks and the frontier is minimal.
+// ExtraClocks is the paper's §3.1.8 breadth-first clock refinement: the
+// clock network propagation (clockNetwork) with the justify callback
+// asked at every node whether each clock is allowed there (i.e. present
+// at that node in at least one individual mode). Unjustified clocks are
+// blocked on the spot, so downstream nodes only see justified clocks and
+// the returned frontier, where the merger emits set_clock_sense
+// -stop_propagation, is minimal. The context's own stop_propagation
+// senses apply first.
 func (ctx *Context) ExtraClocks(justify func(node graph.NodeID, clock string) bool) []Frontier {
-	g := ctx.G
-	type key = clockKey
-	tags := make([]map[key]bool, g.NumNodes())
-	frontier := map[string][]graph.NodeID{}
-	var order []string
-
-	rootAt := map[graph.NodeID][]ClockID{}
-	genAt := map[graph.NodeID][]ClockID{}
-	for _, c := range ctx.Clocks {
-		for _, n := range c.SrcNodes {
-			if c.Def.Generated {
-				genAt[n] = append(genAt[n], c.ID)
-			} else {
-				rootAt[n] = append(rootAt[n], c.ID)
-			}
-		}
-	}
-
-	for _, id := range g.Topo() {
-		cur := map[key]bool{}
-		if !ctx.NodeDisabled[id] && !ctx.Consts[id].Known() {
-			for _, ai := range g.InArcs(id) {
-				if ctx.ArcDisabled[ai] {
-					continue
-				}
-				a := g.Arc(ai)
-				if a.Kind == graph.LaunchArc {
-					continue
-				}
-				for t := range tags[a.From] {
-					switch a.Unate() {
-					case library.PositiveUnate:
-						cur[key{t.clock, t.inv}] = true
-					case library.NegativeUnate:
-						cur[key{t.clock, !t.inv}] = true
-					default:
-						cur[key{t.clock, false}] = true
-						cur[key{t.clock, true}] = true
-					}
-				}
-			}
-		}
-		for _, gid := range genAt[id] {
-			gc := ctx.Clocks[gid]
-			masterID, ok := ctx.clockByName[gc.Def.Master]
-			if ok {
-				found := false
-				for t := range cur {
-					if t.clock == masterID {
-						found = true
-						if !gc.Def.Add {
-							delete(cur, t)
-						}
-					}
-				}
-				if found {
-					cur[key{gid, gc.Def.Invert}] = true
-				}
-			}
-		}
-		for _, cid := range rootAt[id] {
-			if !ctx.Consts[id].Known() && !ctx.NodeDisabled[id] {
-				cur[key{cid, false}] = true
-			}
-		}
-		// Justify every clock present; block the unjustified ones here.
-		// Visit keys in (clock, polarity) order: when several clocks are
-		// first blocked at the same node, the frontier order — and with it
-		// the merged SDC's set_clock_sense order — must not depend on map
-		// iteration.
-		keys := make([]key, 0, len(cur))
-		for t := range cur {
-			keys = append(keys, t)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].clock != keys[j].clock {
-				return keys[i].clock < keys[j].clock
-			}
-			return !keys[i].inv && keys[j].inv
-		})
-		blocked := map[ClockID]bool{}
-		for _, t := range keys {
-			if blocked[t.clock] {
-				delete(cur, t)
-				continue
-			}
-			name := ctx.Clocks[t.clock].Def.Name
-			if !justify(id, name) {
-				blocked[t.clock] = true
-				if _, seen := frontier[name]; !seen {
-					order = append(order, name)
-				}
-				frontier[name] = append(frontier[name], id)
-				delete(cur, t)
-			}
-		}
-		// A second sweep: blocking one polarity removes the other too.
-		for t := range cur {
-			if blocked[t.clock] {
-				delete(cur, t)
-			}
-		}
-		if len(cur) > 0 {
-			tags[id] = cur
-		}
-	}
-
-	out := make([]Frontier, 0, len(order))
-	for _, name := range order {
-		out = append(out, Frontier{Clock: name, Nodes: frontier[name]})
-	}
-	return out
+	// NewContext already ran this propagation unfiltered, so it cannot
+	// fail here.
+	_, frontiers, _ := ctx.clockNetwork(justify)
+	return frontiers
 }
 
 // FlowFrontier describes where unjustified launch-clock data flows must
@@ -161,6 +51,18 @@ func (ctx *Context) ExtraLaunchFlows(
 	seedJustify func(node graph.NodeID, clock string) bool,
 	arcJustify func(arc int32, clock string) bool,
 ) []FlowFrontier {
+	out, _ := ctx.launchFlows(seedJustify, arcJustify)
+	return out
+}
+
+// launchFlows is ExtraLaunchFlows' propagation. It also returns the
+// node×clock presence matrix of the justified flows: entry
+// id*len(ctx.Clocks)+c is set when clock c's data reaches node id. Nil
+// justifiers justify every flow.
+func (ctx *Context) launchFlows(
+	seedJustify func(node graph.NodeID, clock string) bool,
+	arcJustify func(arc int32, clock string) bool,
+) ([]FlowFrontier, []bool) {
 	g := ctx.G
 	// tags is a node×clock presence matrix: row id*nc..id*nc+nc-1 holds
 	// which launch clocks reach node id. Clock counts are tiny, so flat
@@ -193,8 +95,7 @@ func (ctx *Context) ExtraLaunchFlows(
 		}
 		cur := tags[int(id)*nc : int(id)*nc+nc]
 		addSeed := func(c ClockID) {
-			name := ctx.Clocks[c].Def.Name
-			if seedJustify(id, name) {
+			if seedJustify == nil || seedJustify(id, ctx.Clocks[c].Def.Name) {
 				cur[c] = true
 			} else {
 				noteClock(c)
@@ -221,10 +122,9 @@ func (ctx *Context) ExtraLaunchFlows(
 				if !tags[from+int(c)] {
 					continue
 				}
-				name := ctx.Clocks[c].Def.Name
 				outAttempt[from+int(c)]++
 				inAttempt[int(id)*nc+int(c)]++
-				if arcJustify(ai, name) {
+				if arcJustify == nil || arcJustify(ai, ctx.Clocks[c].Def.Name) {
 					cur[c] = true
 				} else {
 					noteClock(c)
@@ -289,39 +189,29 @@ func (ctx *Context) ExtraLaunchFlows(
 			out = append(out, f)
 		}
 	}
-	return out
+	return out, tags
 }
 
 // LaunchClockTable returns, for each requested clock name, a node-indexed
-// presence vector: whether data launched by that clock reaches the node
-// (full-design propagation). Unknown or empty names yield nil rows. One
-// pass over the cached tags replaces per-query entry scans — the merger's
-// flow justification asks this question once per arc per clock.
+// presence vector: whether data launched by that clock reaches the node,
+// projected from one unfiltered launchFlows run. Unknown or empty names
+// yield nil rows. The merger's flow justification asks this question
+// once per arc per clock, so it reads rows, not the propagation.
 func (ctx *Context) LaunchClockTable(names []string) [][]bool {
 	rows := make([][]bool, len(names))
-	rowsOf := make([][]int32, len(ctx.Clocks))
-	any := false
+	var tags []bool
+	nc := len(ctx.Clocks)
 	for i, name := range names {
-		if name == "" {
+		cid, ok := ctx.clockByName[name]
+		if !ok || name == "" {
 			continue
 		}
-		if cid, ok := ctx.clockByName[name]; ok {
-			rows[i] = make([]bool, ctx.G.NumNodes())
-			rowsOf[cid] = append(rowsOf[cid], int32(i))
-			any = true
+		if tags == nil {
+			_, tags = ctx.launchFlows(nil, nil)
 		}
-	}
-	if !any {
-		return rows
-	}
-	for id, m := range ctx.tags() {
-		for _, te := range m.entries {
-			if te.tag.launch == NoClock {
-				continue
-			}
-			for _, ri := range rowsOf[te.tag.launch] {
-				rows[ri][id] = true
-			}
+		rows[i] = make([]bool, ctx.G.NumNodes())
+		for id := range rows[i] {
+			rows[i][id] = tags[id*nc+int(cid)]
 		}
 	}
 	return rows
@@ -330,22 +220,6 @@ func (ctx *Context) LaunchClockTable(names []string) [][]bool {
 // ArcDisabledAt exposes arc liveness for the merger's cross-mode flow
 // justification (arc indices are shared across contexts on one graph).
 func (ctx *Context) ArcDisabledAt(ai int32) bool { return ctx.ArcDisabled[ai] }
-
-// ConstPortsNeverTiming returns input ports that are case-constant (so
-// they never launch data), used by the merger to infer set_disable_timing
-// when case statements are dropped.
-func (ctx *Context) ConstPortsNeverTiming() []string {
-	var out []string
-	for _, p := range ctx.G.Design.Ports {
-		if p.Dir != netlist.In {
-			continue
-		}
-		if id, ok := ctx.G.NodeByName(p.Name); ok && ctx.Consts[id].Known() {
-			out = append(out, p.Name)
-		}
-	}
-	return out
-}
 
 // ConstValueAt returns the case-analysis constant at a named node.
 func (ctx *Context) ConstValueAt(name string) (library.Logic, bool) {

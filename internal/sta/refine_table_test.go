@@ -22,7 +22,9 @@ import (
 //     out of existence — no phantom frontier for a clock that never forms;
 //   - disable vs. stop-sense choice: an arc or node already removed by
 //     set_disable_timing carries no clock, so refinement never asks for a
-//     stop_propagation there — the frontier stays empty.
+//     stop_propagation there — the frontier stays empty;
+//   - the context's own stop_propagation applies before justify: a clock
+//     the mode already stops is never refused past the stop.
 func TestExtraClocksTable(t *testing.T) {
 	const twoClocks = `
 create_clock -name clkA -period 10 [get_ports clk1]
@@ -142,6 +144,17 @@ set_disable_timing [get_pins mux1/Z]
 				"clkB": {"mux1/Z", "rZ/CP"},
 			},
 			want: map[string][]string{},
+		},
+		{
+			name: "own_stop_sense_precedes_justify",
+			// The mode stops clkA at the mux output, so rZ/CP never sees
+			// it and its refusal there must not reach the frontier; the
+			// refusal on the unstopped rX/CP branch still does.
+			src: twoClocks + `
+set_clock_sense -stop_propagation -clock [get_clocks clkA] [get_pins mux1/Z]
+`,
+			block: map[string][]string{"clkA": {"rZ/CP", "rX/CP"}},
+			want:  map[string][]string{"clkA": {"rX/CP"}},
 		},
 	}
 

@@ -268,13 +268,12 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 		return nil
 	}
 
-	tags := ctx.getTagArray()
-	touchedTags := ctx.propagateInto(propOpts{
+	tags, release := ctx.propagate(propOpts{
 		withStart:  true,
 		nodeFilter: cone,
 		seedFilter: func(s graph.NodeID) bool { return s == start },
-	}, tags)
-	defer ctx.putTagArray(tags, touchedTags)
+	})
+	defer release()
 
 	// Backward DP per exception: status[n][p] with p = progress after n.
 	// The DP for one matcher is independent of the others, so it computes

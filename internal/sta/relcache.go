@@ -15,9 +15,8 @@ import (
 // analysis results, so concurrent queries may race benignly (both sides
 // compute the same value; one store wins).
 //
-// It holds finished results only. Apart from the plain-tag propagation
-// (ctx.tags(), which LaunchClockTable, slack and trace read), no
-// propagation outlives the query that ran it:
+// It holds finished results only; no propagation outlives the query that
+// ran it (a Context keeps no data tags at all):
 //
 //   - pass1/startEnd hold per-endpoint relation maps, keyed by node id,
 //     filled by fillRelations. A fill propagates only over the union of
@@ -26,9 +25,8 @@ import (
 //     x→n with n ∈ bwd(end) puts x ∈ bwd(end) too), so a union of cones
 //     is backward-closed and a cone-restricted run leaves exactly the full
 //     run's tags at each of its endpoints, in the same first-insertion
-//     order. The same argument lets a pass-1 fill read the retained full
-//     tags instead when the context already holds them. A memo miss is a
-//     one-endpoint fill.
+//     order. The same argument lets TraceWorstArrival walk one
+//     endpoint's cone run. A memo miss is a one-endpoint fill.
 //   - through memoizes per-(start,end) pass-3 slices, each computed from a
 //     seeded cone propagation.
 //   - liveBwd memoizes each endpoint's live backward reach, which the
@@ -43,8 +41,6 @@ type relCache struct {
 	startEnd []atomic.Pointer[map[RelKey]relation.Set]
 	through  sync.Map // [2]graph.NodeID{start,end} → []ThroughRel
 	liveBwd  sync.Map // graph.NodeID end → []bool live backward reach
-
-	tagsReady atomic.Bool // ctx.tags() full propagation forced
 
 	hits, misses atomic.Int64
 }
@@ -93,15 +89,10 @@ func (ctx *Context) RelCacheStats() (hits, misses int64) {
 // EndpointRelationsAt returns the pass-1 relation map of one endpoint:
 // its path groups at endpoint granularity (Start "*"). A memo miss is a
 // one-endpoint FillEndpointRelations; callers querying many endpoints
-// fill them as one batch first. DisableRelationMemo rebuilds the map on
-// every call from the full propagation. The returned map is shared and
-// must not be mutated.
+// fill them as one batch first. DisableRelationMemo recomputes the map on
+// every call from a propagation restricted to the endpoint's fan-in cone.
+// The returned map is shared and must not be mutated.
 func (ctx *Context) EndpointRelationsAt(end graph.NodeID) map[RelKey]relation.Set {
-	if ctx.Opt.DisableRelationMemo {
-		out := map[RelKey]relation.Set{}
-		ctx.accumulateRelations(out, end, ctx.tags()[end], "*")
-		return out
-	}
 	return ctx.relationsAt(end, false)
 }
 
@@ -111,14 +102,15 @@ func (ctx *Context) EndpointRelationsAt(end graph.NodeID) map[RelKey]relation.Se
 // map on every call from a propagation restricted to the endpoint's
 // fan-in cone. The returned map is shared and must not be mutated.
 func (ctx *Context) StartEndRelations(end graph.NodeID) map[RelKey]relation.Set {
-	if ctx.Opt.DisableRelationMemo {
-		return ctx.relationMaps([]graph.NodeID{end}, true)[0]
-	}
 	return ctx.relationsAt(end, true)
 }
 
-// relationsAt recalls one endpoint's memoized map, filling it on a miss.
+// relationsAt recalls one endpoint's memoized map, filling it on a miss;
+// under DisableRelationMemo it computes the map afresh.
 func (ctx *Context) relationsAt(end graph.NodeID, startTracked bool) map[RelKey]relation.Set {
+	if ctx.Opt.DisableRelationMemo {
+		return ctx.relationMaps([]graph.NodeID{end}, startTracked)[0]
+	}
 	rc := ctx.relSlots()
 	slot := &rc.slots(startTracked)[end]
 	if p := slot.Load(); p != nil {
@@ -165,17 +157,9 @@ func (ctx *Context) fillRelations(ends []graph.NodeID, startTracked bool) {
 
 // relationMaps computes the relation maps of the given endpoints from one
 // propagation (start-tracked for pass 2) over the union of their cones.
-// A pass-1 computation reads the retained full tags instead when the
-// context already holds them.
 func (ctx *Context) relationMaps(ends []graph.NodeID, startTracked bool) []map[RelKey]relation.Set {
-	var tags []tagMap
-	if !startTracked && ctx.rel.tagsReady.Load() {
-		tags = ctx.dataTags
-	} else {
-		tags = ctx.getTagArray()
-		touched := ctx.propagateInto(propOpts{withStart: startTracked, nodeFilter: ctx.G.BackwardReach(ends)}, tags)
-		defer ctx.putTagArray(tags, touched)
-	}
+	tags, release := ctx.propagate(propOpts{withStart: startTracked, nodeFilter: ctx.G.BackwardReach(ends)})
+	defer release()
 	label := "*"
 	if startTracked {
 		label = ""

@@ -110,17 +110,30 @@ func relationDiffs(g *graph.Graph, ends []graph.NodeID, got func(i int) map[RelK
 	return out
 }
 
+// relationsFrom computes each endpoint's relation map of the pass from a
+// given tag lattice.
+func relationsFrom(ctx *Context, tags []tagMap, ends []graph.NodeID, startTracked bool) []map[RelKey]relation.Set {
+	label := "*"
+	if startTracked {
+		label = ""
+	}
+	out := make([]map[RelKey]relation.Set, len(ends))
+	for i, end := range ends {
+		out[i] = map[RelKey]relation.Set{}
+		ctx.accumulateRelations(out[i], end, tags[end], label)
+	}
+	return out
+}
+
 // TestFillRelationsIdentity pins the batch fill's identity argument for
 // both passes: one propagation over the union of fan-in cones yields, at
-// every endpoint, the same relation map as the DisableRelationMemo
-// reference (the full propagation for pass 1, the endpoint's own cone run
-// for pass 2). It covers fills over every endpoint and over a random
-// subset (the rest filled one at a time on query), on contexts with and
-// without retained full tags (forced by LaunchClockTable, which a pass-1
-// fill then reads). The negative control computes every endpoint's map
-// from a propagation restricted to one endpoint's cone; the comparison
-// must reject it. Pass 2 also checks through relations against the
-// uncached path.
+// every endpoint, the same relation map as one full propagation of the
+// pass. It covers fills over every endpoint and over a random subset (the
+// rest filled one at a time on query), and the DisableRelationMemo path
+// (one endpoint's cone per query). The negative control computes every
+// endpoint's map from a propagation restricted to one endpoint's cone;
+// the comparison must reject it. Pass 2 also checks through relations
+// against the uncached path.
 func TestFillRelationsIdentity(t *testing.T) {
 	for _, fx := range relationFixtures(t) {
 		fx := fx
@@ -139,67 +152,46 @@ func TestFillRelationsIdentity(t *testing.T) {
 					rng := rand.New(rand.NewSource(1))
 					for _, mode := range fx.modes {
 						slow := newCtx(mode, Options{DisableRelationMemo: true})
-						want := make([]map[RelKey]relation.Set, len(ends))
-						for i, end := range ends {
-							want[i] = pass.query(slow, end)
+						tags, release := slow.propagate(propOpts{withStart: pass.startTracked})
+						want := relationsFrom(slow, tags, ends, pass.startTracked)
+						release()
+
+						full := newCtx(mode, Options{})
+						pass.fill(full, ends)
+						if _, misses := full.RelCacheStats(); misses != int64(len(ends)) {
+							t.Fatalf("%s: fill over all %d endpoints recorded %d misses",
+								mode.Name, len(ends), misses)
 						}
+						var subset []graph.NodeID
+						for _, end := range ends {
+							if rng.Intn(3) == 0 {
+								subset = append(subset, end)
+							}
+						}
+						part := newCtx(mode, Options{})
+						pass.fill(part, subset)
 
-						for _, retained := range []bool{false, true} {
-							fresh := func() *Context {
-								ctx := newCtx(mode, Options{})
-								if retained {
-									ctx.LaunchClockTable(ctx.AllClockNames())
-									if !ctx.rel.tagsReady.Load() {
-										t.Fatalf("%s: LaunchClockTable did not force the full tags", mode.Name)
-									}
-								}
-								return ctx
+						for _, c := range []struct {
+							what string
+							ctx  *Context
+						}{{"full fill", full}, {"subset fill", part}, {"uncached query", slow}} {
+							got := func(i int) map[RelKey]relation.Set { return pass.query(c.ctx, ends[i]) }
+							if diff := relationDiffs(fx.g, ends, got, want); len(diff) > 0 {
+								t.Errorf("%s: %s differs from the full propagation at %v", mode.Name, c.what, diff)
 							}
-							full := fresh()
-							pass.fill(full, ends)
-							if _, misses := full.RelCacheStats(); misses != int64(len(ends)) {
-								t.Fatalf("%s retained=%v: fill over all %d endpoints recorded %d misses",
-									mode.Name, retained, len(ends), misses)
-							}
-							var subset []graph.NodeID
-							for _, end := range ends {
-								if rng.Intn(3) == 0 {
-									subset = append(subset, end)
-								}
-							}
-							part := fresh()
-							pass.fill(part, subset)
-
-							for _, c := range []struct {
-								what string
-								ctx  *Context
-							}{{"full", full}, {"subset", part}} {
-								got := func(i int) map[RelKey]relation.Set { return pass.query(c.ctx, ends[i]) }
-								if diff := relationDiffs(fx.g, ends, got, want); len(diff) > 0 {
-									t.Errorf("%s retained=%v: %s fill differs from the reference at %v",
-										mode.Name, retained, c.what, diff)
-								}
-							}
-							if hits, _ := full.RelCacheStats(); hits != int64(len(ends)) {
-								t.Errorf("%s retained=%v: %d of %d queries after the full fill were memo hits",
-									mode.Name, retained, hits, len(ends))
-							}
+						}
+						if hits, _ := full.RelCacheStats(); hits != int64(len(ends)) {
+							t.Errorf("%s: %d of %d queries after the full fill were memo hits",
+								mode.Name, hits, len(ends))
 						}
 
 						// Negative control: one cone's tags read at every
 						// endpoint must not pass the comparison.
-						label := "*"
-						if pass.startTracked {
-							label = ""
-						}
-						tags := slow.propagate(propOpts{withStart: pass.startTracked,
+						tags, release = slow.propagate(propOpts{withStart: pass.startTracked,
 							nodeFilter: fx.g.BackwardReach(ends[:1])})
-						control := func(i int) map[RelKey]relation.Set {
-							out := map[RelKey]relation.Set{}
-							slow.accumulateRelations(out, ends[i], tags[ends[i]], label)
-							return out
-						}
-						if diff := relationDiffs(fx.g, ends, control, want); len(diff) == 0 {
+						control := relationsFrom(slow, tags, ends, pass.startTracked)
+						release()
+						if diff := relationDiffs(fx.g, ends, func(i int) map[RelKey]relation.Set { return control[i] }, want); len(diff) == 0 {
 							t.Errorf("%s: a fill restricted to one cone passed the comparison", mode.Name)
 						}
 
@@ -210,6 +202,61 @@ func TestFillRelationsIdentity(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestLaunchClockTableIdentity checks LaunchClockTable's rows, projected
+// from the unfiltered launch-flow propagation, against launch-clock
+// presence read from one full data propagation. Requests include an
+// empty name, an unknown name and a repeated name. The negative control
+// reads presence from one endpoint's cone only; it must not match.
+func TestLaunchClockTableIdentity(t *testing.T) {
+	presence := func(ctx *Context, tags []tagMap, names []string) [][]bool {
+		rows := make([][]bool, len(names))
+		for i, name := range names {
+			cid, ok := ctx.ClockByName(name)
+			if !ok || name == "" {
+				continue
+			}
+			rows[i] = make([]bool, len(tags))
+			for id, m := range tags {
+				for _, te := range m.entries {
+					if te.tag.launch == cid {
+						rows[i][id] = true
+					}
+				}
+			}
+		}
+		return rows
+	}
+	for _, fx := range relationFixtures(t) {
+		for _, mode := range fx.modes {
+			ctx, err := NewContext(fx.g, mode, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clocks := ctx.AllClockNames()
+			names := append([]string{"", "no_such_clock"}, clocks...)
+			names = append(names, clocks[0])
+			got := ctx.LaunchClockTable(names)
+
+			tags, release := ctx.propagate(propOpts{})
+			want := presence(ctx, tags, names)
+			release()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: LaunchClockTable differs from the full propagation", fx.name, mode.Name)
+			}
+			if got[0] != nil || got[1] != nil {
+				t.Errorf("%s/%s: empty or unknown clock name got a row", fx.name, mode.Name)
+			}
+
+			tags, release = ctx.propagate(propOpts{nodeFilter: fx.g.BackwardReach(fx.g.Endpoints()[:1])})
+			control := presence(ctx, tags, names)
+			release()
+			if reflect.DeepEqual(control, want) {
+				t.Errorf("%s/%s: presence from one cone passed the comparison", fx.name, mode.Name)
+			}
+		}
 	}
 }
 

@@ -28,16 +28,19 @@ type EndpointResult struct {
 }
 
 // AnalyzeEndpoints computes worst setup and hold slack for every endpoint,
-// in parallel. Cancelling cx stops the worker pool between endpoints; the
-// returned slice is then partial (unvisited entries stay zero) and the
-// caller must consult cx.Err() before trusting it.
+// in parallel, from one full data propagation that it drops on return
+// (each call propagates afresh). Cancelling cx stops the worker pool
+// between endpoints; the returned slice is then partial (unvisited
+// entries stay zero) and the caller must consult cx.Err() before
+// trusting it.
 func (ctx *Context) AnalyzeEndpoints(cx context.Context) []EndpointResult {
 	sp := ctx.Opt.Span.Child("analyze_endpoints")
 	defer sp.Finish()
 	ends := ctx.G.Endpoints()
 	sp.Add("endpoints", int64(len(ends)))
 	results := make([]EndpointResult, len(ends))
-	tags := ctx.tags() // force propagation before fan-out
+	tags, release := ctx.propagate(propOpts{})
+	defer release()
 
 	// Results are index-addressed, so the shard fan-out is deterministic
 	// for any worker count; each shard reports under its own child span.

@@ -3,6 +3,7 @@ package sta
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -487,6 +488,34 @@ func TestTraceWorstArrival(t *testing.T) {
 	}
 	if p.String() == "" {
 		t.Error("empty rendering")
+	}
+
+	// The cone-restricted lattice must trace every endpoint exactly as
+	// one full propagation does.
+	for _, fx := range relationFixtures(t) {
+		if fx.name != "designE" {
+			continue
+		}
+		ctx, err := NewContext(fx.g, fx.modes[0], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags, release := ctx.propagate(propOpts{})
+		defer release()
+		traced := 0
+		for _, end := range fx.g.Endpoints() {
+			got, gotOK := ctx.TraceWorstArrival(end)
+			want, wantOK := ctx.traceWorst(tags, end)
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: cone trace differs from the full-propagation trace", fx.g.Node(end).Name)
+			}
+			if gotOK {
+				traced++
+			}
+		}
+		if traced == 0 {
+			t.Error("designE: no endpoint traced")
+		}
 	}
 }
 

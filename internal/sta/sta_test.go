@@ -649,14 +649,3 @@ func TestWarningsForUnknownExceptionObjects(t *testing.T) {
 		t.Errorf("rX/D = %v, want V", s)
 	}
 }
-
-func TestConstPortsNeverTiming(t *testing.T) {
-	ctx := ctxFor(t, `
-create_clock -name clkA -period 10 [get_ports clk1]
-set_case_analysis 0 [get_ports sel1]
-`)
-	ports := ctx.ConstPortsNeverTiming()
-	if len(ports) != 1 || ports[0] != "sel1" {
-		t.Errorf("const ports = %v, want [sel1]", ports)
-	}
-}

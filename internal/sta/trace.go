@@ -40,10 +40,19 @@ func (p *Path) String() string {
 }
 
 // TraceWorstArrival re-traces the maximum-arrival data path into an
-// endpoint by walking the tag lattice backwards. It returns false when no
-// clocked data reaches the endpoint.
+// endpoint by walking the tag lattice backwards. The lattice comes from a
+// transient propagation over the endpoint's fan-in cone, which leaves the
+// full run's tags at every cone node (see relcache.go), and the walk never
+// leaves the cone. It returns false when no clocked data reaches the
+// endpoint.
 func (ctx *Context) TraceWorstArrival(end graph.NodeID) (*Path, bool) {
-	tags := ctx.tags()
+	tags, release := ctx.propagate(propOpts{nodeFilter: ctx.G.BackwardReach([]graph.NodeID{end})})
+	defer release()
+	return ctx.traceWorst(tags, end)
+}
+
+// traceWorst is TraceWorstArrival over a given tag lattice.
+func (ctx *Context) traceWorst(tags []tagMap, end graph.NodeID) (*Path, bool) {
 	m := tags[end]
 	var worst dataTag
 	worstArr := math.Inf(-1)

@@ -145,6 +145,25 @@ func TestFacadeSingleCliqueMerge(t *testing.T) {
 	t.Fatal("fixture produced no multi-member clique")
 }
 
+// TestFacadeDuplicateModeNames: two modes with one name (say a/func.sdc
+// and b/func.sdc) cannot be told apart in the merged name, the report or
+// its provenance, so MergeAll and Merge must refuse them up front.
+func TestFacadeDuplicateModeNames(t *testing.T) {
+	design, modes := fixture(t)
+	dup, _, err := design.ParseMode(modes[0].Name, modemerge.WriteSDC(modes[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := []*modemerge.Mode{modes[0], dup}
+	want := `duplicate mode name "` + modes[0].Name + `"`
+	if _, _, _, err := modemerge.MergeAll(context.Background(), design, group, modemerge.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("MergeAll error = %v, want one containing %s", err, want)
+	}
+	if _, _, err := modemerge.Merge(context.Background(), design, group, modemerge.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Merge error = %v, want one containing %s", err, want)
+	}
+}
+
 // hierFixture loads the same structural design hierarchically, through
 // the public facade's Verilog round trip.
 func hierFixture(t *testing.T) (*modemerge.Design, []*modemerge.Mode) {
