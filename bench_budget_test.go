@@ -2,6 +2,7 @@ package modemerge
 
 import (
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -51,5 +52,44 @@ func TestLargeMergeBudget(t *testing.T) {
 	if best > time.Duration(budgetMS)*time.Millisecond {
 		t.Fatalf("large merge took %v, over the %d ms budget — data_refine hot path regressed "+
 			"(set MODEMERGE_PERF_BUDGET_MS to adjust on non-reference hardware)", best, budgetMS)
+	}
+}
+
+// largeMergeAllocBudget bounds the heap allocations (runtime.MemStats
+// Mallocs) of one untraced large merge at Parallelism 1. The count
+// hardly moves from run to run (75,724–75,741 over 4 runs before packed
+// relation keys), so unlike wall time it can gate on a 1–2 CPU runner.
+// With packed relation keys and inline singleton state sets the merge
+// makes 35,698 allocations (75,727 before); the budget is 1.15× that, so
+// a change that brings back per-group maps or per-set slices fails here
+// while run-to-run noise never does.
+const largeMergeAllocBudget = 41_053
+
+// TestLargeMergeAllocBudget counts the allocations of one untraced large
+// merge, best of 3 after a warm-up, against largeMergeAllocBudget. Under
+// -short and the race detector it is skipped: the race runtime allocates
+// differently.
+func TestLargeMergeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget not checked under -short")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	g, modes := obsBenchFixture(t, obsBenchSizes()[2]) // large
+	obsMergeOnce(t, g, modes, false, 1)
+
+	best := uint64(1<<64 - 1)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		obsMergeOnce(t, g, modes, false, 1)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("large merge best-of-3: %d allocations (budget %d)", best, largeMergeAllocBudget)
+	if best > largeMergeAllocBudget {
+		t.Fatalf("large merge made %d allocations, over the budget of %d — the §3.2 comparator "+
+			"or the relation fill allocates per path group again", best, largeMergeAllocBudget)
 	}
 }

@@ -53,7 +53,7 @@ set_false_path -through [get_pins and1/Z]
 	rels := ctx.EndpointRelations(context.Background())
 	fmt.Printf("%-8s %-8s %-8s %-8s %s\n", "Start", "End", "Launch", "Capture", "State")
 	for _, end := range []string{"rX/D", "rY/D", "rZ/D"} {
-		key := sta.RelKey{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
+		key := sta.RelName{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
 		state := "-"
 		if s, ok := rels[key]; ok {
 			state = s.String()
@@ -89,7 +89,7 @@ set_false_path -to rZ/D
 		"Start", "End", "Launch", "Capture", "Individual", "Merged", "Result")
 	var ambiguousEnds []string
 	for _, end := range []string{"rX/D", "rY/D", "rZ/D"} {
-		key := sta.RelKey{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
+		key := sta.RelName{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
 		indiv := combined(relA[key], relB[key])
 		merged := orFalse(relM[key])
 		result := compare(relA[key], relB[key], merged)
@@ -108,7 +108,9 @@ set_false_path -to rZ/D
 	var ambiguousPairs []sePair
 	for _, end := range ambiguousEnds {
 		endID, _ := g.NodeByName(end)
-		seA, seB, seM := ctxA.StartEndRelations(endID), ctxB.StartEndRelations(endID), ctxM.StartEndRelations(endID)
+		seA := ctxA.RelNames(ctxA.StartEndRelations(endID))
+		seB := ctxB.RelNames(ctxB.StartEndRelations(endID))
+		seM := ctxM.RelNames(ctxM.StartEndRelations(endID))
 		starts := map[string]bool{}
 		for k := range seM {
 			starts[k.Start] = true
@@ -119,7 +121,7 @@ set_false_path -to rZ/D
 		}
 		sort.Strings(order)
 		for _, start := range order {
-			key := sta.RelKey{Start: start, End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
+			key := sta.RelName{Start: start, End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
 			merged := orFalse(seM[key])
 			result := compare(seA[key], seB[key], merged)
 			if result == relation.Ambiguous {
@@ -137,13 +139,13 @@ set_false_path -to rZ/D
 	for _, p := range ambiguousPairs {
 		startID, _ := g.NodeByName(p.start)
 		endID, _ := g.NodeByName(p.end)
-		trA := indexThrough(ctxA.ThroughRelations(startID, endID))
-		trB := indexThrough(ctxB.ThroughRelations(startID, endID))
-		trM := indexThrough(ctxM.ThroughRelations(startID, endID))
+		trA := indexThrough(ctxA, ctxA.ThroughRelations(startID, endID))
+		trB := indexThrough(ctxB, ctxB.ThroughRelations(startID, endID))
+		trM := indexThrough(ctxM, ctxM.ThroughRelations(startID, endID))
 		// The paper inspects the divergence branches feeding the
 		// reconvergent gate.
 		for _, through := range []string{"and2/A", "inv3/A"} {
-			key := sta.RelKey{Start: p.start, End: p.end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
+			key := sta.RelName{Start: p.start, End: p.end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}
 			merged := orFalse(trM[through][key])
 			result := compare(trA[through][key], trB[through][key], merged)
 			fmt.Printf("%-8s %-10s %-8s %-8s %-8s %-12s %-12s %s\n",
@@ -255,11 +257,11 @@ func compare(a, b, merged relation.Set) relation.CompareResult {
 	return relation.Compare(target, merged)
 }
 
-// indexThrough maps through-relations by node name.
-func indexThrough(rels []sta.ThroughRel) map[string]map[sta.RelKey]relation.Set {
-	out := map[string]map[sta.RelKey]relation.Set{}
+// indexThrough maps through-relations by node name, keyed by name.
+func indexThrough(ctx *sta.Context, rels []sta.ThroughRel) map[string]map[sta.RelName]relation.Set {
+	out := map[string]map[sta.RelName]relation.Set{}
 	for _, tr := range rels {
-		out[tr.Name] = tr.States
+		out[tr.Name] = ctx.RelNames(tr.States)
 	}
 	return out
 }

@@ -300,6 +300,11 @@ type Merger struct {
 	// memo carries the data-refinement pass outcomes and pending
 	// exception tracking across refinement iterations (see refine.go).
 	memo refineMemo
+	// ids numbers the merged clocks for the §3.2 comparison; threePass
+	// builds it (see clockIDs).
+	ids *clockIDs
+	// excKeys indexes the merged mode's exceptions for addFalsePath.
+	excKeys excKeys
 
 	Report *Report
 }

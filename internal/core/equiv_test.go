@@ -110,7 +110,7 @@ func TestCheckEquivalencePass3Optimism(t *testing.T) {
 	if res.Equivalent() {
 		t.Fatalf("merged mode killing a member-timed branch passed as equivalent: %s", res)
 	}
-	want := "rC/CP -through and2/A-> rZ/D [clkA/clkA setup]: individual=V merged=FP"
+	want := "rC/CP -through and2/A -> rZ/D [clkA/clkA setup]: individual=V merged=FP"
 	if len(res.OptimisticMismatches) != 1 || res.OptimisticMismatches[0] != want {
 		t.Fatalf("optimistic mismatches = %q, want exactly [%q]", res.OptimisticMismatches, want)
 	}

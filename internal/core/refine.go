@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"modemerge/internal/graph"
@@ -335,114 +335,205 @@ func singleState(set relation.Set) (relation.State, bool) {
 // record tallies one classified group: the equivalence check's reading
 // of a verdict. An excess group is sign-off safe, so it counts as
 // pessimistic. through names the pass-3 through point ("" in passes 1
-// and 2).
-func (r *EquivalenceResult) record(v verdict, k sta.RelKey, through string, target, merged relation.State) {
+// and 2). Only an optimistic group's key is rendered with names.
+func (r *EquivalenceResult) record(mg *Merger, v verdict, k relKey, through string, target, merged relation.State) {
 	switch v {
 	case match:
 		r.MatchedGroups++
 	case pessimistic, excess:
 		r.PessimisticGroups++
 	case optimistic:
+		n := mg.relName(k)
+		path := n.Start + " -> " + n.End
 		if through != "" {
-			through = "-through " + through
+			path = n.Start + " -through " + through + " -> " + n.End
 		}
 		r.OptimisticMismatches = append(r.OptimisticMismatches,
-			fmt.Sprintf("%s %s-> %s [%s/%s %s]: individual=%s merged=%s",
-				k.Start, through, k.End, k.Launch, k.Capture, k.Check, target, merged))
+			fmt.Sprintf("%s [%s/%s %s]: individual=%s merged=%s",
+				path, n.Launch, n.Capture, n.Check, target, merged))
 	}
 }
 
-// mapRelKey rewrites a mode-local relation key into the merged clock
-// namespace.
-func (mg *Merger) mapRelKey(m int, k sta.RelKey) sta.RelKey {
-	k.Launch = mg.cmap.mapName(m, k.Launch)
-	k.Capture = mg.cmap.mapName(m, k.Capture)
-	return k
+// relKey is a path group in the merged namespace, all integers: graph
+// nodes for start and end (sta.AnyStart at pass 1) and merged clock ids
+// (see clockIDs).
+type relKey struct {
+	start, end      graph.NodeID
+	launch, capture int32
+	check           relation.CheckType
 }
 
-// gatherGroups aligns relation maps of all modes and the merged mode.
-// groupStates and their per-mode slices carve out of block arenas — one
-// gather allocates a handful of blocks instead of two tiny objects per
-// path group.
-func (mg *Merger) gatherGroups(perMode []map[sta.RelKey]relation.Set, merged map[sta.RelKey]relation.Set) map[sta.RelKey]*groupStates {
-	nModes := len(perMode) // one entry per scenario context, not per base mode
-	// First arena block sized to the expected group count (the merged map
-	// is normally the union key space); per-endpoint gathers hold a few
-	// dozen groups, so a fixed-size block would mostly be waste.
-	blockSize := len(merged) + 8
-	out := make(map[sta.RelKey]*groupStates, blockSize)
-	var gsArena []groupStates
-	var setArena []relation.Set
-	get := func(k sta.RelKey) *groupStates {
-		gs := out[k]
-		if gs == nil {
-			if len(gsArena) == 0 {
-				gsArena = make([]groupStates, blockSize)
-				setArena = make([]relation.Set, blockSize*nModes)
+// relRow is one context's relation row keyed in the merged namespace.
+type relRow struct {
+	key relKey
+	set relation.Set
+}
+
+// group is one path group's comparison input under its key.
+type group struct {
+	key relKey
+	groupStates
+}
+
+// clockIDs numbers the merged clock names in ascending order, so that
+// comparing two ids compares the names, and maps every context's local
+// clocks onto those ids: of[m] serves member context m and
+// of[len(ctxs)] the merged context.
+type clockIDs struct {
+	names []string  // merged clock name per id
+	of    [][]int32 // per context: local sta.ClockID → merged id
+}
+
+// newClockIDs builds the merge's clock ids through cmap.mapName, the
+// mapping the members' keys have always been compared under.
+func (mg *Merger) newClockIDs() *clockIDs {
+	local := make([][]string, len(mg.ctxs)+1)
+	for m, ctx := range mg.ctxs {
+		for _, c := range ctx.Clocks {
+			local[m] = append(local[m], mg.cmap.mapName(m, c.Def.Name))
+		}
+	}
+	local[len(mg.ctxs)] = mg.mctx.AllClockNames()
+	var names []string
+	for _, l := range local {
+		names = append(names, l...)
+	}
+	slices.Sort(names)
+	ids := &clockIDs{names: slices.Compact(names), of: make([][]int32, len(local))}
+	for c, l := range local {
+		ids.of[c] = make([]int32, len(l))
+		for i, name := range l {
+			id, _ := slices.BinarySearch(ids.names, name)
+			ids.of[c][i] = int32(id)
+		}
+	}
+	return ids
+}
+
+// relName renders a merged-namespace key with node and clock names.
+func (mg *Merger) relName(k relKey) sta.RelName {
+	return sta.RelName{
+		Start:   sta.NodeName(mg.g, k.start),
+		End:     sta.NodeName(mg.g, k.end),
+		Launch:  mg.ids.names[k.launch],
+		Capture: mg.ids.names[k.capture],
+		Check:   k.check,
+	}
+}
+
+// compareNodes orders nodes by name, sta.AnyStart first.
+func (mg *Merger) compareNodes(a, b graph.NodeID) int {
+	return cmp.Compare(sta.NodeRank(mg.g, a), sta.NodeRank(mg.g, b))
+}
+
+// compareKeys orders merged keys by (end, start, launch, capture, check)
+// with nodes and clocks compared by name: sta.SortRelNames' order on
+// the rendered keys.
+func (mg *Merger) compareKeys(a, b relKey) int {
+	if c := mg.compareNodes(a.end, b.end); c != 0 {
+		return c
+	}
+	if c := mg.compareNodes(a.start, b.start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.launch, b.launch); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.capture, b.capture); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.check, b.check)
+}
+
+// mapRows keys context c's relation rows in the merged namespace, in
+// compareKeys order. The merged context's rows arrive sorted, and so do
+// a member's unless the clock map reorders its names. Two local clocks
+// that map onto one merged clock make two rows with one key; their sets
+// union.
+func (mg *Merger) mapRows(c int, rows []sta.Rel) []relRow {
+	of := mg.ids.of[c]
+	out := make([]relRow, len(rows))
+	sorted := true
+	for i, r := range rows {
+		out[i] = relRow{
+			key: relKey{start: r.Key.Start, end: r.Key.End,
+				launch: of[r.Key.Launch], capture: of[r.Key.Capture], check: r.Key.Check},
+			set: r.States,
+		}
+		if i > 0 && mg.compareKeys(out[i-1].key, out[i].key) > 0 {
+			sorted = false
+		}
+	}
+	if !sorted {
+		slices.SortStableFunc(out, func(a, b relRow) int { return mg.compareKeys(a.key, b.key) })
+	}
+	w := 0
+	for _, r := range out {
+		if w > 0 && out[w-1].key == r.key {
+			out[w-1].set.AddSet(r.set)
+			continue
+		}
+		out[w] = r
+		w++
+	}
+	return out[:w]
+}
+
+// gatherGroups aligns the sorted rows of every member context (lists[m])
+// and of the merged context (the last list) into one group per key, in
+// key order: a merge of the sorted lists. The groups' per-mode sets
+// carve out of one arena.
+func (mg *Merger) gatherGroups(lists [][]relRow) []group {
+	nModes := len(lists) - 1
+	merged := lists[nModes]
+	out := make([]group, 0, len(merged)+8)
+	arena := make([]relation.Set, 0, (len(merged)+8)*nModes)
+	heads := make([]int, len(lists))
+	for {
+		var key relKey
+		found := false
+		for c, l := range lists {
+			if heads[c] < len(l) && (!found || mg.compareKeys(l[heads[c]].key, key) < 0) {
+				key, found = l[heads[c]].key, true
 			}
-			gs = &gsArena[0]
-			gsArena = gsArena[1:]
-			gs.perMode = setArena[:nModes:nModes]
-			setArena = setArena[nModes:]
-			out[k] = gs
 		}
-		return gs
-	}
-	for m, rels := range perMode {
-		for k, set := range rels {
-			mk := mg.mapRelKey(m, k)
-			gs := get(mk)
-			gs.perMode[m].AddSet(set)
+		if !found {
+			break
 		}
+		g := group{key: key}
+		for c, l := range lists {
+			var set relation.Set
+			if heads[c] < len(l) && l[heads[c]].key == key {
+				set = l[heads[c]].set
+				heads[c]++
+			}
+			if c == nModes {
+				g.merged = set
+			} else {
+				arena = append(arena, set)
+			}
+		}
+		out = append(out, g)
 	}
-	for k, set := range merged {
-		get(k).merged = set
+	for i := range out {
+		out[i].perMode = arena[i*nModes : (i+1)*nModes : (i+1)*nModes]
 	}
 	return out
-}
-
-// nameSet accumulates deduplicated names with deterministic extraction;
-// threePass collects the endpoints pass 1 forwards to pass 2 in it.
-type nameSet map[string]bool
-
-func (s nameSet) add(name string) { s[name] = true }
-
-// sorted returns the names in ascending order.
-func (s nameSet) sorted() []string {
-	out := make([]string, 0, len(s))
-	for name := range s {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sortedRelKeys extracts a relation (or group) map's keys in the
-// canonical end/start/launch/capture/check order, so per-endpoint
-// classification visits groups deterministically instead of in map
-// order.
-func sortedRelKeys[V any](m map[sta.RelKey]V) []sta.RelKey {
-	keys := make([]sta.RelKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sta.SortRelKeys(keys)
-	return keys
 }
 
 // epOutcome records one endpoint's complete pass-1 (or pass-2) effect in
 // an iteration that produced no fixes for it: the report-counter deltas
 // and the startpoints of its ambiguous groups, which it forwarded to the
-// next pass (pass-1 keys all start at "*"). An unaffected endpoint — not
-// forward-reachable from any exception added since — classifies
-// identically in the next iteration (member relations never change and
-// its merged relations are untouched), so the recorded outcome replays
-// without recomputing or even touching the relation maps. Endpoints that
-// produced fixes never replay: a fix's pins always include the endpoint
-// itself, so it lands in the invalidation frontier.
+// next pass (pass-1 keys all start at sta.AnyStart). An unaffected
+// endpoint — not forward-reachable from any exception added since —
+// classifies identically in the next iteration (member relations never
+// change and its merged relations are untouched), so the recorded
+// outcome replays without recomputing or even touching the relation
+// rows. Endpoints that produced fixes never replay: a fix's pins always
+// include the endpoint itself, so it lands in the invalidation frontier.
 type epOutcome struct {
 	ambiguous, mismatch, pessim int
-	forwardStarts               []string
+	forwardStarts               []graph.NodeID
 }
 
 // pairOutcome is the pass-3 analogue for one (start, end) pair that
@@ -513,12 +604,12 @@ func (mm *refineMemo) recordP3(pair [2]graph.NodeID, o *pairOutcome) {
 // error.
 func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceResult) (int, error) {
 	added := 0
+	mg.ids = mg.newClockIDs()
 
 	// ---- Pass 1: endpoint granularity ----
 	p1 := sp.Child("pass1")
-	ends := mg.g.Endpoints()
-	pass2 := nameSet{} // ambiguous endpoints forwarded to pass 2
-	n, err := mg.comparePass(cx, p1, ends, endpointPass{
+	var pass2Ends []graph.NodeID // ambiguous endpoints forwarded to pass 2
+	n, err := mg.comparePass(cx, p1, mg.g.Endpoints(), endpointPass{
 		idx:       0,
 		stage:     "data_refine/pass1",
 		rule:      "§3.2 pass-1 endpoint comparison",
@@ -526,7 +617,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 		relations: (*sta.Context).EndpointRelationsAt,
 		ambiguous: &mg.Report.Pass1Ambiguous,
 		mismatch:  &mg.Report.Pass1Mismatch,
-	}, res, func(end graph.NodeID, _ []string) { pass2.add(mg.g.Node(end).Name) })
+	}, res, func(end graph.NodeID, _ []graph.NodeID) { pass2Ends = append(pass2Ends, end) })
 	p1.Finish()
 	added += n
 	if err != nil {
@@ -535,19 +626,9 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 
 	// ---- Pass 2: startpoint–endpoint granularity ----
 	p2 := sp.Child("pass2")
-	pass2Ends := pass2.sorted()
-	pass2IDs := make([]graph.NodeID, len(pass2Ends))
-	for i, name := range pass2Ends {
-		id, ok := mg.g.NodeByName(name)
-		if !ok {
-			p2.Finish()
-			return added, fmt.Errorf("internal: endpoint %q not in graph", name)
-		}
-		pass2IDs[i] = id
-	}
-	type sePair struct{ start, end string }
-	pass3 := map[sePair]bool{}
-	n, err = mg.comparePass(cx, p2, pass2IDs, endpointPass{
+	slices.SortFunc(pass2Ends, mg.compareNodes)
+	var pairs [][2]graph.NodeID // (start, end) pairs forwarded to pass 3
+	n, err = mg.comparePass(cx, p2, pass2Ends, endpointPass{
 		idx:       1,
 		stage:     "data_refine/pass2",
 		rule:      "§3.2 pass-2 start-end comparison",
@@ -555,10 +636,9 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 		relations: (*sta.Context).StartEndRelations,
 		ambiguous: &mg.Report.Pass2Ambiguous,
 		mismatch:  &mg.Report.Pass2Mismatch,
-	}, res, func(end graph.NodeID, starts []string) {
-		name := mg.g.Node(end).Name
+	}, res, func(end graph.NodeID, starts []graph.NodeID) {
 		for _, start := range starts {
-			pass3[sePair{start, name}] = true
+			pairs = append(pairs, [2]graph.NodeID{start, end})
 		}
 	})
 	p2.Add("endpoints", int64(len(pass2Ends)))
@@ -571,53 +651,38 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 	// ---- Pass 3: through-point granularity ----
 	p3 := sp.Child("pass3")
 	defer p3.Finish()
-	var pairs []sePair
-	for p := range pass3 {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].start != pairs[j].start {
-			return pairs[i].start < pairs[j].start
+	slices.SortFunc(pairs, func(a, b [2]graph.NodeID) int {
+		if c := mg.compareNodes(a[0], b[0]); c != 0 {
+			return c
 		}
-		return pairs[i].end < pairs[j].end
+		return mg.compareNodes(a[1], b[1])
 	})
 	// Relations per pair compute in parallel; comparison and constraint
 	// emission stay sequential and deterministic.
 	type p3data struct {
 		perMode [][]sta.ThroughRel
 		merged  []sta.ThroughRel
-		ids     [2]graph.NodeID
 		replay  *pairOutcome
-		err     error
 	}
 	data := make([]p3data, len(pairs))
 	forEachParallel(cx, len(pairs), mg.opt.parallelism(), func(i int) {
-		startID, ok1 := mg.g.NodeByName(pairs[i].start)
-		endID, ok2 := mg.g.NodeByName(pairs[i].end)
-		if !ok1 || !ok2 {
-			data[i].err = fmt.Errorf("internal: pass-3 pair %s→%s not in graph", pairs[i].start, pairs[i].end)
-			return
-		}
-		data[i].ids = [2]graph.NodeID{startID, endID}
-		if o := mg.memo.p3Out[data[i].ids]; o != nil {
+		if o := mg.memo.p3Out[pairs[i]]; o != nil {
 			data[i].replay = o
 			return
 		}
+		start, end := pairs[i][0], pairs[i][1]
 		perMode := make([][]sta.ThroughRel, len(mg.ctxs))
 		for m, ctx := range mg.ctxs {
-			perMode[m] = ctx.ThroughRelations(startID, endID)
+			perMode[m] = ctx.ThroughRelations(start, end)
 		}
 		data[i].perMode = perMode
-		data[i].merged = mg.mctx.ThroughRelations(startID, endID)
+		data[i].merged = mg.mctx.ThroughRelations(start, end)
 	})
 	if err := cx.Err(); err != nil {
 		return added, err
 	}
 	p3Replayed := 0
-	for i := range pairs {
-		if data[i].err != nil {
-			return added, data[i].err
-		}
+	for i, pair := range pairs {
 		if o := data[i].replay; o != nil {
 			p3Replayed++
 			mg.Report.Pass3Mismatch += o.mismatch
@@ -625,12 +690,12 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 			continue
 		}
 		mis0, pes0 := mg.Report.Pass3Mismatch, mg.Report.PessimisticGroups
-		n := mg.pass3(data[i].ids, data[i].perMode, data[i].merged, res)
+		n := mg.pass3(pair, data[i].perMode, data[i].merged, res)
 		added += n
 		if n == 0 && res == nil {
 			// An emitting pair invalidates its own endpoint (the fix pins
 			// include it); only silent pairs are replayable.
-			mg.memo.recordP3(data[i].ids, &pairOutcome{
+			mg.memo.recordP3(pair, &pairOutcome{
 				mismatch: mg.Report.Pass3Mismatch - mis0,
 				pessim:   mg.Report.PessimisticGroups - pes0,
 			})
@@ -642,13 +707,13 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 }
 
 // endpointPass describes one of §3.2's two endpoint-keyed comparisons.
-// Passes 1 and 2 run the same loop and differ only in the relation maps
+// Passes 1 and 2 run the same loop and differ only in the relation rows
 // they fill and compare and in what an ambiguous group forwards.
 type endpointPass struct {
 	idx         int // refineMemo.epOut slot: 0 for pass 1, 1 for pass 2
 	stage, rule string
 	fill        func(ctx *sta.Context, ends []graph.NodeID)
-	relations   func(ctx *sta.Context, end graph.NodeID) map[sta.RelKey]relation.Set
+	relations   func(ctx *sta.Context, end graph.NodeID) []sta.Rel
 	// ambiguous and mismatch point at the pass's Report counters.
 	ambiguous, mismatch *int
 }
@@ -656,21 +721,20 @@ type endpointPass struct {
 // comparePass runs one endpoint-keyed pass over ends and returns how many
 // constraints it added (always 0 when classifying into res). When
 // refining, endpoints with an outcome recorded in the previous iteration
-// replay it without touching any relation map. Every context first fills
-// the maps of the endpoints without a replay (pass.fill, one batched
+// replay it without touching any relation row. Every context first fills
+// the rows of the endpoints without a replay (pass.fill, one batched
 // cone propagation), in parallel across contexts; the per-endpoint
-// gathers then run in parallel as memo reads. Classification and fix emission stay sequential, in ends
-// order with sorted keys, so emitted constraints, counters and res are
-// deterministic.
+// gathers then run in parallel as memo reads. Classification and fix
+// emission stay sequential, in ends order with groups in key order, so
+// emitted constraints, counters and res are deterministic.
 // forward receives each endpoint that has ambiguous groups, with their
 // startpoints in key order.
 func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.NodeID,
-	pass endpointPass, res *EquivalenceResult, forward func(end graph.NodeID, starts []string)) (int, error) {
+	pass endpointPass, res *EquivalenceResult, forward func(end graph.NodeID, starts []graph.NodeID)) (int, error) {
 	recorded := mg.memo.epOut[pass.idx]
 	type endpointWork struct {
 		replay *epOutcome
-		groups map[sta.RelKey]*groupStates
-		keys   []sta.RelKey
+		groups []group
 	}
 	var cold []graph.NodeID
 	for _, end := range ends {
@@ -686,12 +750,12 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 			work[i].replay = o
 			return
 		}
-		perMode := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
+		lists := make([][]relRow, len(mg.ctxs)+1)
 		for m, ctx := range mg.ctxs {
-			perMode[m] = pass.relations(ctx, end)
+			lists[m] = mg.mapRows(m, pass.relations(ctx, end))
 		}
-		work[i].groups = mg.gatherGroups(perMode, pass.relations(mg.mctx, end))
-		work[i].keys = sortedRelKeys(work[i].groups)
+		lists[len(mg.ctxs)] = mg.mapRows(len(mg.ctxs), pass.relations(mg.mctx, end))
+		work[i].groups = mg.gatherGroups(lists)
 	})
 	if err := cx.Err(); err != nil {
 		return 0, err
@@ -701,9 +765,8 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 	// closure checks only ever look up groups at the endpoints of the
 	// fixes themselves, and fix endpoints' groups are all present. Fixes
 	// accumulate across endpoints so the emission step can aggregate
-	// clock-pair kills into few constraints (keys are unique per
-	// endpoint, so merging the maps is safe).
-	groups := map[sta.RelKey]*groupStates{}
+	// clock-pair kills into few constraints.
+	groups := map[relKey]*groupStates{}
 	var fixes []fixEntry
 	nGroups, replayed := 0, 0
 	for i := range work {
@@ -714,29 +777,31 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 		} else {
 			o = &epOutcome{}
 			var endFixes []fixEntry
-			for _, key := range work[i].keys {
-				v, target, merged := work[i].groups[key].compare()
+			for _, g := range work[i].groups {
+				v, target, merged := g.compare()
 				switch {
 				case v == ambiguous:
 					o.ambiguous++
 					// Keys sort by start, so a repeated start is adjacent.
-					if n := len(o.forwardStarts); n == 0 || o.forwardStarts[n-1] != key.Start {
-						o.forwardStarts = append(o.forwardStarts, key.Start)
+					if n := len(o.forwardStarts); n == 0 || o.forwardStarts[n-1] != g.key.start {
+						o.forwardStarts = append(o.forwardStarts, g.key.start)
 					}
 				case res != nil:
-					res.record(v, key, "", target, merged)
+					res.record(mg, v, g.key, "", target, merged)
 				case v == pessimistic:
 					o.mismatch++
 					o.pessim++
 				case v == excess || v == optimistic:
 					o.mismatch++
-					endFixes = append(endFixes, fixEntry{key: key, state: target})
+					endFixes = append(endFixes, fixEntry{key: g.key, state: target})
 				}
 			}
-			nGroups += len(work[i].keys)
+			nGroups += len(work[i].groups)
 			if len(endFixes) > 0 {
 				fixes = append(fixes, endFixes...)
-				maps.Copy(groups, work[i].groups)
+				for j := range work[i].groups {
+					groups[work[i].groups[j].key] = &work[i].groups[j].groupStates
+				}
 			} else if res == nil {
 				// Fixless outcome: replayable next iteration while the
 				// endpoint stays outside the invalidation frontier.
@@ -762,7 +827,7 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 // a false path, Multicycle → a multicycle path, Max/MinDelay → a delay
 // bound).
 type fixEntry struct {
-	key   sta.RelKey
+	key   relKey
 	state relation.State
 }
 
@@ -802,12 +867,29 @@ func fixException(state relation.State, check relation.CheckType) *sdc.Exception
 //     {endpoints} -to [capture] when the fixed set is the full
 //     startpoints×endpoints cartesian product; otherwise one exception
 //     per startpoint carries exactly its endpoints.
-//   - Pass-1 entries (start "*") aggregate over endpoints only.
+//   - Pass-1 entries (start sta.AnyStart) aggregate over endpoints only.
 //   - Corrective setup and hold twins collapse into one unrestricted
 //     exception (see addFalsePath).
-func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates, stage, rule string) int {
+func (mg *Merger) emitFixes(fixes []fixEntry, groups map[relKey]*groupStates, stage, rule string) int {
 	if len(fixes) == 0 {
 		return 0
+	}
+	name := func(id graph.NodeID) string { return mg.g.Node(id).Name }
+	// byName lists a node set in name order.
+	byName := func(set map[graph.NodeID]bool) []graph.NodeID {
+		ids := make([]graph.NodeID, 0, len(set))
+		for id := range set {
+			ids = append(ids, id)
+		}
+		slices.SortFunc(ids, mg.compareNodes)
+		return ids
+	}
+	refs := func(ids []graph.NodeID) []sdc.ObjRef {
+		out := make([]sdc.ObjRef, 0, len(ids))
+		for _, id := range ids {
+			out = append(out, mg.objRefFor(name(id)))
+		}
+		return out
 	}
 
 	// Step 1: when every (launch, capture) pair the merged mode times
@@ -815,21 +897,21 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 	// target, one unscoped false path covers the whole group — the
 	// paper's "set_false_path -to rX/D" CSTR1 form. The check is safe
 	// here because `groups` contains every pair of the group.
-	type groupID struct{ start, end string }
-	fixedKeys := map[sta.RelKey]bool{}
+	type groupID struct{ start, end graph.NodeID }
+	fixedKeys := map[relKey]bool{}
 	for _, f := range fixes {
 		fixedKeys[f.key] = true
 	}
 	groupOK := map[groupID]bool{}
 	for _, f := range fixes {
 		if f.state == relation.StateFalse {
-			groupOK[groupID{f.key.Start, f.key.End}] = true
+			groupOK[groupID{f.key.start, f.key.end}] = true
 		}
 	}
 	// One pass over all groups: any validly timed, unfixed pair disables
 	// its (start, end) group.
 	for gk, gs := range groups {
-		gid := groupID{gk.Start, gk.End}
+		gid := groupID{gk.start, gk.end}
 		if ok, interesting := groupOK[gid]; !interesting || !ok {
 			continue
 		}
@@ -844,18 +926,18 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 	var rest []fixEntry
 	emittedGroup := map[groupID]bool{}
 	for _, f := range fixes {
-		gid := groupID{f.key.Start, f.key.End}
+		gid := groupID{f.key.start, f.key.end}
 		if f.state == relation.StateFalse && groupOK[gid] {
 			if !emittedGroup[gid] {
 				emittedGroup[gid] = true
 				e := &sdc.Exception{
 					Kind:    sdc.FalsePath,
 					From:    &sdc.PointList{},
-					To:      &sdc.PointList{Pins: []sdc.ObjRef{mg.objRefFor(gid.end)}},
+					To:      &sdc.PointList{Pins: refs([]graph.NodeID{gid.end})},
 					Comment: "inferred by relationship refinement",
 				}
-				if gid.start != "*" && gid.start != "" {
-					e.From = &sdc.PointList{Pins: []sdc.ObjRef{mg.objRefFor(gid.start)}}
+				if gid.start != sta.AnyStart {
+					e.From = &sdc.PointList{Pins: refs([]graph.NodeID{gid.start})}
 				}
 				mg.addFalsePath(e, stage, rule,
 					"every clock pair timed through this path group mismatches with a false target")
@@ -869,15 +951,17 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 	if len(fixes) == 0 {
 		return added
 	}
+	// Merged clock ids number the names in order, so aggregates sort by
+	// clock name.
 	type aggKey struct {
-		launch, capture string
+		launch, capture int32
 		check           relation.CheckType
 		state           relation.State
 	}
 	byAgg := map[aggKey][]fixEntry{}
 	var order []aggKey
 	for _, f := range fixes {
-		k := aggKey{f.key.Launch, f.key.Capture, f.key.Check, f.state}
+		k := aggKey{f.key.launch, f.key.capture, f.key.check, f.state}
 		if _, seen := byAgg[k]; !seen {
 			order = append(order, k)
 		}
@@ -897,22 +981,16 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 		return a.state.String() < b.state.String()
 	})
 
-	emit := func(k aggKey, starts, ends []string) {
+	// emit writes one exception over the given startpoints (none: the
+	// endpoint-granularity group) and endpoints.
+	emit := func(k aggKey, starts, ends []graph.NodeID) {
 		e := fixException(k.state, k.check)
-		e.From = &sdc.PointList{Clocks: []string{k.launch}}
-		e.To = &sdc.PointList{Clocks: []string{k.capture}}
+		e.From = &sdc.PointList{Clocks: []string{mg.ids.names[k.launch]}}
+		e.To = &sdc.PointList{Clocks: []string{mg.ids.names[k.capture]}}
 		if len(starts) > 0 {
-			refs := make([]sdc.ObjRef, 0, len(starts))
-			for _, s := range starts {
-				refs = append(refs, mg.objRefFor(s))
-			}
-			e.Throughs = append(e.Throughs, &sdc.PointList{Pins: refs})
+			e.Throughs = append(e.Throughs, &sdc.PointList{Pins: refs(starts)})
 		}
-		refs := make([]sdc.ObjRef, 0, len(ends))
-		for _, s := range ends {
-			refs = append(refs, mg.objRefFor(s))
-		}
-		e.Throughs = append(e.Throughs, &sdc.PointList{Pins: refs})
+		e.Throughs = append(e.Throughs, &sdc.PointList{Pins: refs(ends)})
 		mg.addFalsePath(e, stage, rule,
 			"merged mode relaxes the most restrictive individual-mode relation")
 		added++
@@ -920,48 +998,34 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 
 	for _, k := range order {
 		entries := byAgg[k]
-		starts := map[string]bool{}
-		ends := map[string]bool{}
-		pairs := map[[2]string]bool{}
+		starts := map[graph.NodeID]bool{}
+		ends := map[graph.NodeID]bool{}
+		pairs := map[groupID]bool{}
 		for _, f := range entries {
-			start := f.key.Start
-			if start == "*" {
-				start = ""
-			}
-			starts[start] = true
-			ends[f.key.End] = true
-			pairs[[2]string{start, f.key.End}] = true
+			starts[f.key.start] = true
+			ends[f.key.end] = true
+			pairs[groupID{f.key.start, f.key.end}] = true
 		}
-		sortedKeys := func(m map[string]bool) []string {
-			out := make([]string, 0, len(m))
-			for s := range m {
-				out = append(out, s)
-			}
-			sort.Strings(out)
-			return out
-		}
-		ss, es := sortedKeys(starts), sortedKeys(ends)
+		// The AnyStart of pass-1 entries sorts first, as "" sorts before
+		// every name.
+		ss, es := byName(starts), byName(ends)
 		// Cartesian closure: a pair absent from the fixes may still be
 		// safely covered when its path group either has no live paths
 		// (constraining nothing is harmless) or is already false in the
 		// merged mode. Only pairs the merged mode validly times exclude
 		// their startpoint from the aggregate.
-		closureSafe := func(s, e string) bool {
-			if pairs[[2]string{s, e}] {
+		closureSafe := func(s, e graph.NodeID) bool {
+			if pairs[groupID{s, e}] {
 				return true
 			}
-			start := s
-			if start == "" {
-				start = "*"
-			}
-			gk := sta.RelKey{Start: start, End: e, Launch: k.launch, Capture: k.capture, Check: k.check}
+			gk := relKey{start: s, end: e, launch: k.launch, capture: k.capture, check: k.check}
 			gs, exists := groups[gk]
 			if !exists {
 				return true // no such path group
 			}
 			return fixedKeys[gk] || !mergedTimes(gs)
 		}
-		var aggStarts, soloStarts []string
+		var aggStarts, soloStarts []graph.NodeID
 		for _, s := range ss {
 			ok := true
 			for _, e := range es {
@@ -977,7 +1041,7 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 			}
 		}
 		if len(aggStarts) > 0 {
-			if len(aggStarts) == 1 && aggStarts[0] == "" {
+			if len(aggStarts) == 1 && aggStarts[0] == sta.AnyStart {
 				emit(k, nil, es)
 			} else {
 				emit(k, aggStarts, es)
@@ -985,17 +1049,17 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 		}
 		// Startpoints with a validly timed pair keep exactly their own
 		// endpoints, grouped by identical endpoint signature.
-		bySig := map[string][]string{}
-		sigEnds := map[string][]string{}
+		bySig := map[string][]graph.NodeID{}
+		sigEnds := map[string][]graph.NodeID{}
 		var sigOrder []string
 		for _, s := range soloStarts {
-			var myEnds []string
+			var myEnds []graph.NodeID
 			for _, e := range es {
-				if pairs[[2]string{s, e}] {
+				if pairs[groupID{s, e}] {
 					myEnds = append(myEnds, e)
 				}
 			}
-			sig := strings.Join(myEnds, "\x00")
+			sig := fmt.Sprint(myEnds)
 			if _, seen := bySig[sig]; !seen {
 				sigOrder = append(sigOrder, sig)
 				sigEnds[sig] = myEnds
@@ -1004,7 +1068,7 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[sta.RelKey]*groupStates
 		}
 		for _, sig := range sigOrder {
 			group := bySig[sig]
-			if len(group) == 1 && group[0] == "" {
+			if len(group) == 1 && group[0] == sta.AnyStart {
 				emit(k, nil, sigEnds[sig])
 			} else {
 				emit(k, group, sigEnds[sig])
@@ -1026,21 +1090,57 @@ func (mg *Merger) addFalsePath(e *sdc.Exception, stage, rule, detail string) {
 			twin.SetupHold = sdc.MaxOnly
 		}
 		twinKey := twin.Key()
-		for i, have := range mg.merged.Exceptions {
-			if have.Key() == twinKey {
-				both := e.Clone()
-				both.SetupHold = sdc.MinMaxBoth
-				mg.merged.Exceptions[i] = both
-				mg.memo.pending = append(mg.memo.pending, both)
-				mg.provException(stage, rule, both, "", detail+" (merged with setup/hold twin)")
-				return
-			}
+		if i, ok := mg.excKeys.first(mg.merged, twinKey); ok {
+			both := e.Clone()
+			both.SetupHold = sdc.MinMaxBoth
+			mg.merged.Exceptions[i] = both
+			mg.excKeys.replaceFirst(twinKey, both)
+			mg.memo.pending = append(mg.memo.pending, both)
+			mg.provException(stage, rule, both, "", detail+" (merged with setup/hold twin)")
+			return
 		}
 	}
 	mg.merged.Exceptions = append(mg.merged.Exceptions, e)
 	mg.memo.pending = append(mg.memo.pending, e)
 	mg.Report.AddedFalsePaths++
 	mg.provException(stage, rule, e, "", detail)
+}
+
+// excKeys indexes a mode's exceptions by Key, so addFalsePath finds a
+// setup/hold twin without re-keying every exception per insertion. It
+// catches up with exceptions appended since its last use; in place, only
+// addFalsePath replaces an exception, and it reports that
+// (replaceFirst).
+type excKeys struct {
+	mode *sdc.Mode
+	n    int              // exceptions indexed so far
+	at   map[string][]int // key → positions, ascending
+}
+
+// first returns the position of the first exception of mode with key.
+func (ix *excKeys) first(mode *sdc.Mode, key string) (int, bool) {
+	if ix.mode != mode || ix.n > len(mode.Exceptions) {
+		*ix = excKeys{mode: mode, at: map[string][]int{}}
+	}
+	for ; ix.n < len(mode.Exceptions); ix.n++ {
+		k := mode.Exceptions[ix.n].Key()
+		ix.at[k] = append(ix.at[k], ix.n)
+	}
+	if at := ix.at[key]; len(at) > 0 {
+		return at[0], true
+	}
+	return 0, false
+}
+
+// replaceFirst re-indexes the first exception with key, as returned by
+// first, after it was replaced by e.
+func (ix *excKeys) replaceFirst(key string, e *sdc.Exception) {
+	i := ix.at[key][0]
+	ix.at[key] = ix.at[key][1:]
+	k := e.Key()
+	at := ix.at[k]
+	j, _ := slices.BinarySearch(at, i)
+	ix.at[k] = slices.Insert(at, j, i)
 }
 
 // rebuildMergedForRefine is the refinement loop's merged-context rebuild.
@@ -1127,22 +1227,19 @@ func (mg *Merger) affectedEndpoints(excs []*sdc.Exception) []bool {
 // check still classifies: the pair's own start and end, which carry the
 // whole pair group (pass 2's granularity), and merged nodes marked
 // Ambiguous. It returns how many constraints it added.
-func (mg *Merger) pass3(ids [2]graph.NodeID, perModeTR [][]sta.ThroughRel, mergedTR []sta.ThroughRel, res *EquivalenceResult) int {
-	// Member through relations per node, keys in the merged namespace.
-	perMode := make([]map[graph.NodeID]map[sta.RelKey]relation.Set, len(mg.ctxs))
-	for m := range mg.ctxs {
-		perMode[m] = make(map[graph.NodeID]map[sta.RelKey]relation.Set, len(perModeTR[m]))
-		for _, tr := range perModeTR[m] {
-			mapped := make(map[sta.RelKey]relation.Set, len(tr.States))
-			for k, set := range tr.States {
-				mapped[mg.mapRelKey(m, k)] = set
-			}
-			perMode[m][tr.Node] = mapped
+func (mg *Merger) pass3(pair [2]graph.NodeID, perModeTR [][]sta.ThroughRel, mergedTR []sta.ThroughRel, res *EquivalenceResult) int {
+	// Member through rows per node, mapped into the merged namespace
+	// when the merged mode times that node.
+	perMode := make([]map[graph.NodeID][]sta.Rel, len(mg.ctxs))
+	for m, trs := range perModeTR {
+		perMode[m] = make(map[graph.NodeID][]sta.Rel, len(trs))
+		for _, tr := range trs {
+			perMode[m][tr.Node] = tr.States
 		}
 	}
 
 	type fixKey struct {
-		launch, capture string
+		launch, capture int32
 		check           relation.CheckType
 		state           relation.State
 	}
@@ -1151,7 +1248,7 @@ func (mg *Merger) pass3(ids [2]graph.NodeID, perModeTR [][]sta.ThroughRel, merge
 	covered := map[fixKey][]bool{} // per key: nodes already downstream of a fix
 	// Clock pairs the merged mode times anywhere in this cone; when only
 	// one exists, emitted false paths can skip the clock scoping.
-	allPairs := map[[2]string]bool{}
+	allPairs := map[[2]int32]bool{}
 
 	markCovered := func(k fixKey, n graph.NodeID) {
 		reach := mg.g.ForwardReach([]graph.NodeID{n})
@@ -1167,28 +1264,32 @@ func (mg *Merger) pass3(ids [2]graph.NodeID, perModeTR [][]sta.ThroughRel, merge
 		}
 	}
 
-	gs := groupStates{perMode: make([]relation.Set, len(mg.ctxs))}
+	lists := make([][]relRow, len(mg.ctxs)+1)
 	for _, tr := range mergedTR {
 		n := tr.Node
-		if res == nil && (n == ids[0] || n == ids[1]) {
+		if res == nil && (n == pair[0] || n == pair[1]) {
 			continue
 		}
-		for _, k := range sortedRelKeys(tr.States) {
-			covKey := fixKey{launch: k.Launch, capture: k.Capture, check: k.Check}
-			allPairs[[2]string{k.Launch, k.Capture}] = true
+		for m := range mg.ctxs {
+			lists[m] = mg.mapRows(m, perMode[m][n])
+		}
+		lists[len(mg.ctxs)] = mg.mapRows(len(mg.ctxs), tr.States)
+		for _, g := range mg.gatherGroups(lists) {
+			if g.merged.Empty() {
+				continue // only groups the merged mode times through n
+			}
+			k := g.key
+			covKey := fixKey{launch: k.launch, capture: k.capture, check: k.check}
+			allPairs[[2]int32{k.launch, k.capture}] = true
 			if cov := covered[covKey]; cov != nil && cov[n] {
 				continue
 			}
-			for m := range perMode {
-				gs.perMode[m] = perMode[m][n][k]
-			}
-			gs.merged = tr.States[k]
-			v, target, merged := gs.compare()
+			v, target, merged := g.compare()
 			switch {
 			case v == ambiguous:
 				// Reconverging subclasses: a later node resolves them.
 			case res != nil:
-				res.record(v, k, tr.Name, target, merged)
+				res.record(mg, v, k, tr.Name, target, merged)
 			case tr.Ambiguous:
 				// Some exception matches only part of the through paths
 				// here: no fix at any of the node's groups.
@@ -1197,7 +1298,7 @@ func (mg *Merger) pass3(ids [2]graph.NodeID, perModeTR [][]sta.ThroughRel, merge
 			case v == excess || v == optimistic:
 				// Constrain paths through this node to the target state.
 				mg.Report.Pass3Mismatch++
-				fk := fixKey{k.Launch, k.Capture, k.Check, target}
+				fk := fixKey{k.launch, k.capture, k.check, target}
 				if len(chosen[fk]) == 0 {
 					chosenOrder = append(chosenOrder, fk)
 				}
@@ -1207,7 +1308,7 @@ func (mg *Merger) pass3(ids [2]graph.NodeID, perModeTR [][]sta.ThroughRel, merge
 		}
 	}
 
-	startName, endName := mg.g.Node(ids[0]).Name, mg.g.Node(ids[1]).Name
+	startName, endName := mg.g.Node(pair[0]).Name, mg.g.Node(pair[1]).Name
 	for _, fk := range chosenOrder {
 		e := fixException(fk.state, fk.check)
 		e.Comment = "inferred by pass-3 refinement"
@@ -1219,8 +1320,8 @@ func (mg *Merger) pass3(ids [2]graph.NodeID, perModeTR [][]sta.ThroughRel, merge
 			// its own launch/capture clocks (pins move into throughs).
 			e.Throughs = append([]*sdc.PointList{{Pins: e.From.Pins}}, e.Throughs...)
 			e.Throughs = append(e.Throughs, &sdc.PointList{Pins: e.To.Pins})
-			e.From = &sdc.PointList{Clocks: []string{fk.launch}}
-			e.To = &sdc.PointList{Clocks: []string{fk.capture}}
+			e.From = &sdc.PointList{Clocks: []string{mg.ids.names[fk.launch]}}
+			e.To = &sdc.PointList{Clocks: []string{mg.ids.names[fk.capture]}}
 		}
 		mg.addFalsePath(e, "data_refine/pass3", "§3.2 pass-3 through-point refinement",
 			"mismatch localized to through points inside the start-end cone")

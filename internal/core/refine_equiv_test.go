@@ -225,26 +225,3 @@ func TestSlowKnobCoverage(t *testing.T) {
 			eq["optimistic"], eq["pairs"])
 	}
 }
-
-// TestNameSet covers the nameSet helper that collects the endpoints pass
-// 1 forwards to pass 2: insertion deduplicates and extraction is sorted
-// regardless of insertion order.
-func TestNameSet(t *testing.T) {
-	s := nameSet{}
-	if got := s.sorted(); len(got) != 0 {
-		t.Fatalf("empty nameSet sorted = %v, want []", got)
-	}
-	for _, n := range []string{"z", "a", "m", "a", "z", "a"} {
-		s.add(n)
-	}
-	got := s.sorted()
-	want := []string{"a", "m", "z"}
-	if len(got) != len(want) {
-		t.Fatalf("sorted = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sorted = %v, want %v", got, want)
-		}
-	}
-}

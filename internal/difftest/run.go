@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"modemerge/internal/core"
 	"modemerge/internal/gen"
@@ -523,7 +522,7 @@ func checkPessimism(cx context.Context, tg *graph.Graph, members []*sdc.Mode, me
 
 	var details []string
 	count := 0
-	keys := make([]sta.RelKey, 0, len(relM))
+	keys := make([]sta.RelName, 0, len(relM))
 	for k := range relM {
 		keys = append(keys, k)
 	}
@@ -532,7 +531,7 @@ func checkPessimism(cx context.Context, tg *graph.Graph, members []*sdc.Mode, me
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return relKeyLess(keys[i], keys[j]) })
+	sta.SortRelNames(keys)
 	for _, k := range keys {
 		mset, mpresent := relM[k]
 		nset, npresent := relN[k]
@@ -568,7 +567,7 @@ func checkPessimism(cx context.Context, tg *graph.Graph, members []*sdc.Mode, me
 // endpoint granularity cannot order those, and the finer-granularity
 // passes own them.
 func checkConformity(cx context.Context, tg *graph.Graph, members []*sdc.Mode, merged *sdc.Mode) (Violation, bool) {
-	rels := make([]map[sta.RelKey]relation.Set, len(members))
+	rels := make([]map[sta.RelName]relation.Set, len(members))
 	for i, m := range members {
 		r, err := endpointRelations(cx, tg, m)
 		if err != nil {
@@ -611,11 +610,11 @@ func checkConformity(cx context.Context, tg *graph.Graph, members []*sdc.Mode, m
 
 	var details []string
 	count := 0
-	keys := make([]sta.RelKey, 0, len(relM))
+	keys := make([]sta.RelName, 0, len(relM))
 	for k := range relM {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return relKeyLess(keys[i], keys[j]) })
+	sta.SortRelNames(keys)
 	for _, k := range keys {
 		if st, seen := ends[k.End]; !seen || st != endDead {
 			continue
@@ -707,7 +706,7 @@ func single(s relation.Set, present bool) (relation.State, bool) {
 	return s.Single()
 }
 
-func endpointRelations(cx context.Context, tg *graph.Graph, m *sdc.Mode) (map[sta.RelKey]relation.Set, error) {
+func endpointRelations(cx context.Context, tg *graph.Graph, m *sdc.Mode) (map[sta.RelName]relation.Set, error) {
 	ctx, err := sta.NewContext(tg, m, sta.Options{})
 	if err != nil {
 		return nil, err
@@ -717,22 +716,6 @@ func endpointRelations(cx context.Context, tg *graph.Graph, m *sdc.Mode) (map[st
 		return nil, err
 	}
 	return rel, nil
-}
-
-func relKeyLess(a, b sta.RelKey) bool {
-	if a.End != b.End {
-		return a.End < b.End
-	}
-	if a.Launch != b.Launch {
-		return a.Launch < b.Launch
-	}
-	if a.Capture != b.Capture {
-		return a.Capture < b.Capture
-	}
-	if a.Check != b.Check {
-		return a.Check < b.Check
-	}
-	return a.Start < b.Start
 }
 
 func cap8(s []string) []string {

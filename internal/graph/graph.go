@@ -10,6 +10,8 @@ package graph
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"modemerge/internal/library"
@@ -120,6 +122,10 @@ type Graph struct {
 	// fp is the lazily computed content digest (see Fingerprint).
 	fpOnce sync.Once
 	fp     string
+
+	// nameRank is the lazily built node-name order (see NameRank).
+	rankOnce sync.Once
+	nameRank []int32
 }
 
 // Build constructs the timing graph for a design, precomputing wire-load
@@ -134,7 +140,8 @@ func Build(d *netlist.Design) (*Graph, error) {
 		return id
 	}
 
-	// Instance pin nodes, then port nodes.
+	// Instance pin nodes, then port nodes. One instance's pin nodes are
+	// consecutive, in pin order (see InstPin).
 	pinID := make(map[*netlist.Instance][]NodeID, len(d.Insts))
 	for _, inst := range d.Insts {
 		ids := make([]NodeID, len(inst.Cell.Pins))
@@ -318,10 +325,34 @@ func (g *Graph) Node(id NodeID) *Node { return &g.nodes[id] }
 // Arc returns the arc at index i.
 func (g *Graph) Arc(i int32) *Arc { return &g.arcs[i] }
 
+// InstPin returns the node of pin index pin of the instance that owns
+// the instance-pin node id.
+func (g *Graph) InstPin(id NodeID, pin int) NodeID {
+	return id - NodeID(g.nodes[id].Pin) + NodeID(pin)
+}
+
 // NodeByName resolves "inst/PIN" or a port name to a node.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
 	id, ok := g.byName[name]
 	return id, ok
+}
+
+// NameRank returns every node's position in ascending name order, built
+// on first use: comparing two nodes' ranks compares their names. The
+// slice is shared and must not be mutated.
+func (g *Graph) NameRank() []int32 {
+	g.rankOnce.Do(func() {
+		ids := make([]NodeID, len(g.nodes))
+		for i := range ids {
+			ids[i] = NodeID(i)
+		}
+		slices.SortFunc(ids, func(a, b NodeID) int { return strings.Compare(g.nodes[a].Name, g.nodes[b].Name) })
+		g.nameRank = make([]int32, len(ids))
+		for r, id := range ids {
+			g.nameRank[id] = int32(r)
+		}
+	})
+	return g.nameRank
 }
 
 // OutArcs returns indices of propagation arcs leaving the node.

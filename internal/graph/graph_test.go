@@ -254,3 +254,30 @@ func TestReachabilityMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestInstPinAndNameRank checks InstPin against the name lookup for every
+// pin of every instance, and that NameRank orders all nodes by name.
+func TestInstPinAndNameRank(t *testing.T) {
+	g := paperGraph(t)
+	for i := 0; i < g.NumNodes(); i++ {
+		n := g.Node(NodeID(i))
+		if n.Inst == nil {
+			continue
+		}
+		for pin := range n.Inst.Cell.Pins {
+			want, ok := g.NodeByName(n.Inst.PinName(pin))
+			if got := g.InstPin(NodeID(i), pin); !ok || got != want {
+				t.Errorf("InstPin(%s, %d) = %d, want %d", n.Name, pin, got, want)
+			}
+		}
+	}
+	rank := g.NameRank()
+	for a := 0; a < g.NumNodes(); a++ {
+		for b := 0; b < g.NumNodes(); b++ {
+			na, nb := g.Node(NodeID(a)).Name, g.Node(NodeID(b)).Name
+			if (rank[a] < rank[b]) != (na < nb) {
+				t.Fatalf("rank %s=%d, %s=%d disagrees with name order", na, rank[a], nb, rank[b])
+			}
+		}
+	}
+}

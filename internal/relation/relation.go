@@ -148,9 +148,17 @@ func Relaxed(merged, target State) bool {
 	return true // cycle-based merged vs delay-bounded target: optimistic
 }
 
-// Set is a small set of states.
+// Set is a small set of states in first-insertion order. The first state
+// is stored inline, so the zero (empty) set and a singleton allocate
+// nothing — most path groups hold one state. The states after the first
+// live in an overflow slice that is never appended to in place: Add
+// copies it, so a copied Set never sees another copy's additions.
 type Set struct {
-	states []State
+	has   bool // the first state is present
+	kind  Kind
+	mult  int
+	value float64
+	more  *[]State // states after the first; nil when there are none
 }
 
 // NewSet builds a set from states.
@@ -162,39 +170,77 @@ func NewSet(states ...State) Set {
 	return s
 }
 
+// first returns the inline state; valid only when s.has.
+func (s *Set) first() State { return State{Kind: s.kind, Mult: s.mult, Value: s.value} }
+
+// rest returns the states after the first.
+func (s *Set) rest() []State {
+	if s.more == nil {
+		return nil
+	}
+	return *s.more
+}
+
 // Add inserts a state if not present.
 func (s *Set) Add(st State) {
-	for _, have := range s.states {
-		if have == st {
-			return
-		}
+	if !s.has {
+		s.has, s.kind, s.mult, s.value = true, st.Kind, st.Mult, st.Value
+		return
 	}
-	s.states = append(s.states, st)
+	if s.Contains(st) {
+		return
+	}
+	rest := s.rest()
+	more := append(rest[:len(rest):len(rest)], st)
+	s.more = &more
 }
 
 // AddSet inserts every state of other.
 func (s *Set) AddSet(other Set) {
-	for _, st := range other.states {
+	if !other.has {
+		return
+	}
+	s.Add(other.first())
+	for _, st := range other.rest() {
 		s.Add(st)
 	}
 }
 
 // Len returns the number of distinct states.
-func (s Set) Len() int { return len(s.states) }
+func (s Set) Len() int {
+	if !s.has {
+		return 0
+	}
+	return 1 + len(s.rest())
+}
 
 // Empty reports whether the set has no states.
-func (s Set) Empty() bool { return len(s.states) == 0 }
+func (s Set) Empty() bool { return !s.has }
+
+// insertion returns the states in first-insertion order.
+func (s *Set) insertion() []State {
+	if !s.has {
+		return nil
+	}
+	return append([]State{s.first()}, s.rest()...)
+}
 
 // States returns the states sorted by restrictiveness (most first).
 func (s Set) States() []State {
-	out := append([]State(nil), s.states...)
+	out := s.insertion()
 	sort.Slice(out, func(i, j int) bool { return restrictRank(out[i]) < restrictRank(out[j]) })
 	return out
 }
 
 // Contains reports membership.
 func (s Set) Contains(st State) bool {
-	for _, have := range s.states {
+	if !s.has {
+		return false
+	}
+	if s.first() == st {
+		return true
+	}
+	for _, have := range s.rest() {
 		if have == st {
 			return true
 		}
@@ -204,18 +250,24 @@ func (s Set) Contains(st State) bool {
 
 // Single returns the only state, if the set is a singleton.
 func (s Set) Single() (State, bool) {
-	if len(s.states) == 1 {
-		return s.states[0], true
+	if s.has && s.more == nil {
+		return s.first(), true
 	}
 	return State{}, false
 }
 
 // Equal reports set equality (order independent).
 func (s Set) Equal(other Set) bool {
-	if len(s.states) != len(other.states) {
+	if s.Len() != other.Len() {
 		return false
 	}
-	for _, st := range s.states {
+	if !s.has {
+		return true
+	}
+	if !other.Contains(s.first()) {
+		return false
+	}
+	for _, st := range s.rest() {
 		if !other.Contains(st) {
 			return false
 		}
@@ -225,11 +277,15 @@ func (s Set) Equal(other Set) bool {
 
 // String renders the set in the paper's table notation ("FP, V").
 func (s Set) String() string {
-	if len(s.states) == 0 {
+	if !s.has {
 		return "-"
 	}
-	parts := make([]string, 0, len(s.states))
-	for _, st := range s.States() {
+	if s.more == nil {
+		return s.first().String()
+	}
+	states := s.States()
+	parts := make([]string, 0, len(states))
+	for _, st := range states {
 		parts = append(parts, st.String())
 	}
 	return strings.Join(parts, ", ")
@@ -249,25 +305,6 @@ func (c CheckType) String() string {
 		return "hold"
 	}
 	return "setup"
-}
-
-// Rel is one timing relationship row: the constraint states of all paths
-// in a group identified by the other fields. Start is "*" at endpoint
-// (pass 1) granularity; Through is set only at pass-3 granularity.
-type Rel struct {
-	Start   string
-	Through string
-	End     string
-	Launch  string // launch clock (merged-mode name space)
-	Capture string // capture clock
-	Check   CheckType
-	States  Set
-}
-
-// GroupKey identifies the path group independent of states.
-func (r *Rel) GroupKey() string {
-	return r.Start + "\x00" + r.Through + "\x00" + r.End + "\x00" +
-		r.Launch + "\x00" + r.Capture + "\x00" + r.Check.String()
 }
 
 // CompareResult is the outcome of comparing individual-mode and merged

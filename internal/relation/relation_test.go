@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestStateString(t *testing.T) {
@@ -153,18 +155,6 @@ func TestCompareResultString(t *testing.T) {
 	}
 }
 
-func TestRelGroupKey(t *testing.T) {
-	a := Rel{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: Setup}
-	b := Rel{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: Setup, States: NewSet(StateFalse)}
-	if a.GroupKey() != b.GroupKey() {
-		t.Error("states must not affect group key")
-	}
-	c := Rel{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: Hold}
-	if a.GroupKey() == c.GroupKey() {
-		t.Error("check type must affect group key")
-	}
-}
-
 func TestMergeTargetPaperSemantics(t *testing.T) {
 	// Path false in all modes → false in merged.
 	if got := MergeTarget([]State{StateFalse, StateFalse}); got != StateFalse {
@@ -230,5 +220,72 @@ func TestRelaxedSemantics(t *testing.T) {
 		if got := Relaxed(c.merged, c.target); got != c.want {
 			t.Errorf("Relaxed(%v, %v) = %v, want %v", c.merged, c.target, got, c.want)
 		}
+	}
+}
+
+// TestSetInline covers the inline-first layout: the zero set is empty,
+// Add deduplicates and keeps first-insertion order, Equal ignores order,
+// String renders 0–3 states, a copy never sees another copy's additions,
+// and a singleton costs no allocation.
+func TestSetInline(t *testing.T) {
+	if size := unsafe.Sizeof(Set{}); size > 32 {
+		t.Errorf("Set is %d bytes, want at most 32", size)
+	}
+	var zero Set
+	if !zero.Empty() || zero.Len() != 0 || zero.Contains(StateValid) || zero.String() != "-" {
+		t.Errorf("zero set: Empty=%v Len=%d String=%q", zero.Empty(), zero.Len(), zero.String())
+	}
+	if _, ok := zero.Single(); ok {
+		t.Error("zero set reported single")
+	}
+
+	var s Set
+	for _, st := range []State{MCP(2), StateFalse, MCP(2), StateValid, StateFalse, StateValid} {
+		s.Add(st)
+	}
+	if got, want := s.insertion(), []State{MCP(2), StateFalse, StateValid}; !reflect.DeepEqual(got, want) {
+		t.Errorf("insertion order %v, want %v", got, want)
+	}
+	if !s.Equal(NewSet(StateValid, MCP(2), StateFalse)) || s.Equal(NewSet(StateValid, MCP(2))) ||
+		s.Equal(NewSet(StateValid, MCP(2), MCP(3))) {
+		t.Error("Equal must compare contents, ignoring order")
+	}
+
+	for _, c := range []struct {
+		states []State
+		want   string
+	}{
+		{nil, "-"},
+		{[]State{StateFalse}, "FP"},
+		{[]State{StateFalse, StateValid}, "V, FP"},
+		{[]State{StateFalse, MCP(3), MaxDelay(2)}, "MAX(2), MCP(3), FP"},
+	} {
+		if got := NewSet(c.states...).String(); got != c.want {
+			t.Errorf("NewSet(%v).String() = %q, want %q", c.states, got, c.want)
+		}
+	}
+
+	a := NewSet(StateValid, StateFalse)
+	b := a
+	b.Add(MCP(2))
+	a.Add(MCP(3))
+	if a.Contains(MCP(2)) || b.Contains(MCP(3)) || a.Len() != 3 || b.Len() != 3 {
+		t.Errorf("copies share additions: a=%v b=%v", a, b)
+	}
+
+	single := NewSet(MCP(4))
+	if n := testing.AllocsPerRun(100, func() {
+		var x Set
+		x.Add(MCP(4))
+		x.Add(MCP(4))
+	}); n != 0 {
+		t.Errorf("singleton Add allocated %.1f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var x Set
+		x.AddSet(single)
+		x.AddSet(single)
+	}); n != 0 {
+		t.Errorf("singleton AddSet allocated %.1f times", n)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"modemerge/internal/graph"
@@ -112,6 +114,9 @@ type Context struct {
 
 	Clocks      []*ClockInfo
 	clockByName map[string]ClockID
+	// clockRank is each clock's position in ascending name order (ties
+	// by id); relation rows sort their clocks by it.
+	clockRank []int32
 
 	// Consts holds the case-analysis constant value per node.
 	Consts []library.Logic
@@ -231,6 +236,7 @@ func DeriveExceptionsOnly(prev *Context, mode *sdc.Mode, opt Options) *Context {
 		Opt:          opt,
 		Clocks:       prev.Clocks,
 		clockByName:  prev.clockByName,
+		clockRank:    prev.clockRank,
 		Consts:       prev.Consts,
 		ArcDisabled:  prev.ArcDisabled,
 		NodeDisabled: prev.NodeDisabled,
@@ -287,6 +293,17 @@ func (ctx *Context) resolveClocks() error {
 		}
 		ctx.Clocks = append(ctx.Clocks, info)
 		ctx.clockByName[def.Name] = id
+	}
+	byName := make([]ClockID, len(ctx.Clocks))
+	for i := range byName {
+		byName[i] = ClockID(i)
+	}
+	slices.SortStableFunc(byName, func(a, b ClockID) int {
+		return strings.Compare(ctx.Clocks[a].Def.Name, ctx.Clocks[b].Def.Name)
+	})
+	ctx.clockRank = make([]int32, len(byName))
+	for r, id := range byName {
+		ctx.clockRank[id] = int32(r)
 	}
 	// Latencies.
 	for _, lat := range ctx.Mode.ClockLatencies {
@@ -464,9 +481,26 @@ func (ctx *Context) disableCellArcs(inst *netlist.Instance, fromPin, toPin strin
 	}
 }
 
+// instPinValues returns a reader of the case constants of one instance's
+// pins by pin name, and the node it reads from: set *at to any pin node
+// of the instance before a call. One reader serves a whole pass, so
+// evaluating cell functions allocates nothing.
+func (ctx *Context) instPinValues() (at *graph.NodeID, value func(pinName string) library.Logic) {
+	at = new(graph.NodeID)
+	return at, func(pinName string) library.Logic {
+		for i, p := range ctx.G.Node(*at).Inst.Cell.Pins {
+			if p.Name == pinName {
+				return ctx.Consts[ctx.G.InstPin(*at, i)]
+			}
+		}
+		return library.LX
+	}
+}
+
 // propagateConstants computes case-analysis constants over the graph.
 func (ctx *Context) propagateConstants() {
 	g := ctx.G
+	at, pinValue := ctx.instPinValues()
 	for _, id := range g.Topo() {
 		if v, ok := ctx.forcedCase[id]; ok {
 			ctx.Consts[id] = v
@@ -480,17 +514,8 @@ func (ctx *Context) propagateConstants() {
 				ctx.Consts[id] = library.LX // sequential output
 				continue
 			}
-			inst := node.Inst
-			ctx.Consts[id] = fn.Eval(func(pinName string) library.Logic {
-				for i, p := range inst.Cell.Pins {
-					if p.Name == pinName {
-						if nid, ok := g.NodeByName(inst.PinName(i)); ok {
-							return ctx.Consts[nid]
-						}
-					}
-				}
-				return library.LX
-			})
+			*at = id
+			ctx.Consts[id] = fn.Eval(pinValue)
 		default:
 			// Input pin or port: value comes over net arcs from the
 			// driver.
@@ -513,6 +538,7 @@ func (ctx *Context) propagateConstants() {
 // an AND input gated by a constant 0 side input).
 func (ctx *Context) disableConstArcs() {
 	g := ctx.G
+	at, pinValue := ctx.instPinValues()
 	for i := int32(0); i < int32(g.NumArcs()); i++ {
 		a := g.Arc(i)
 		if a.Kind == graph.SetupArc || a.Kind == graph.HoldArc {
@@ -532,17 +558,8 @@ func (ctx *Context) disableConstArcs() {
 			continue
 		}
 		fromPin := inst.Cell.Pins[g.Node(a.From).Pin].Name
-		sensitive := fn.Sensitive(fromPin, func(pinName string) library.Logic {
-			for pi, p := range inst.Cell.Pins {
-				if p.Name == pinName {
-					if nid, ok := g.NodeByName(inst.PinName(pi)); ok {
-						return ctx.Consts[nid]
-					}
-				}
-			}
-			return library.LX
-		})
-		if !sensitive {
+		*at = a.To
+		if !fn.Sensitive(fromPin, pinValue) {
 			ctx.ArcDisabled[i] = true
 		}
 	}

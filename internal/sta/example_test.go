@@ -58,7 +58,7 @@ set_false_path -through [get_pins and1/Z]
 	}
 	rels := ctx.EndpointRelations(context.Background())
 	for _, end := range []string{"rX/D", "rY/D", "rZ/D"} {
-		key := sta.RelKey{Start: "*", End: end, Launch: "clkA", Capture: "clkA"}
+		key := sta.RelName{Start: "*", End: end, Launch: "clkA", Capture: "clkA"}
 		fmt.Printf("%s: %s\n", end, rels[key])
 	}
 	// Output:

@@ -361,10 +361,10 @@ func (s *excSet) aliveCandidates(vecID int32) []int32 {
 	return cands
 }
 
-// completed lists the exceptions fully matched for a path ending at end
-// with the given capture clock, data transition and check side.
-func (s *excSet) completed(vecID int32, end graph.NodeID, capture ClockID, trans sdc.EdgeSel, check relation.CheckType) []*sdc.Exception {
-	var out []*sdc.Exception
+// completed appends to out the exceptions fully matched for a path
+// ending at end with the given capture clock, data transition and check
+// side.
+func (s *excSet) completed(out []*sdc.Exception, vecID int32, end graph.NodeID, capture ClockID, trans sdc.EdgeSel, check relation.CheckType) []*sdc.Exception {
 	for _, i := range s.fullCandidates(vecID) {
 		m := &s.matchers[i]
 		if !m.appliesTo(check) {

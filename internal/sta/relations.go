@@ -1,9 +1,8 @@
 package sta
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -12,10 +11,31 @@ import (
 	"modemerge/internal/sdc"
 )
 
-// RelKey identifies one timing-relationship path group. Clock names are in
-// the context's local namespace; the merging core maps them into the
-// merged namespace before comparing across modes.
+// AnyStart is the Start of an endpoint-granularity (pass-1) key: the
+// group of all startpoints, rendered "*".
+const AnyStart graph.NodeID = -1
+
+// RelKey identifies one timing-relationship path group by integers:
+// graph nodes for its start and end, and clock ids of the context that
+// computed it. The merging core maps the clock ids into the merged
+// namespace before comparing across modes; names appear only when a key
+// is rendered (RelName).
 type RelKey struct {
+	Start, End      graph.NodeID // Start is AnyStart at endpoint granularity
+	Launch, Capture ClockID
+	Check           relation.CheckType
+}
+
+// Rel is one path group's relation row: its key and the constraint
+// states of all its paths.
+type Rel struct {
+	Key    RelKey
+	States relation.Set
+}
+
+// RelName is a relation key rendered with node and clock names, the form
+// it takes once it leaves the engine.
+type RelName struct {
 	Start   string // "*" at endpoint granularity
 	End     string
 	Launch  string
@@ -23,17 +43,73 @@ type RelKey struct {
 	Check   relation.CheckType
 }
 
+// NodeName renders a relation key's node: its name, or "*" for AnyStart.
+func NodeName(g *graph.Graph, id graph.NodeID) string {
+	if id == AnyStart {
+		return "*"
+	}
+	return g.Node(id).Name
+}
+
+// NodeRank orders relation-key nodes by name, AnyStart first.
+func NodeRank(g *graph.Graph, id graph.NodeID) int32 {
+	if id == AnyStart {
+		return -1
+	}
+	return g.NameRank()[id]
+}
+
+// RelName renders a key of this context with its node and clock names.
+func (ctx *Context) RelName(k RelKey) RelName {
+	return RelName{
+		Start:   NodeName(ctx.G, k.Start),
+		End:     NodeName(ctx.G, k.End),
+		Launch:  ctx.Clocks[k.Launch].Def.Name,
+		Capture: ctx.Clocks[k.Capture].Def.Name,
+		Check:   k.Check,
+	}
+}
+
+// RelNames renders relation rows of this context as a name-keyed map.
+func (ctx *Context) RelNames(rows []Rel) map[RelName]relation.Set {
+	out := make(map[RelName]relation.Set, len(rows))
+	for _, r := range rows {
+		out[ctx.RelName(r.Key)] = r.States
+	}
+	return out
+}
+
+// compareRelKeys orders keys by (End, Start, Launch, Capture, Check)
+// with nodes and clocks compared by name — SortRelNames' order on the
+// rendered keys. Every row slice the context returns is in this order.
+func (ctx *Context) compareRelKeys(a, b RelKey) int {
+	if c := cmp.Compare(NodeRank(ctx.G, a.End), NodeRank(ctx.G, b.End)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(NodeRank(ctx.G, a.Start), NodeRank(ctx.G, b.Start)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ctx.clockRank[a.Launch], ctx.clockRank[b.Launch]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ctx.clockRank[a.Capture], ctx.clockRank[b.Capture]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Check, b.Check)
+}
+
 // EndpointRelations computes pass-1 timing relationships: for every
 // endpoint and (launch clock, capture clock, check side), the set of
-// constraint states over all paths reaching it. Path groups with no live
-// paths are absent; callers treat absence as "not timed" (false).
+// constraint states over all paths reaching it, keyed by name. Path
+// groups with no live paths are absent; callers treat absence as "not
+// timed" (false).
 //
-// It is one FillEndpointRelations over every endpoint followed by map
-// assembly, so repeated calls across refinement iterations are pure
-// assembly from the context's relation memo (relcache.go). Cancelling cx
-// aborts the assembly early; the returned map is then partial and the
-// caller must consult cx.Err() before trusting it.
-func (ctx *Context) EndpointRelations(cx context.Context) map[RelKey]relation.Set {
+// It is one FillEndpointRelations over every endpoint followed by
+// rendering the memoized rows (relcache.go), so repeated calls are pure
+// rendering. Cancelling cx aborts the rendering early; the returned map
+// is then partial and the caller must consult cx.Err() before trusting
+// it.
+func (ctx *Context) EndpointRelations(cx context.Context) map[RelName]relation.Set {
 	sp := ctx.Opt.Span.Child("endpoint_relations")
 	defer sp.Finish()
 	ends := ctx.G.Endpoints()
@@ -45,106 +121,164 @@ func (ctx *Context) EndpointRelations(cx context.Context) map[RelKey]relation.Se
 		sp.Add("cache_misses", misses1-misses0)
 	}()
 	ctx.FillEndpointRelations(ends)
-	out := map[RelKey]relation.Set{}
+	out := map[RelName]relation.Set{}
 	for _, end := range ends {
 		if cx.Err() != nil {
 			return out
 		}
-		maps.Copy(out, ctx.EndpointRelationsAt(end))
+		for _, r := range ctx.EndpointRelationsAt(end) {
+			out[ctx.RelName(r.Key)] = r.States
+		}
 	}
 	sp.Add("path_groups", int64(len(out)))
 	return out
 }
 
-// accumulateRelations folds one endpoint's tags into relation sets.
-// startLabel overrides the start field ("*" for pass 1); when empty the
-// tag's tracked startpoint name is used.
+// captureClocks appends to dst the distinct clocks that capture at end,
+// in clock-name order. A clock can capture on both edges; relation
+// states depend on the clock alone, so its two tags share one row.
+func (ctx *Context) captureClocks(dst []ClockID, end graph.NodeID) []ClockID {
+	for _, ct := range ctx.CaptureClocksAt(end) {
+		if !slices.Contains(dst, ct.Clock) {
+			dst = append(dst, ct.Clock)
+		}
+	}
+	slices.SortFunc(dst, func(a, b ClockID) int { return cmp.Compare(ctx.clockRank[a], ctx.clockRank[b]) })
+	return dst
+}
+
+// relFolder folds endpoints' tags into relation rows. Its scratch state
+// is reused from one endpoint to the next, and the rows it returns carve
+// out of shared chunks, so a fill over many endpoints allocates a few
+// chunks rather than a dozen objects per endpoint.
+type relFolder struct {
+	ctx          *Context
+	startTracked bool
+
+	captures []ClockID
+	gidOf    map[relGroup]int32
+	order    []relGroup
+	counts   []int32
+	entryGid []int32
+	idxArena []int32
+	groupIdx [][]int32
+	sorted   []int32
+	// rowAt memoizes, per distinct (vec, trans), the offset in states of
+	// the winner state for every (capture, check) combination.
+	rowAt   map[rowKey]int32
+	states  []relation.State
+	rows    []int32 // scratch: one group's row offsets
+	winners []*sdc.Exception
+
+	chunk []Rel // the rest of the current output chunk
+}
+
+// relGroup is a (startpoint, launch clock) pair: every key of one group
+// shares them.
+type relGroup struct {
+	start  graph.NodeID
+	launch ClockID
+}
+
+type rowKey struct {
+	vec   int32
+	trans sdc.EdgeSel
+}
+
+var relChecks = [2]relation.CheckType{relation.Setup, relation.Hold}
+
+func (ctx *Context) newRelFolder(startTracked bool) *relFolder {
+	return &relFolder{ctx: ctx, startTracked: startTracked,
+		gidOf: map[relGroup]int32{}, rowAt: map[rowKey]int32{}}
+}
+
+// take returns an empty slice with capacity n from the output chunk,
+// starting a new chunk when the current one is too small.
+func (f *relFolder) take(n int) []Rel {
+	if n == 0 {
+		return nil
+	}
+	if len(f.chunk) < n {
+		f.chunk = make([]Rel, max(n, 512))
+	}
+	out := f.chunk[:0:n]
+	f.chunk = f.chunk[n:]
+	return out
+}
+
+// fold folds one endpoint's tags into relation rows in compareRelKeys
+// order. Without startTracked every key's start is AnyStart (pass 1);
+// with it, the tag's tracked startpoint (pass 2).
 //
 // Entries group by (startpoint, launch clock) first: a relation key is a
 // function of exactly that pair (plus the loop's capture/check), so each
-// key's state set folds from one group — with a single map write per key
-// instead of a read-modify-write per tag entry, and with the
-// completed()/Winner computation memoized per (vec, trans, capture,
-// check), which start-tracked tag sets repeat heavily across startpoints.
-// States still Add in tag-entry order within the group, so every set's
-// first-insertion order — and thus Set.String() everywhere downstream —
-// is byte-identical to the naive per-entry fold.
-func (ctx *Context) accumulateRelations(out map[RelKey]relation.Set, end graph.NodeID, m tagMap, startLabel string) {
+// key's state set folds from one group, with the completed()/Winner
+// computation memoized per (vec, trans, capture, check), which
+// start-tracked tag sets repeat heavily across startpoints. States Add
+// in tag-entry order within the group, so every set's first-insertion
+// order is that of the naive per-entry fold.
+func (f *relFolder) fold(end graph.NodeID, m tagMap) []Rel {
 	if len(m.entries) == 0 {
-		return
+		return nil
 	}
-	endName := ctx.G.Node(end).Name
-	captures := ctx.CaptureClocksAt(end)
-	// Group key: the tag's startpoint, or one shared bucket when
-	// startLabel overrides it (distinct startpoints would collapse onto
-	// the same relation key, and splitting them could reorder state
-	// insertion).
-	type groupKey struct {
-		start  graph.NodeID
-		launch ClockID
-	}
+	ctx := f.ctx
+	f.captures = ctx.captureClocks(f.captures[:0], end)
+	captures := f.captures
 	// Two-pass grouping into one exact-size index arena: assign each
-	// entry a dense group id, count, then fill — no per-group slice
-	// growth. Group order is first-appearance order, entry order is
-	// preserved within each group.
-	gidOf := make(map[groupKey]int32)
-	var order []groupKey
-	var counts []int32
-	entryGid := make([]int32, len(m.entries))
+	// entry a dense group id, count, then fill. Entry order is preserved
+	// within each group.
+	clear(f.gidOf)
+	f.order, f.counts = f.order[:0], f.counts[:0]
+	f.entryGid = slices.Grow(f.entryGid[:0], len(m.entries))[:len(m.entries)]
 	used := 0
 	for i := range m.entries {
 		tag := m.entries[i].tag
 		if tag.launch == NoClock {
-			entryGid[i] = -1
+			f.entryGid[i] = -1
 			continue
 		}
-		gk := groupKey{start: tag.start, launch: tag.launch}
-		if startLabel != "" {
-			gk.start = -2
+		gk := relGroup{start: AnyStart, launch: tag.launch}
+		if f.startTracked && tag.start >= 0 {
+			gk.start = tag.start
 		}
-		gid, seen := gidOf[gk]
+		gid, seen := f.gidOf[gk]
 		if !seen {
-			gid = int32(len(order))
-			gidOf[gk] = gid
-			order = append(order, gk)
-			counts = append(counts, 0)
+			gid = int32(len(f.order))
+			f.gidOf[gk] = gid
+			f.order = append(f.order, gk)
+			f.counts = append(f.counts, 0)
 		}
-		entryGid[i] = gid
-		counts[gid]++
+		f.entryGid[i] = gid
+		f.counts[gid]++
 		used++
 	}
-	idxArena := make([]int32, used)
-	groupIdx := make([][]int32, len(order))
-	{
-		off := int32(0)
-		for gid, c := range counts {
-			groupIdx[gid] = idxArena[off : off : off+c]
-			off += c
-		}
-		for i, gid := range entryGid {
-			if gid >= 0 {
-				groupIdx[gid] = append(groupIdx[gid], int32(i))
-			}
+	f.idxArena = slices.Grow(f.idxArena[:0], used)[:used]
+	f.groupIdx = slices.Grow(f.groupIdx[:0], len(f.order))[:len(f.order)]
+	off := int32(0)
+	for gid, c := range f.counts {
+		f.groupIdx[gid] = f.idxArena[off : off : off+c]
+		off += c
+	}
+	for i, gid := range f.entryGid {
+		if gid >= 0 {
+			f.groupIdx[gid] = append(f.groupIdx[gid], int32(i))
 		}
 	}
-	// stateRow memoizes, per distinct (vec, trans), the winner state for
+	// rowOf memoizes, per distinct (vec, trans), the winner state for
 	// every (capture, check) combination — one map lookup per tag entry
 	// in the fold below instead of one per combination.
-	checks := [2]relation.CheckType{relation.Setup, relation.Hold}
-	type rowKey struct {
-		vec   int32
-		trans sdc.EdgeSel
-	}
-	rowMemo := make(map[rowKey][]relation.State)
-	stateRow := func(vec int32, trans sdc.EdgeSel) []relation.State {
+	clear(f.rowAt)
+	f.states = f.states[:0]
+	rowOf := func(vec int32, trans sdc.EdgeSel) int32 {
 		k := rowKey{vec: vec, trans: trans}
-		if row, ok := rowMemo[k]; ok {
-			return row
+		if at, ok := f.rowAt[k]; ok {
+			return at
 		}
-		row := make([]relation.State, 2*len(captures))
-		for ci, ct := range captures {
-			for hi, check := range checks {
-				winner := sdc.Winner(ctx.exc.completed(vec, end, ct.Clock, trans, check))
+		at := int32(len(f.states))
+		for _, capture := range captures {
+			for _, check := range relChecks {
+				f.winners = ctx.exc.completed(f.winners[:0], vec, end, capture, trans, check)
+				winner := sdc.Winner(f.winners)
 				st := stateOf(winner)
 				if winner != nil {
 					// Normalize kinds that do not apply to this side.
@@ -155,46 +289,52 @@ func (ctx *Context) accumulateRelations(out map[RelKey]relation.Set, end graph.N
 						st = relation.StateValid
 					}
 				}
-				row[2*ci+hi] = st
+				f.states = append(f.states, st)
 			}
 		}
-		rowMemo[k] = row
-		return row
+		f.rowAt[k] = at
+		return at
 	}
-	var rows [][]relation.State // scratch, reused across groups
-	for gi, gk := range order {
-		start := startLabel
-		if start == "" {
-			if gk.start < 0 {
-				start = "*"
-			} else {
-				start = ctx.G.Node(gk.start).Name
-			}
+	// Groups in key order: captures are already in clock-name order and
+	// checks in Check order, so the rows come out sorted.
+	f.sorted = f.sorted[:0]
+	for i := range f.order {
+		f.sorted = append(f.sorted, int32(i))
+	}
+	slices.SortFunc(f.sorted, func(a, b int32) int {
+		ka, kb := f.order[a], f.order[b]
+		if c := cmp.Compare(NodeRank(ctx.G, ka.start), NodeRank(ctx.G, kb.start)); c != 0 {
+			return c
 		}
-		launchName := ctx.Clocks[gk.launch].Def.Name
-		idxs := groupIdx[gi]
-		rows = rows[:0]
-		for _, i := range idxs {
+		return cmp.Compare(ctx.clockRank[ka.launch], ctx.clockRank[kb.launch])
+	})
+	out := f.take(len(f.order) * len(captures) * len(relChecks))
+	for _, gi := range f.sorted {
+		gk := f.order[gi]
+		f.rows = f.rows[:0]
+		for _, i := range f.groupIdx[gi] {
 			tag := m.entries[i].tag
-			rows = append(rows, stateRow(tag.vec, tag.trans))
+			f.rows = append(f.rows, rowOf(tag.vec, tag.trans))
 		}
-		for ci, ct := range captures {
-			capName := ctx.Clocks[ct.Clock].Def.Name
-			excl := ctx.Exclusive(gk.launch, ct.Clock)
-			for hi, check := range checks {
-				key := RelKey{Start: start, End: endName, Launch: launchName, Capture: capName, Check: check}
-				set := out[key]
+		for ci, capture := range captures {
+			excl := ctx.Exclusive(gk.launch, capture)
+			for hi, check := range relChecks {
+				var set relation.Set
 				if excl {
 					set.Add(relation.StateFalse)
 				} else {
-					for _, row := range rows {
-						set.Add(row[2*ci+hi])
+					for _, at := range f.rows {
+						set.Add(f.states[int(at)+2*ci+hi])
 					}
 				}
-				out[key] = set
+				out = append(out, Rel{
+					Key:    RelKey{Start: gk.start, End: end, Launch: gk.launch, Capture: capture, Check: check},
+					States: set,
+				})
 			}
 		}
 	}
+	return out
 }
 
 // ThroughRel is the pass-3 result for one candidate through node between a
@@ -203,8 +343,9 @@ type ThroughRel struct {
 	Node graph.NodeID
 	Name string
 	// States holds the per-(launch, capture, check) state sets of all
-	// paths start→node→end. Keys carry Start and End names.
-	States map[RelKey]relation.Set
+	// paths start→node→end, in compareRelKeys order. Keys carry the
+	// pair's start and end.
+	States []Rel
 	// Ambiguous marks nodes where some exception matched only part of the
 	// through paths — a finer granularity than pass 3 would be required,
 	// which the algorithm does not expect (paper: "No ambiguity is
@@ -349,18 +490,12 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 		return dp
 	}
 
-	endName := g.Node(end).Name
-	startName := g.Node(start).Name
-	captures := ctx.CaptureClocksAt(end)
+	captures := ctx.captureClocks(nil, end)
 	liveBwd := ctx.liveBwdMemo(end)
 
 	// Per-node state sets accumulate in a dense (launch, capture, check)
-	// scratch matrix instead of a RelKey-keyed map: every key of one
-	// node's States shares Start/End, so the map's read-modify-write per
-	// (entry, capture, check) — each hashing a four-string key — collapses
-	// to an index. The map materializes once per node; each cell's state
-	// insertion order is untouched (same Add sequence as before).
-	checks := [2]relation.CheckType{relation.Setup, relation.Hold}
+	// scratch matrix: every key of one node's States shares Start/End, so
+	// a key is an index. The rows materialize once per node.
 	nCaps := len(captures)
 	cells := make([]relation.Set, len(ctx.Clocks)*nCaps*2)
 	cellGen := make([]int32, len(cells))
@@ -385,8 +520,8 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 			}
 			vec := ctx.exc.vec(tag.vec)
 			alive := ctx.exc.aliveCandidates(tag.vec)
-			for ci, ct := range captures {
-				for hi, check := range checks {
+			for ci, capture := range captures {
+				for hi, check := range relChecks {
 					idx := (int(tag.launch)*nCaps+ci)*2 + hi
 					if cellGen[idx] != gen {
 						cellGen[idx] = gen
@@ -394,7 +529,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 						touched = append(touched, int32(idx))
 					}
 					set := &cells[idx]
-					if ctx.Exclusive(tag.launch, ct.Clock) {
+					if ctx.Exclusive(tag.launch, capture) {
 						set.Add(relation.StateFalse)
 						continue
 					}
@@ -406,7 +541,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 							continue
 						}
 						toAcc := len(mi.toNodes) == 0 && len(mi.toClocks) == 0 ||
-							mi.toNodes[end] || mi.toClocks[ct.Clock]
+							mi.toNodes[end] || mi.toClocks[capture]
 						if !toAcc {
 							continue
 						}
@@ -444,20 +579,20 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 				}
 			}
 		}
-		tr.States = make(map[RelKey]relation.Set, len(touched))
+		tr.States = make([]Rel, 0, len(touched))
 		for _, idx := range touched {
-			launch := ClockID(int(idx) / (nCaps * 2))
-			ci := (int(idx) / 2) % nCaps
-			hi := int(idx) % 2
-			key := RelKey{
-				Start:   startName,
-				End:     endName,
-				Launch:  ctx.Clocks[launch].Def.Name,
-				Capture: ctx.Clocks[captures[ci].Clock].Def.Name,
-				Check:   checks[hi],
-			}
-			tr.States[key] = cells[idx]
+			tr.States = append(tr.States, Rel{
+				Key: RelKey{
+					Start:   start,
+					End:     end,
+					Launch:  ClockID(int(idx) / (nCaps * 2)),
+					Capture: captures[(int(idx)/2)%nCaps],
+					Check:   relChecks[int(idx)%2],
+				},
+				States: cells[idx],
+			})
 		}
+		slices.SortFunc(tr.States, func(a, b Rel) int { return ctx.compareRelKeys(a.Key, b.Key) })
 		out = append(out, tr)
 	}
 	return out
@@ -492,26 +627,11 @@ func (ctx *Context) liveBackwardReach(end graph.NodeID) []bool {
 	return mark
 }
 
-// RelationTable renders a relation map as sorted rows (debug/report aid).
-func RelationTable(rels map[RelKey]relation.Set) []string {
-	var keys []RelKey
-	for k := range rels {
-		keys = append(keys, k)
-	}
-	SortRelKeys(keys)
-	var out []string
-	for _, k := range keys {
-		out = append(out, fmt.Sprintf("%s -> %s [%s/%s %s]: %s",
-			k.Start, k.End, k.Launch, k.Capture, k.Check, rels[k].String()))
-	}
-	return out
-}
-
-// SortRelKeys sorts relation keys by (End, Start, Launch, Capture,
-// Check) — the deterministic comparison order shared by the refinement
-// passes and the equivalence checker.
-func SortRelKeys(keys []RelKey) {
-	slices.SortFunc(keys, func(a, b RelKey) int {
+// SortRelNames sorts rendered relation keys by (End, Start, Launch,
+// Capture, Check): the canonical key order, which the context's row
+// slices and the merging core's comparisons follow on the ids.
+func SortRelNames(keys []RelName) {
+	slices.SortFunc(keys, func(a, b RelName) int {
 		if c := strings.Compare(a.End, b.End); c != 0 {
 			return c
 		}

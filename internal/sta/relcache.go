@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"modemerge/internal/graph"
-	"modemerge/internal/relation"
 )
 
 // relCache memoizes the relation-query results of one context so the
@@ -18,10 +17,11 @@ import (
 // It holds finished results only; no propagation outlives the query that
 // ran it (a Context keeps no data tags at all):
 //
-//   - pass1/startEnd hold per-endpoint relation maps, keyed by node id,
-//     filled by fillRelations. A fill propagates only over the union of
-//     the queried endpoints' fan-in cones: any propagation path from a
-//     seed to a node of bwd(end) provably stays inside bwd(end) (an arc
+//   - pass1/startEnd hold per-endpoint relation rows (integer keys, see
+//     RelKey), keyed by node id, filled by fillRelations. A fill
+//     propagates only over the union of the queried endpoints' fan-in
+//     cones: any propagation path from a seed to a node of bwd(end)
+//     provably stays inside bwd(end) (an arc
 //     x→n with n ∈ bwd(end) puts x ∈ bwd(end) too), so a union of cones
 //     is backward-closed and a cone-restricted run leaves exactly the full
 //     run's tags at each of its endpoints, in the same first-insertion
@@ -32,13 +32,13 @@ import (
 //   - liveBwd memoizes each endpoint's live backward reach, which the
 //     through-relation walk reads.
 //
-// Callers must treat returned maps and slices as immutable.
+// Callers must treat returned slices as immutable.
 type relCache struct {
 	slotsOnce sync.Once
 	// pass1/startEnd hold one atomic slot per graph node (only endpoint
 	// slots are ever filled). Lock-free: loads and idempotent stores.
-	pass1    []atomic.Pointer[map[RelKey]relation.Set]
-	startEnd []atomic.Pointer[map[RelKey]relation.Set]
+	pass1    []atomic.Pointer[[]Rel]
+	startEnd []atomic.Pointer[[]Rel]
 	through  sync.Map // [2]graph.NodeID{start,end} → []ThroughRel
 	liveBwd  sync.Map // graph.NodeID end → []bool live backward reach
 
@@ -50,14 +50,14 @@ func (ctx *Context) relSlots() *relCache {
 	rc := &ctx.rel
 	rc.slotsOnce.Do(func() {
 		n := ctx.G.NumNodes()
-		rc.pass1 = make([]atomic.Pointer[map[RelKey]relation.Set], n)
-		rc.startEnd = make([]atomic.Pointer[map[RelKey]relation.Set], n)
+		rc.pass1 = make([]atomic.Pointer[[]Rel], n)
+		rc.startEnd = make([]atomic.Pointer[[]Rel], n)
 	})
 	return rc
 }
 
 // slots returns the memo slots of pass 1 or, startTracked, pass 2.
-func (rc *relCache) slots(startTracked bool) []atomic.Pointer[map[RelKey]relation.Set] {
+func (rc *relCache) slots(startTracked bool) []atomic.Pointer[[]Rel] {
 	if startTracked {
 		return rc.startEnd
 	}
@@ -86,30 +86,32 @@ func (ctx *Context) RelCacheStats() (hits, misses int64) {
 	return ctx.rel.hits.Load(), ctx.rel.misses.Load()
 }
 
-// EndpointRelationsAt returns the pass-1 relation map of one endpoint:
-// its path groups at endpoint granularity (Start "*"). A memo miss is a
-// one-endpoint FillEndpointRelations; callers querying many endpoints
-// fill them as one batch first. DisableRelationMemo recomputes the map on
-// every call from a propagation restricted to the endpoint's fan-in cone.
-// The returned map is shared and must not be mutated.
-func (ctx *Context) EndpointRelationsAt(end graph.NodeID) map[RelKey]relation.Set {
+// EndpointRelationsAt returns the pass-1 relation rows of one endpoint:
+// its path groups at endpoint granularity (Start AnyStart), in
+// compareRelKeys order. A memo miss is a one-endpoint
+// FillEndpointRelations; callers querying many endpoints fill them as
+// one batch first. DisableRelationMemo recomputes the rows on every call
+// from a propagation restricted to the endpoint's fan-in cone. The
+// returned slice is shared and must not be mutated.
+func (ctx *Context) EndpointRelationsAt(end graph.NodeID) []Rel {
 	return ctx.relationsAt(end, false)
 }
 
-// StartEndRelations returns the pass-2 relation map of one endpoint: its
-// path groups keyed by concrete startpoint. A memo miss is a
-// one-endpoint FillStartEndRelations. DisableRelationMemo recomputes the
-// map on every call from a propagation restricted to the endpoint's
-// fan-in cone. The returned map is shared and must not be mutated.
-func (ctx *Context) StartEndRelations(end graph.NodeID) map[RelKey]relation.Set {
+// StartEndRelations returns the pass-2 relation rows of one endpoint: its
+// path groups keyed by concrete startpoint, in compareRelKeys order. A
+// memo miss is a one-endpoint FillStartEndRelations. DisableRelationMemo
+// recomputes the rows on every call from a propagation restricted to the
+// endpoint's fan-in cone. The returned slice is shared and must not be
+// mutated.
+func (ctx *Context) StartEndRelations(end graph.NodeID) []Rel {
 	return ctx.relationsAt(end, true)
 }
 
-// relationsAt recalls one endpoint's memoized map, filling it on a miss;
-// under DisableRelationMemo it computes the map afresh.
-func (ctx *Context) relationsAt(end graph.NodeID, startTracked bool) map[RelKey]relation.Set {
+// relationsAt recalls one endpoint's memoized rows, filling them on a
+// miss; under DisableRelationMemo it computes them afresh.
+func (ctx *Context) relationsAt(end graph.NodeID, startTracked bool) []Rel {
 	if ctx.Opt.DisableRelationMemo {
-		return ctx.relationMaps([]graph.NodeID{end}, startTracked)[0]
+		return ctx.relationRows([]graph.NodeID{end}, startTracked)[0]
 	}
 	rc := ctx.relSlots()
 	slot := &rc.slots(startTracked)[end]
@@ -121,18 +123,18 @@ func (ctx *Context) relationsAt(end graph.NodeID, startTracked bool) map[RelKey]
 	return *slot.Load()
 }
 
-// FillEndpointRelations memoizes the pass-1 relation maps of every given
+// FillEndpointRelations memoizes the pass-1 relation rows of every given
 // endpoint that has none yet (see fillRelations).
 func (ctx *Context) FillEndpointRelations(ends []graph.NodeID) { ctx.fillRelations(ends, false) }
 
-// FillStartEndRelations memoizes the pass-2 relation maps of every given
+// FillStartEndRelations memoizes the pass-2 relation rows of every given
 // endpoint that has none yet (see fillRelations).
 func (ctx *Context) FillStartEndRelations(ends []graph.NodeID) { ctx.fillRelations(ends, true) }
 
-// fillRelations memoizes the relation maps of every given endpoint whose
+// fillRelations memoizes the relation rows of every given endpoint whose
 // slot is still empty, from one transient propagation over the union of
 // their fan-in cones; each node is visited once however many cones share
-// it, and nothing but the finished maps is kept. Under
+// it, and nothing but the finished rows is kept. Under
 // DisableRelationMemo it is a no-op.
 func (ctx *Context) fillRelations(ends []graph.NodeID, startTracked bool) {
 	if ctx.Opt.DisableRelationMemo {
@@ -149,25 +151,21 @@ func (ctx *Context) fillRelations(ends []graph.NodeID, startTracked bool) {
 	if len(missing) == 0 {
 		return
 	}
-	for i, out := range ctx.relationMaps(missing, startTracked) {
+	for i, out := range ctx.relationRows(missing, startTracked) {
 		slots[missing[i]].Store(&out)
 	}
 	rc.misses.Add(int64(len(missing)))
 }
 
-// relationMaps computes the relation maps of the given endpoints from one
+// relationRows computes the relation rows of the given endpoints from one
 // propagation (start-tracked for pass 2) over the union of their cones.
-func (ctx *Context) relationMaps(ends []graph.NodeID, startTracked bool) []map[RelKey]relation.Set {
+func (ctx *Context) relationRows(ends []graph.NodeID, startTracked bool) [][]Rel {
 	tags, release := ctx.propagate(propOpts{withStart: startTracked, nodeFilter: ctx.G.BackwardReach(ends)})
 	defer release()
-	label := "*"
-	if startTracked {
-		label = ""
-	}
-	out := make([]map[RelKey]relation.Set, len(ends))
+	f := ctx.newRelFolder(startTracked)
+	out := make([][]Rel, len(ends))
 	for i, end := range ends {
-		out[i] = map[RelKey]relation.Set{}
-		ctx.accumulateRelations(out[i], end, tags[end], label)
+		out[i] = f.fold(end, tags[end])
 	}
 	return out
 }
@@ -178,13 +176,16 @@ func (ctx *Context) relationMaps(ends []graph.NodeID, startTracked bool) []map[R
 // results are still valid (endpoints NOT forward-reachable from any
 // newly added exception's pins: a new exception can only complete at an
 // endpoint its pins reach, so relation results elsewhere are untouched
-// by an exception-only rebuild). Live backward reaches transfer
-// unconditionally — liveness never depends on exceptions.
+// by an exception-only rebuild). Live backward reaches transfer for
+// every endpoint — liveness never depends on exceptions.
 //
-// Results are name/state data with no reference to the source context's
-// clock ids or exception vectors, so adopting them is a plain copy.
+// Results hold node and clock ids and no exception vectors, so adopting
+// them is a plain copy when both contexts number their clocks alike. A
+// prev whose clock table differs (a different graph, or any clock with
+// another id or name) transfers nothing; exception-only rebuilds
+// (DeriveExceptionsOnly) share their clock table and always adopt.
 func (ctx *Context) AdoptRelationResults(prev *Context, keepEnd func(graph.NodeID) bool) {
-	if prev == nil || prev.G != ctx.G ||
+	if prev == nil || prev.G != ctx.G || !sameClockTable(prev, ctx) ||
 		ctx.Opt.DisableRelationMemo || prev.Opt.DisableRelationMemo {
 		return
 	}
@@ -211,4 +212,18 @@ func (ctx *Context) AdoptRelationResults(prev *Context, keepEnd func(graph.NodeI
 		rc.liveBwd.Store(k, v)
 		return true
 	})
+}
+
+// sameClockTable reports whether two contexts give every clock the same
+// id and name, so relation rows of one read alike in the other.
+func sameClockTable(a, b *Context) bool {
+	if len(a.Clocks) != len(b.Clocks) {
+		return false
+	}
+	for i, c := range a.Clocks {
+		if c.Def.Name != b.Clocks[i].Def.Name {
+			return false
+		}
+	}
+	return true
 }

@@ -7,7 +7,6 @@ import (
 
 	"modemerge/internal/gen"
 	"modemerge/internal/graph"
-	"modemerge/internal/relation"
 	"modemerge/internal/sdc"
 )
 
@@ -19,7 +18,9 @@ type relationFixture struct {
 }
 
 // relationFixtures returns the paper circuit under the Table 1 and
-// Constraint Set 6 modes, plus the Table 5 designs C and E at a small
+// Constraint Set 6 modes and a two-clock mode (every register captures
+// both clocks, defined out of name order, and out1 captures clkA on both
+// edges), plus the Table 5 designs C and E at a small
 // scale (fewer registers per stage) with the first modes of their
 // families.
 func relationFixtures(t *testing.T) []relationFixture {
@@ -42,6 +43,14 @@ set_false_path -through inv3/Z
 create_clock -p 10 -name clkA [get_ports clk1]
 set_false_path -from rA/CP
 set_false_path -to rZ/D
+`, `
+create_clock -name clkB -period 5 [get_ports clk1]
+create_clock -name clkA -period 10 -add [get_ports clk1]
+set_output_delay 1 -clock clkA [get_ports out1]
+set_output_delay 1 -clock clkA -clock_fall -add_delay [get_ports out1]
+set_output_delay 1 -clock clkB -add_delay [get_ports out1]
+set_false_path -from [get_clocks clkA] -to [get_clocks clkB]
+set_multicycle_path 2 -to [get_clocks clkB] -through [get_pins inv1/Z]
 `} {
 		mode, _, err := sdc.Parse("paper"+string(rune('a'+i)), src, paper.Design)
 		if err != nil {
@@ -89,7 +98,7 @@ type relPass struct {
 	name         string
 	startTracked bool
 	fill         func(*Context, []graph.NodeID)
-	query        func(*Context, graph.NodeID) map[RelKey]relation.Set
+	query        func(*Context, graph.NodeID) []Rel
 }
 
 var relPasses = []relPass{
@@ -97,10 +106,10 @@ var relPasses = []relPass{
 	{"pass2", true, (*Context).FillStartEndRelations, (*Context).StartEndRelations},
 }
 
-// relationDiffs lists the endpoints whose map in got differs from want.
-// reflect.DeepEqual compares each Set's states in insertion order, the
-// order every downstream String() reads.
-func relationDiffs(g *graph.Graph, ends []graph.NodeID, got func(i int) map[RelKey]relation.Set, want []map[RelKey]relation.Set) []string {
+// relationDiffs lists the endpoints whose rows in got differ from want.
+// reflect.DeepEqual compares the rows in order and each Set's states in
+// insertion order.
+func relationDiffs(g *graph.Graph, ends []graph.NodeID, got func(i int) []Rel, want [][]Rel) []string {
 	var out []string
 	for i, end := range ends {
 		if !reflect.DeepEqual(got(i), want[i]) {
@@ -110,17 +119,13 @@ func relationDiffs(g *graph.Graph, ends []graph.NodeID, got func(i int) map[RelK
 	return out
 }
 
-// relationsFrom computes each endpoint's relation map of the pass from a
+// relationsFrom computes each endpoint's relation rows of the pass from a
 // given tag lattice.
-func relationsFrom(ctx *Context, tags []tagMap, ends []graph.NodeID, startTracked bool) []map[RelKey]relation.Set {
-	label := "*"
-	if startTracked {
-		label = ""
-	}
-	out := make([]map[RelKey]relation.Set, len(ends))
+func relationsFrom(ctx *Context, tags []tagMap, ends []graph.NodeID, startTracked bool) [][]Rel {
+	f := ctx.newRelFolder(startTracked)
+	out := make([][]Rel, len(ends))
 	for i, end := range ends {
-		out[i] = map[RelKey]relation.Set{}
-		ctx.accumulateRelations(out[i], end, tags[end], label)
+		out[i] = f.fold(end, tags[end])
 	}
 	return out
 }
@@ -175,7 +180,7 @@ func TestFillRelationsIdentity(t *testing.T) {
 							what string
 							ctx  *Context
 						}{{"full fill", full}, {"subset fill", part}, {"uncached query", slow}} {
-							got := func(i int) map[RelKey]relation.Set { return pass.query(c.ctx, ends[i]) }
+							got := func(i int) []Rel { return pass.query(c.ctx, ends[i]) }
 							if diff := relationDiffs(fx.g, ends, got, want); len(diff) > 0 {
 								t.Errorf("%s: %s differs from the full propagation at %v", mode.Name, c.what, diff)
 							}
@@ -191,7 +196,7 @@ func TestFillRelationsIdentity(t *testing.T) {
 							nodeFilter: fx.g.BackwardReach(ends[:1])})
 						control := relationsFrom(slow, tags, ends, pass.startTracked)
 						release()
-						if diff := relationDiffs(fx.g, ends, func(i int) map[RelKey]relation.Set { return control[i] }, want); len(diff) == 0 {
+						if diff := relationDiffs(fx.g, ends, func(i int) []Rel { return control[i] }, want); len(diff) == 0 {
 							t.Errorf("%s: a fill restricted to one cone passed the comparison", mode.Name)
 						}
 
@@ -261,28 +266,20 @@ func TestLaunchClockTableIdentity(t *testing.T) {
 }
 
 // checkThroughRelations compares memoized and uncached through relations
-// for one startpoint (the first in sorted key order) of each endpoint
-// with start–end relations in want, up to 60 pairs.
-func checkThroughRelations(t *testing.T, g *graph.Graph, ends []graph.NodeID, want []map[RelKey]relation.Set, memo, slow *Context) {
+// for one startpoint (the first in key order) of each endpoint with
+// start–end relations in want, up to 60 pairs.
+func checkThroughRelations(t *testing.T, g *graph.Graph, ends []graph.NodeID, want [][]Rel, memo, slow *Context) {
 	t.Helper()
 	pairs := 0
 	for i, end := range ends {
 		if len(want[i]) == 0 || pairs >= 60 {
 			continue
 		}
-		keys := make([]RelKey, 0, len(want[i]))
-		for k := range want[i] {
-			keys = append(keys, k)
-		}
-		SortRelKeys(keys)
-		start, ok := g.NodeByName(keys[0].Start)
-		if !ok {
-			t.Fatalf("start %q not in graph", keys[0].Start)
-		}
+		start := want[i][0].Key.Start
 		pairs++
 		if got, exp := memo.ThroughRelations(start, end), slow.ThroughRelations(start, end); !reflect.DeepEqual(got, exp) {
 			t.Errorf("%s %s→%s: through relations differ from the uncached path",
-				memo.Mode.Name, keys[0].Start, g.Node(end).Name)
+				memo.Mode.Name, g.Node(start).Name, g.Node(end).Name)
 		}
 	}
 	if pairs == 0 {

@@ -166,7 +166,7 @@ func (ctx *Context) cornerMargin(m float64) float64 {
 // pointToPointChecks applies set_max_delay/set_min_delay to unclocked
 // paths.
 func (ctx *Context) pointToPointChecks(res *EndpointResult, end graph.NodeID, tag dataTag, arr arrival) {
-	for _, e := range ctx.exc.completed(tag.vec, end, NoClock, tag.trans, relation.Setup) {
+	for _, e := range ctx.exc.completed(nil, tag.vec, end, NoClock, tag.trans, relation.Setup) {
 		if e.Kind == sdc.MaxDelay {
 			slack := e.Value - arr.max
 			if !res.HasSetup || slack < res.SetupSlack {
@@ -178,7 +178,7 @@ func (ctx *Context) pointToPointChecks(res *EndpointResult, end graph.NodeID, ta
 			}
 		}
 	}
-	for _, e := range ctx.exc.completed(tag.vec, end, NoClock, tag.trans, relation.Hold) {
+	for _, e := range ctx.exc.completed(nil, tag.vec, end, NoClock, tag.trans, relation.Hold) {
 		if e.Kind == sdc.MinDelay {
 			slack := arr.min - e.Value
 			if !res.HasHold || slack < res.HoldSlack {
@@ -195,7 +195,7 @@ func (ctx *Context) checkPair(res *EndpointResult, end graph.NodeID, tag dataTag
 	capture := ctx.Clocks[ct.Clock]
 
 	// Setup side.
-	setupExcs := ctx.exc.completed(tag.vec, end, ct.Clock, tag.trans, relation.Setup)
+	setupExcs := ctx.exc.completed(nil, tag.vec, end, ct.Clock, tag.trans, relation.Setup)
 	setupWinner := sdc.Winner(setupExcs)
 	mSetup := 1
 	setupIsFP := false
@@ -272,7 +272,7 @@ func (ctx *Context) checkPair(res *EndpointResult, end graph.NodeID, tag dataTag
 	}
 
 	// Hold side.
-	holdExcs := ctx.exc.completed(tag.vec, end, ct.Clock, tag.trans, relation.Hold)
+	holdExcs := ctx.exc.completed(nil, tag.vec, end, ct.Clock, tag.trans, relation.Hold)
 	holdWinner := sdc.Winner(holdExcs)
 	mHold := 0
 	holdIsFP := false

@@ -381,8 +381,8 @@ create_clock -name clkA -period 10 [get_ports clk1]
 set_false_path -hold -to [get_pins rX/D]
 `)
 	rels := ctx.EndpointRelations(context.Background())
-	setup := rels[RelKey{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
-	hold := rels[RelKey{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: relation.Hold}]
+	setup := rels[RelName{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
+	hold := rels[RelName{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: relation.Hold}]
 	if !setup.Equal(relation.NewSet(relation.StateValid)) {
 		t.Errorf("setup side = %v, want V (-hold FP must not apply)", setup)
 	}

@@ -178,7 +178,7 @@ set_false_path -through [get_pins and1/Z]
 `)
 	rels := ctx.EndpointRelations(context.Background())
 	get := func(end string) relation.Set {
-		return rels[RelKey{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
+		return rels[RelName{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
 	}
 	if s := get("rX/D"); !s.Equal(relation.NewSet(relation.MCP(2))) {
 		t.Errorf("rX/D = %v, want MCP(2)", s)
@@ -201,7 +201,7 @@ set_false_path -through inv3/Z
 `)
 	rels := ctx.EndpointRelations(context.Background())
 	get := func(end string) relation.Set {
-		return rels[RelKey{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
+		return rels[RelName{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
 	}
 	if s := get("rX/D"); !s.Equal(relation.NewSet(relation.StateFalse)) {
 		t.Errorf("mode A rX/D = %v, want FP", s)
@@ -223,7 +223,7 @@ set_false_path -to rZ/D
 `)
 	rels := ctx.EndpointRelations(context.Background())
 	get := func(end string) relation.Set {
-		return rels[RelKey{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
+		return rels[RelName{Start: "*", End: end, Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
 	}
 	if s := get("rX/D"); !s.Equal(relation.NewSet(relation.StateFalse)) {
 		t.Errorf("mode B rX/D = %v, want FP (only rA feeds rX)", s)
@@ -244,9 +244,9 @@ set_false_path -from rA/CP
 set_false_path -to rZ/D
 `)
 	end := nodeID(t, ctx, "rY/D")
-	rels := ctx.StartEndRelations(end)
+	rels := ctx.RelNames(ctx.StartEndRelations(end))
 	get := func(start string) relation.Set {
-		return rels[RelKey{Start: start, End: "rY/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
+		return rels[RelName{Start: start, End: "rY/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
 	}
 	if s := get("rA/CP"); !s.Equal(relation.NewSet(relation.StateFalse)) {
 		t.Errorf("rA/CP→rY/D = %v, want FP", s)
@@ -270,23 +270,23 @@ set_false_path -through inv3/Z
 	for _, r := range rels {
 		byName[r.Name] = r
 	}
-	key := RelKey{Start: "rC/CP", End: "rZ/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}
+	key := RelName{Start: "rC/CP", End: "rZ/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}
 	// Paths through and2/A (direct leg): valid.
 	if r, ok := byName["and2/A"]; !ok {
 		t.Fatal("and2/A missing from through relations")
-	} else if s := r.States[key]; !s.Equal(relation.NewSet(relation.StateValid)) {
+	} else if s := ctx.RelNames(r.States)[key]; !s.Equal(relation.NewSet(relation.StateValid)) {
 		t.Errorf("through and2/A = %v, want V", s)
 	}
 	// Paths through inv3/A: all false.
 	if r, ok := byName["inv3/A"]; !ok {
 		t.Fatal("inv3/A missing from through relations")
-	} else if s := r.States[key]; !s.Equal(relation.NewSet(relation.StateFalse)) {
+	} else if s := ctx.RelNames(r.States)[key]; !s.Equal(relation.NewSet(relation.StateFalse)) {
 		t.Errorf("through inv3/A = %v, want FP", s)
 	}
 	// Reconvergence point and2/Z sees both path classes → {FP, V}.
 	if r, ok := byName["and2/Z"]; !ok {
 		t.Fatal("and2/Z missing")
-	} else if s := r.States[key]; s.Len() != 2 {
+	} else if s := ctx.RelNames(r.States)[key]; s.Len() != 2 {
 		t.Errorf("through and2/Z = %v, want two states", s)
 	}
 }
@@ -455,7 +455,7 @@ set_clock_groups -physically_exclusive -group [get_clocks ClkA] -group [get_cloc
 	}
 	// Relations must show FP for cross pairs under exclusivity.
 	rels := excl.EndpointRelations(context.Background())
-	s := rels[RelKey{Start: "*", End: "rX/D", Launch: "ClkA", Capture: "ClkB", Check: relation.Setup}]
+	s := rels[RelName{Start: "*", End: "rX/D", Launch: "ClkA", Capture: "ClkB", Check: relation.Setup}]
 	if !s.Equal(relation.NewSet(relation.StateFalse)) {
 		t.Errorf("exclusive cross relation = %v, want FP", s)
 	}
@@ -644,7 +644,7 @@ func TestWarningsForUnknownExceptionObjects(t *testing.T) {
 	}
 	// The exception must be inert: rX/D still valid.
 	rels := ctx.EndpointRelations(context.Background())
-	s := rels[RelKey{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
+	s := rels[RelName{Start: "*", End: "rX/D", Launch: "clkA", Capture: "clkA", Check: relation.Setup}]
 	if !s.Equal(relation.NewSet(relation.StateValid)) {
 		t.Errorf("rX/D = %v, want V", s)
 	}
