@@ -1,8 +1,8 @@
 // Command modemerged serves the mode-merging flow over an HTTP JSON API.
 // Clients POST a design + SDC modes to /v2/merge, poll /v2/jobs/{id},
 // and fetch merged SDC from /v2/jobs/{id}/result. Jobs run on a bounded
-// worker pool with content-addressed caching of parsed designs and
-// finished results; SIGINT/SIGTERM drains in-flight jobs before exit.
+// worker pool with one content-addressed cache (-incr-cache entries) of
+// built designs, sub-merge products and finished results; SIGINT/SIGTERM drains in-flight jobs before exit.
 // Observability: GET /v2/stats serves the counters as JSON and GET
 // /metrics the same snapshot as Prometheus text, every job exposes its
 // span tree at /v2/jobs/{id}/trace, and -debug-addr starts a separate
@@ -51,9 +51,7 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", 2*time.Minute, "default per-job execution deadline")
 		maxTimeout  = flag.Duration("max-job-timeout", 15*time.Minute, "upper clamp for client-requested job deadlines")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		designCache = flag.Int("design-cache", 32, "prepared-design cache entries")
-		resultCache = flag.Int("result-cache", 256, "finished-result cache entries")
-		incrCache   = flag.Int("incr-cache", 4096, "incremental sub-merge cache entries (timing contexts, pair verdicts, clique artifacts)")
+		incrCache   = flag.Int("incr-cache", 4096, "entries of the one cache for everything cached: built designs, timing contexts, pair verdicts, clique artifacts and finished results (0 = 4096; values under 16 mean 16)")
 		incrDir     = flag.String("incr-cache-dir", "", "persist pair verdicts and clique artifacts under this directory (empty = memory only)")
 		traceExport = flag.String("trace-export", "", "append finished jobs' spans as OTLP-flavored NDJSON to this file (empty = disabled)")
 		flightDir   = flag.String("flight-dir", "", "keep flight recordings of slow/failed/panicked jobs under this directory (empty = disabled)")
@@ -104,8 +102,6 @@ func main() {
 		QueueDepth:        *queueDepth,
 		DefaultJobTimeout: *jobTimeout,
 		MaxJobTimeout:     *maxTimeout,
-		DesignCacheSize:   *designCache,
-		ResultCacheSize:   *resultCache,
 		IncrCacheSize:     *incrCache,
 		IncrCacheDir:      *incrDir,
 		Logger:            logger,

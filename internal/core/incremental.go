@@ -202,7 +202,10 @@ func EncodeCliqueArtifact(merged *sdc.Mode, report *Report, stamps []sta.Stamp) 
 // the design and re-attaching the comment/inferred fields the parser
 // drops (see cliqueArtifact). Decoding is the exact inverse the cache
 // replay path uses, so a mode round-tripped through the wire is
-// byte-identical to one merged locally.
+// byte-identical to one merged locally. An artifact whose SDC is not
+// the canonical text of the mode it parses to is rejected: only
+// sdc.Write output round-trips, and the check keeps a corrupt or
+// hostile payload from decoding to a mode that re-encodes differently.
 func DecodeCliqueArtifact(b []byte, g *graph.Graph) (*sdc.Mode, *Report, error) {
 	var art cliqueArtifact
 	if err := json.Unmarshal(b, &art); err != nil {
@@ -211,10 +214,14 @@ func DecodeCliqueArtifact(b []byte, g *graph.Graph) (*sdc.Mode, *Report, error) 
 	if art.Report == nil {
 		return nil, nil, fmt.Errorf("clique artifact: missing report")
 	}
-	mode, _, err := sdc.Parse(art.Name, art.SDC, g.Design)
-	if err != nil {
+	p := sdc.NewParser(art.Name, g.Design)
+	// Canonical SDC invokes at most one command per byte of text, so this
+	// budget never stops a real artifact and always stops a loop.
+	p.Interp().MaxSteps = len(art.SDC) + 1
+	if err := p.Eval(art.SDC); err != nil {
 		return nil, nil, fmt.Errorf("clique artifact: re-parsing %q: %w", art.Name, err)
 	}
+	mode := p.Mode()
 	if len(art.DisableComments) != len(mode.Disables) ||
 		len(art.DisableInferred) != len(mode.Disables) ||
 		len(art.SenseComments) != len(mode.ClockSenses) {
@@ -226,6 +233,9 @@ func DecodeCliqueArtifact(b []byte, g *graph.Graph) (*sdc.Mode, *Report, error) 
 	}
 	for i, s := range mode.ClockSenses {
 		s.Comment = art.SenseComments[i]
+	}
+	if sdc.Write(mode) != art.SDC {
+		return nil, nil, fmt.Errorf("clique artifact: SDC of %q is not in canonical form", art.Name)
 	}
 	return mode, art.Report, nil
 }

@@ -20,7 +20,6 @@ package fabric
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"modemerge/internal/core"
 	"modemerge/internal/graph"
@@ -102,17 +101,15 @@ func WireCorners(corners []library.Corner) []Corner {
 	return out
 }
 
-// Executor runs clique specs on one node: it reconstructs designs (with
-// a small cache, since every clique of one job shares the design),
-// merges via core.MergeClique, and guarantees the artifact is in the
-// store under spec.Key before reporting success.
+// Executor runs clique specs on one node: it reconstructs designs
+// through the cache's design granularity (every clique of one job
+// shares the design, and a coordinator's executor finds the graph its
+// server already built), merges via core.MergeClique, and guarantees the
+// artifact is in the store under spec.Key before reporting success.
 type Executor struct {
 	store       incr.BlobStore
 	cache       *incr.Cache
 	parallelism int
-
-	mu      sync.Mutex
-	designs map[string]*graph.Graph // keyed by design source hash
 }
 
 // NewExecutor creates an executor that merges through cache, whose
@@ -122,33 +119,22 @@ type Executor struct {
 // for other nodes. parallelism bounds intra-merge worker pools; it never
 // affects merged bytes.
 func NewExecutor(cache *incr.Cache, parallelism int) *Executor {
-	return &Executor{
-		store:       cache.Store(),
-		cache:       cache,
-		parallelism: parallelism,
-		designs:     map[string]*graph.Graph{},
-	}
+	return &Executor{store: cache.Store(), cache: cache, parallelism: parallelism}
 }
 
+// design returns the spec's timing graph, built once per design source.
+// The shared build ignores ctx's cancellation, so one canceled clique
+// cannot fail the others waiting on the same design.
 func (e *Executor) design(ctx context.Context, spec *Spec) (*graph.Graph, error) {
 	key := incr.Hash("lib", spec.Library, "top", spec.Top, "v", spec.Verilog)
-	e.mu.Lock()
-	g, ok := e.designs[key]
-	e.mu.Unlock()
-	if ok {
-		return g, nil
-	}
-	g, _, err := graph.Load(ctx, spec.Verilog, spec.Library, spec.Top)
+	v, _, err := e.cache.Build(ctx, incr.GranDesign, key, func() (any, error) {
+		g, _, err := graph.Load(context.WithoutCancel(ctx), spec.Verilog, spec.Library, spec.Top)
+		return g, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	if len(e.designs) >= 8 { // tiny bound; specs of one job share a design
-		clear(e.designs)
-	}
-	e.designs[key] = g
-	e.mu.Unlock()
-	return g, nil
+	return v.(*graph.Graph), nil
 }
 
 // Options reconstructs the core options a spec encodes. The fields set

@@ -1,23 +1,24 @@
 // Package incr is the incremental re-merge engine's content-addressed
-// sub-merge cache. Every input of the merging flow — the timing graph,
-// each mode's resolved SDC text, the merge options — hashes to a stable
-// digest, and the flow's intermediate products are cached at three
-// granularities keyed by those digests:
+// sub-merge cache, and the only content-addressed cache of the process.
+// Every input of the merging flow — the netlist, each mode's resolved
+// SDC text, the merge options — hashes to a stable digest, and the
+// flow's products are cached at granularities keyed by those digests:
 //
+//   - built timing graphs, one per design (memory only, built once per
+//     key under concurrency: see Build),
 //   - per-mode sta timing contexts (memory only: a built context is a
 //     large pointer-rich structure that is cheap to share and expensive
 //     to serialize),
 //   - pairwise mergeability verdicts from the mock-merge analysis,
 //   - per-clique preliminary-merge + refinement artifacts (the merged
-//     SDC text plus the full merge report).
+//     SDC text plus the full merge report),
+//   - the merge service's finished job results (memory only).
 //
 // Editing one mode of N therefore re-runs only that mode's context
 // build, its N−1 mergeability pairs, and the cliques containing it —
 // everything else is a cache hit. Keys are content addresses, so
 // invalidation is automatic: a changed input simply hashes to a new key
-// and the stale entry ages out of the LRU. Explicit invalidation
-// (InvalidatePrefix, Clear) exists for operators who want to drop state
-// eagerly.
+// and the stale entry ages out of the LRU.
 //
 // The cache is safe for concurrent use. An optional artifact store (see
 // BlobStore: disk, in-memory, or S3-style HTTP backends) persists the
@@ -29,18 +30,18 @@ package incr
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strings"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Granularity names one cached sub-merge product class. It prefixes
-// every key, so one store serves all three granularities without
-// collisions.
+// every key, so one store serves all granularities without collisions.
 type Granularity string
 
 // The cache granularities of the incremental engine.
@@ -66,6 +67,14 @@ const (
 	// only, like GranContext, but counted separately so the per-mode
 	// context reuse contract stays observable on its own counters.
 	GranMergedCtx Granularity = "mctx"
+	// GranDesign caches built timing graphs (*graph.Graph) keyed by the
+	// design's parse inputs. Memory only, and written only through Build,
+	// so concurrent first uses of one design parse it once.
+	GranDesign Granularity = "design"
+	// GranResult caches the merge service's finished job results. Memory
+	// only. Its hits and misses are not counted here: the service counts
+	// them itself, because only it knows whether a hit was served.
+	GranResult Granularity = "result"
 )
 
 // Hash is the cache's content address: SHA-256 over length-prefixed
@@ -90,6 +99,7 @@ type Stats struct {
 	CliqueHits, CliqueMisses       atomic.Int64
 	ETMHits, ETMMisses             atomic.Int64
 	MergedCtxHits, MergedCtxMisses atomic.Int64
+	DesignHits, DesignMisses       atomic.Int64
 }
 
 // StatsSnapshot is the JSON-ready view of Stats.
@@ -104,6 +114,8 @@ type StatsSnapshot struct {
 	ETMMisses       int64 `json:"etm_misses"`
 	MergedCtxHits   int64 `json:"merged_ctx_hits,omitempty"`
 	MergedCtxMisses int64 `json:"merged_ctx_misses,omitempty"`
+	DesignHits      int64 `json:"design_hits,omitempty"`
+	DesignMisses    int64 `json:"design_misses,omitempty"`
 }
 
 func (s *Stats) hit(g Granularity) {
@@ -118,6 +130,8 @@ func (s *Stats) hit(g Granularity) {
 		s.ETMHits.Add(1)
 	case GranMergedCtx:
 		s.MergedCtxHits.Add(1)
+	case GranDesign:
+		s.DesignHits.Add(1)
 	}
 }
 
@@ -133,6 +147,8 @@ func (s *Stats) miss(g Granularity) {
 		s.ETMMisses.Add(1)
 	case GranMergedCtx:
 		s.MergedCtxMisses.Add(1)
+	case GranDesign:
+		s.DesignMisses.Add(1)
 	}
 }
 
@@ -149,6 +165,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		ETMMisses:       s.ETMMisses.Load(),
 		MergedCtxHits:   s.MergedCtxHits.Load(),
 		MergedCtxMisses: s.MergedCtxMisses.Load(),
+		DesignHits:      s.DesignHits.Load(),
+		DesignMisses:    s.DesignMisses.Load(),
 	}
 }
 
@@ -165,12 +183,14 @@ func (s StatsSnapshot) Counts(g Granularity) (hits, misses int64) {
 		return s.ETMHits, s.ETMMisses
 	case GranMergedCtx:
 		return s.MergedCtxHits, s.MergedCtxMisses
+	case GranDesign:
+		return s.DesignHits, s.DesignMisses
 	}
 	return 0, 0
 }
 
 // Cache is one incremental sub-merge cache: a bounded in-memory LRU over
-// all three granularities plus an optional BlobStore behind the
+// all granularities plus an optional BlobStore behind the
 // serializable ones. The zero value is not usable; construct with New.
 type Cache struct {
 	mu      sync.Mutex
@@ -191,7 +211,6 @@ type Cache struct {
 type entry struct {
 	key   string
 	value any
-	bytes bool // value is []byte (serializable granularity)
 }
 
 // New creates a memory-only cache holding at most capacity entries
@@ -274,8 +293,8 @@ func (c *Cache) hitStart() time.Time {
 
 func fullKey(g Granularity, key string) string { return string(g) + "\x00" + key }
 
-// GetObject looks an in-memory object up (context granularity). It never
-// consults the disk store.
+// GetObject looks an in-memory object up (memory-only granularities).
+// It never consults the disk store.
 func (c *Cache) GetObject(g Granularity, key string) (any, bool) {
 	start := c.hitStart()
 	// The value must be read under the lock: put overwrites entry.value
@@ -297,9 +316,9 @@ func (c *Cache) GetObject(g Granularity, key string) (any, bool) {
 	return v, true
 }
 
-// PutObject stores an in-memory object (context granularity).
+// PutObject stores an in-memory object (memory-only granularities).
 func (c *Cache) PutObject(g Granularity, key string, v any) {
-	c.put(fullKey(g, key), v, false)
+	c.put(fullKey(g, key), v)
 }
 
 // GetBytes looks a serialized value up: memory first, then the artifact
@@ -323,7 +342,7 @@ func (c *Cache) GetBytes(g Granularity, key string) ([]byte, bool) {
 	}
 	if store != nil {
 		if b, err := store.Get(string(g), key); err == nil {
-			c.put(fk, b, true)
+			c.put(fk, b)
 			c.stats.hit(g)
 			c.observeHit(g, start)
 			return b, true
@@ -336,7 +355,7 @@ func (c *Cache) GetBytes(g Granularity, key string) ([]byte, bool) {
 // PutBytes stores a serialized value, writing through to the artifact
 // store when one is configured.
 func (c *Cache) PutBytes(g Granularity, key string, b []byte) {
-	c.put(fullKey(g, key), b, true)
+	c.put(fullKey(g, key), b)
 	c.mu.Lock()
 	store := c.store
 	c.mu.Unlock()
@@ -345,20 +364,87 @@ func (c *Cache) PutBytes(g Granularity, key string, b []byte) {
 	}
 }
 
-func (c *Cache) put(fk string, v any, isBytes bool) {
+func (c *Cache) put(fk string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[fk]; ok {
-		e := el.Value.(*entry)
-		e.value, e.bytes = v, isBytes
+		el.Value.(*entry).value = v
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[fk] = c.order.PushFront(&entry{key: fk, value: v, bytes: isBytes})
+	c.insertLocked(fk, v)
+}
+
+// insertLocked adds a new entry at the front and evicts beyond capacity.
+// c.mu must be held.
+func (c *Cache) insertLocked(fk string, v any) {
+	c.entries[fk] = c.order.PushFront(&entry{key: fk, value: v})
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
 		delete(c.entries, last.Value.(*entry).key)
+	}
+}
+
+// building is one Build entry: done closes when the build returns, and
+// v and err are immutable after that.
+type building struct {
+	done chan struct{}
+	v    any
+	err  error
+}
+
+// Build returns the object cached under (g, key), calling build to make
+// it when the key is absent. Concurrent callers of one key share one
+// build, while other keys build in parallel; hit reports whether the
+// entry already existed, even with its build still running. The build
+// runs on its own goroutine, so a caller whose ctx ends returns
+// ctx.Err() at once and the build goes on for the others. A build that
+// failed with context.Canceled or context.DeadlineExceeded is dropped so
+// the next caller builds again; any other error stays cached like a
+// value. Keys of g must be written only through Build.
+func (c *Cache) Build(ctx context.Context, g Granularity, key string, build func() (any, error)) (v any, hit bool, err error) {
+	start := c.hitStart()
+	fk := fullKey(g, key)
+	c.mu.Lock()
+	var b *building
+	if el, ok := c.entries[fk]; ok {
+		c.order.MoveToFront(el)
+		b, hit = el.Value.(*entry).value.(*building), true
+	} else {
+		b = &building{done: make(chan struct{})}
+		c.insertLocked(fk, b)
+	}
+	c.mu.Unlock()
+	if hit {
+		c.stats.hit(g)
+		c.observeHit(g, start)
+	} else {
+		c.stats.miss(g)
+		go func() {
+			defer close(b.done)
+			b.v, b.err = build()
+		}()
+	}
+	select {
+	case <-b.done:
+		if errors.Is(b.err, context.Canceled) || errors.Is(b.err, context.DeadlineExceeded) {
+			c.drop(fk, b)
+		}
+		return b.v, hit, b.err
+	case <-ctx.Done():
+		return nil, hit, ctx.Err()
+	}
+}
+
+// drop removes the entry under fk if it still holds value v (a newer
+// entry under the same key is left alone).
+func (c *Cache) drop(fk string, v any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[fk]; ok && el.Value.(*entry).value == v {
+		c.order.Remove(el)
+		delete(c.entries, fk)
 	}
 }
 
@@ -367,33 +453,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// InvalidatePrefix drops every in-memory entry of the granularity whose
-// key starts with the prefix (e.g. a design fingerprint), and reports
-// how many entries were dropped. The disk store is left alone — its
-// entries are content-addressed and simply stop being referenced.
-func (c *Cache) InvalidatePrefix(g Granularity, prefix string) int {
-	fp := fullKey(g, prefix)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*entry); strings.HasPrefix(e.key, fp) {
-			c.order.Remove(el)
-			delete(c.entries, e.key)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// Clear drops every in-memory entry.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = map[string]*list.Element{}
 }

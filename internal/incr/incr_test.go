@@ -1,9 +1,13 @@
 package incr
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -84,27 +88,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if _, ok := c2.GetObject(GranContext, "k1"); ok {
 		t.Fatal("least recently used entry survived")
-	}
-}
-
-func TestInvalidatePrefixAndClear(t *testing.T) {
-	c := New(16)
-	c.PutObject(GranContext, "aa1", 1)
-	c.PutObject(GranContext, "aa2", 2)
-	c.PutObject(GranContext, "bb1", 3)
-	c.PutObject(GranPair, "aa1", 4)
-	if n := c.InvalidatePrefix(GranContext, "aa"); n != 2 {
-		t.Fatalf("invalidated %d, want 2", n)
-	}
-	if _, ok := c.GetObject(GranContext, "bb1"); !ok {
-		t.Fatal("unrelated entry invalidated")
-	}
-	if _, ok := c.GetObject(GranPair, "aa1"); !ok {
-		t.Fatal("other granularity invalidated")
-	}
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("len after Clear = %d", c.Len())
 	}
 }
 
@@ -204,6 +187,79 @@ func TestCacheConcurrency(t *testing.T) {
 	}
 }
 
+// TestCacheBuildOnce pins Build's guarantees: concurrent callers of one
+// key share one build, a waiter whose ctx ends leaves without aborting
+// the build, a canceled build is dropped and any other error is kept.
+func TestCacheBuildOnce(t *testing.T) {
+	c := New(16)
+	var builds atomic.Int32
+	release := make(chan struct{})
+	build := func() (any, error) {
+		builds.Add(1)
+		<-release
+		return "graph", nil
+	}
+
+	// A waiter whose ctx is already done returns ctx.Err() while the
+	// build it started keeps running.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, hit, err := c.Build(canceled, GranDesign, "d", build); hit || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter: hit=%v err=%v, want miss and context.Canceled", hit, err)
+	}
+
+	const n = 8
+	var wg sync.WaitGroup
+	results := make(chan any, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, hit, err := c.Build(context.Background(), GranDesign, "d", build)
+			if err != nil || !hit {
+				t.Errorf("waiter: hit=%v err=%v", hit, err)
+			}
+			results <- v
+		}()
+	}
+	close(release)
+	wg.Wait()
+	close(results)
+	for v := range results {
+		if v != "graph" {
+			t.Fatalf("waiter got %v", v)
+		}
+	}
+	if got := builds.Load(); got != 1 {
+		t.Fatalf("%d builds for one key, want 1", got)
+	}
+	if hits, misses := c.Stats().Snapshot().Counts(GranDesign); hits != n || misses != 1 {
+		t.Fatalf("design hits/misses = %d/%d, want %d/1", hits, misses, n)
+	}
+
+	// A build that ended in cancellation is not cached.
+	if _, _, err := c.Build(context.Background(), GranDesign, "c", func() (any, error) {
+		return nil, context.DeadlineExceeded
+	}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	v, hit, err := c.Build(context.Background(), GranDesign, "c", func() (any, error) { return "rebuilt", nil })
+	if hit || err != nil || v != "rebuilt" {
+		t.Fatalf("after a canceled build: v=%v hit=%v err=%v, want a fresh build", v, hit, err)
+	}
+
+	// Any other error is the cached answer for the key.
+	parseErr := errors.New("parse error")
+	c.Build(context.Background(), GranDesign, "e", func() (any, error) { return nil, parseErr })
+	_, hit, err = c.Build(context.Background(), GranDesign, "e", func() (any, error) {
+		t.Fatal("a failed build ran twice")
+		return nil, nil
+	})
+	if !hit || err != parseErr {
+		t.Fatalf("after a parse error: hit=%v err=%v, want the cached error", hit, err)
+	}
+}
+
 func TestHitObserver(t *testing.T) {
 	c := New(16)
 	type obsd struct {
@@ -241,7 +297,9 @@ func TestHitObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PutBytes(GranClique, "cliq01", []byte("artifact"))
-	c.Clear()
+	for i := 0; i < 16; i++ { // push the memory copy out of the LRU
+		c.PutObject(GranContext, fmt.Sprintf("fill%d", i), i)
+	}
 	if _, ok := c.GetBytes(GranClique, "cliq01"); !ok {
 		t.Fatal("disk promotion miss")
 	}

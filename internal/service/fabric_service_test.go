@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"modemerge/internal/fabric"
+	"modemerge/internal/incr"
 )
 
 func quietSlog() *slog.Logger {
@@ -89,6 +90,37 @@ func TestFabricMergeByteIdentical(t *testing.T) {
 	fab.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if body := rec.Body.String(); !strings.Contains(body, "modemerged_cluster_enabled 1") {
 		t.Fatalf("metrics scrape missing cluster gauges:\n%s", body)
+	}
+}
+
+// TestFabricExecutorReusesServerDesign pins one parse per design on a
+// coordinator: the job's parse builds the timing graph (the design
+// granularity's one miss), and the local executor merging the job's
+// two-mode clique finds that graph in the shared cache (a hit) instead
+// of parsing the netlist again.
+func TestFabricExecutorReusesServerDesign(t *testing.T) {
+	fab := newTestServer(t, Config{
+		Workers: 1,
+		Logger:  quietSlog(),
+		Fabric:  FabricConfig{Enabled: true, LocalExecutors: 1},
+	})
+	job, err := fab.Submit(threeModeRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	if job.Status() != StatusDone {
+		t.Fatalf("fabric job: status %s, error %q", job.Status(), job.View().Error)
+	}
+	if st := fab.Fabric().Status(); st.Completed != 1 {
+		t.Fatalf("fabric completed %d clique jobs, want 1", st.Completed)
+	}
+	hits, misses := fab.IncrCache().Stats().Snapshot().Counts(incr.GranDesign)
+	if misses != 1 || hits != 1 {
+		t.Fatalf("design granularity: %d hits, %d misses; want the executor's hit on the server's one build", hits, misses)
+	}
+	if n := fab.Metrics().Snapshot().CacheHitsDesign; n != 0 {
+		t.Fatalf("cache_hits_design = %d on a fresh design, want 0", n)
 	}
 }
 

@@ -135,12 +135,6 @@ func submitViewV2(job *Job) submitResponseV2 {
 	}
 }
 
-// idemEntry records one Idempotency-Key's first use.
-type idemEntry struct {
-	digest string
-	jobID  string
-}
-
 func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
 	s.submitV2(w, r, false)
 }
@@ -179,27 +173,27 @@ func (s *Server) submitV2(w http.ResponseWriter, r *http.Request, requireCorners
 	idemKey := r.Header.Get("Idempotency-Key")
 	if idemKey != "" {
 		// Serialize check-then-submit so concurrent retries with one key
-		// create exactly one job.
+		// create exactly one job. A key is held as long as its job is in
+		// the job history.
 		s.idemMu.Lock()
 		defer s.idemMu.Unlock()
-		if v, ok := s.idem.get(idemKey); ok {
-			e := v.(idemEntry)
-			if e.digest != req.resultKey() {
+		s.mu.Lock()
+		job, ok := s.idem[idemKey]
+		s.mu.Unlock()
+		if ok {
+			if job.digest != req.resultKey() {
 				writeErrorV2(w, http.StatusConflict, codeIdempotencyMismatch,
 					"Idempotency-Key was first used with a different request payload",
-					map[string]any{"key": idemKey, "job_id": e.jobID})
+					map[string]any{"key": idemKey, "job_id": job.ID})
 				return
 			}
-			if job, ok := s.Job(e.jobID); ok {
-				// Replay: same key, same payload — return the original job.
-				writeJSON(w, http.StatusOK, submitViewV2(job))
-				return
-			}
-			// The job aged out of history; fall through and resubmit.
+			// Replay: same key, same payload — return the original job.
+			writeJSON(w, http.StatusOK, submitViewV2(job))
+			return
 		}
 	}
 
-	job, err := s.SubmitTraced(&req, requestTraceID(r))
+	job, err := s.submit(&req, requestTraceID(r), idemKey)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -211,9 +205,6 @@ func (s *Server) submitV2(w http.ResponseWriter, r *http.Request, requireCorners
 	case err != nil:
 		writeErrorV2(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), nil)
 		return
-	}
-	if idemKey != "" {
-		s.idem.put(idemKey, idemEntry{digest: job.digest, jobID: job.ID})
 	}
 	writeJSON(w, http.StatusAccepted, submitViewV2(job))
 }

@@ -240,6 +240,41 @@ func TestV2Idempotency(t *testing.T) {
 		t.Fatalf("fresh key status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+
+	// A key is held as long as its job is in the job history: once the
+	// job has aged out, the key is free, so even a different payload
+	// under it is a fresh submit rather than a conflict.
+	hs := newTestServer(t, Config{Workers: 1, JobHistoryLimit: 1})
+	hts := httptest.NewServer(hs.Handler())
+	defer hts.Close()
+	var old submitResponseV2
+	decodeBody(t, postJSON(t, hts.URL+"/v2/merge", body, "key-3"), http.StatusAccepted, &old)
+	oldJob, _ := hs.Job(old.ID)
+	waitDone(t, oldJob)
+	next, err := hs.Submit(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, next)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := hs.Job(old.ID); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s outlived a job history of 1", old.ID)
+		}
+	}
+	hs.mu.Lock()
+	held := len(hs.idem)
+	hs.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("%d Idempotency-Keys held after their job left the history", held)
+	}
+	var fresh submitResponseV2
+	decodeBody(t, postJSON(t, hts.URL+"/v2/merge", body2, "key-3"), http.StatusAccepted, &fresh)
+	if fresh.ID == old.ID || fresh.Digest == old.Digest {
+		t.Fatalf("aged-out key replayed job %+v, want a fresh submit", old)
+	}
 }
 
 func TestV2JobsPaginationAndFilter(t *testing.T) {

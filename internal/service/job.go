@@ -223,6 +223,10 @@ type Job struct {
 	// every exported span record and every slog line carries it.
 	traceID obs.TraceID
 
+	// idemKey is the Idempotency-Key the job was submitted under ("" for
+	// none), set at submit time and immutable after.
+	idemKey string
+
 	// req is set before the job is enqueued and read only by the worker.
 	req *MergeRequest
 

@@ -16,7 +16,7 @@ import (
 // event counters and hit-latency histograms, so every granularity's
 // series exists from the first scrape instead of appearing on first hit.
 var incrHitGranularities = []incr.Granularity{
-	incr.GranContext, incr.GranPair, incr.GranClique, incr.GranETM, incr.GranMergedCtx,
+	incr.GranContext, incr.GranPair, incr.GranClique, incr.GranETM, incr.GranMergedCtx, incr.GranDesign,
 }
 
 // incrHitBuckets are the hit-latency histogram bounds in seconds. Cache

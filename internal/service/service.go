@@ -8,10 +8,11 @@
 //   - A bounded queue feeds a fixed worker pool; submissions beyond the
 //     queue depth are rejected with 503 so load sheds at the edge instead
 //     of piling up.
-//   - Two content-addressed caches make repeated submissions near-free:
-//     prepared designs (parsed netlist + library + built timing graph,
-//     keyed by the parse inputs) and finished results (keyed by the full
-//     request). Concurrent first submissions of one design parse it once.
+//   - The incremental cache (internal/incr) makes repeated submissions
+//     near-free: besides its sub-merge products it holds built timing
+//     graphs (keyed by the parse inputs) and finished results (keyed by
+//     the full request). Concurrent first submissions of one design
+//     parse it once.
 //   - Every job runs under a context.Context carrying a per-job execution
 //     deadline; cancellation propagates through core.MergeAll and
 //     core.CheckEquivalence into the STA worker pools, so canceled jobs
@@ -60,17 +61,15 @@ type Config struct {
 	DefaultJobTimeout time.Duration
 	// MaxJobTimeout clamps request timeouts. Default 15m.
 	MaxJobTimeout time.Duration
-	// DesignCacheSize bounds the prepared-design cache. Default 32.
-	DesignCacheSize int
-	// ResultCacheSize bounds the finished-result cache. Default 256.
-	ResultCacheSize int
 	// JobHistoryLimit bounds how many finished (done/failed/canceled)
 	// jobs stay available for status polling; beyond it the oldest
 	// terminal jobs are evicted from the job table. Default 1024.
 	JobHistoryLimit int
-	// IncrCacheSize bounds the incremental sub-merge cache (per-mode
-	// timing contexts, pair verdicts, clique artifacts — see
-	// internal/incr) shared by all jobs. Default 4096 entries.
+	// IncrCacheSize bounds the incremental cache shared by all jobs: the
+	// one entry bound for everything the server caches (built designs,
+	// per-mode timing contexts, pair verdicts, clique artifacts, finished
+	// results — see internal/incr). Default 4096 entries; values under
+	// 16 mean 16.
 	IncrCacheSize int
 	// IncrCacheDir persists pair verdicts and clique artifacts on disk so
 	// warm-start reruns survive restarts. Empty = memory only. An
@@ -136,12 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobTimeout <= 0 {
 		c.MaxJobTimeout = 15 * time.Minute
 	}
-	if c.DesignCacheSize <= 0 {
-		c.DesignCacheSize = 32
-	}
-	if c.ResultCacheSize <= 0 {
-		c.ResultCacheSize = 256
-	}
 	if c.JobHistoryLimit <= 0 {
 		c.JobHistoryLimit = 1024
 	}
@@ -167,15 +160,12 @@ type Server struct {
 	logger  *slog.Logger
 	flights *FlightRecorder // nil when disabled
 
-	designs *designCache
-	results *lruCache
-	incr    *incr.Cache
-	fabric  *fabric.Coordinator // nil when the fabric is disabled
+	incr   *incr.Cache
+	fabric *fabric.Coordinator // nil when the fabric is disabled
 
-	// idem maps Idempotency-Key values to the submitted request digest
-	// and job id; idemMu serializes the check-then-submit sequence so
-	// concurrent retries with one key create one job.
-	idem   *lruCache
+	// idemMu serializes the Idempotency-Key check-then-submit sequence
+	// so concurrent retries with one key create one job. Lock order:
+	// idemMu, then mu.
 	idemMu sync.Mutex
 
 	baseCtx    context.Context
@@ -185,6 +175,9 @@ type Server struct {
 	jobs     map[string]*Job
 	finished []string // terminal job ids, oldest first, len ≤ JobHistoryLimit
 	draining bool
+	// idem maps Idempotency-Key values to the job first submitted under
+	// them. A key leaves with its job's history entry.
+	idem map[string]*Job
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -199,13 +192,11 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		logger:     cfg.Logger,
-		designs:    newDesignCache(cfg.DesignCacheSize),
-		results:    newLRU(cfg.ResultCacheSize),
 		incr:       incr.New(cfg.IncrCacheSize),
-		idem:       newLRU(1024),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		jobs:       map[string]*Job{},
+		idem:       map[string]*Job{},
 		queue:      make(chan *Job, cfg.QueueDepth),
 	}
 	if cfg.IncrCacheDir != "" {
@@ -284,6 +275,12 @@ func (s *Server) Submit(req *MergeRequest) (*Job, error) {
 // header) so its spans, exported records and log lines all join the
 // caller's trace. An invalid (zero) id gets a fresh random one.
 func (s *Server) SubmitTraced(req *MergeRequest, traceID obs.TraceID) (*Job, error) {
+	return s.submit(req, traceID, "")
+}
+
+// submit is SubmitTraced recording idemKey, when set, as the job's
+// Idempotency-Key in the same step that adds the job to the job table.
+func (s *Server) submit(req *MergeRequest, traceID obs.TraceID, idemKey string) (*Job, error) {
 	if err := req.validateRequest(); err != nil {
 		return nil, err
 	}
@@ -295,8 +292,9 @@ func (s *Server) SubmitTraced(req *MergeRequest, traceID obs.TraceID) (*Job, err
 	job := newJob(id, jobCtx, jobCancel)
 	job.digest = req.resultKey()
 	job.traceID = traceID
+	job.idemKey = idemKey
 
-	if cached, ok := s.results.get(job.digest); ok {
+	if cached, ok := s.incr.GetObject(incr.GranResult, job.digest); ok {
 		job.mu.Lock()
 		job.cacheHit = true
 		job.mu.Unlock()
@@ -306,7 +304,7 @@ func (s *Server) SubmitTraced(req *MergeRequest, traceID obs.TraceID) (*Job, err
 			jobCancel()
 			return nil, ErrDraining
 		}
-		s.jobs[id] = job
+		s.registerLocked(job)
 		s.mu.Unlock()
 		s.metrics.CacheHitsResult.Add(1)
 		s.metrics.JobsDone.Add(1)
@@ -326,7 +324,7 @@ func (s *Server) SubmitTraced(req *MergeRequest, traceID obs.TraceID) (*Job, err
 	}
 	select {
 	case s.queue <- job:
-		s.jobs[id] = job
+		s.registerLocked(job)
 		s.mu.Unlock()
 		s.metrics.CacheMisses.Add(1)
 		s.metrics.JobsQueued.Add(1)
@@ -338,12 +336,22 @@ func (s *Server) SubmitTraced(req *MergeRequest, traceID obs.TraceID) (*Job, err
 	}
 }
 
+// registerLocked adds a submitted job to the job table and its
+// Idempotency-Key, if any, to the key map. s.mu must be held.
+func (s *Server) registerLocked(job *Job) {
+	s.jobs[job.ID] = job
+	if job.idemKey != "" {
+		s.idem[job.idemKey] = job
+	}
+}
+
 // finishJob moves a job to a terminal state and records it in the
-// finished-job history, evicting the oldest terminal jobs beyond
-// JobHistoryLimit so s.jobs cannot grow without bound. Once the job is
-// terminal its spans are exported and the flight recorder decides
-// whether to keep a recording — both strictly after the result is
-// visible, so neither can delay or alter it.
+// finished-job history, evicting the oldest terminal jobs (and their
+// Idempotency-Keys) beyond JobHistoryLimit so s.jobs cannot grow
+// without bound. Once the job is terminal its spans are exported and
+// the flight recorder decides whether to keep a recording — both
+// strictly after the result is visible, so neither can delay or alter
+// it.
 func (s *Server) finishJob(job *Job, status Status, result *Result, err error) {
 	if !job.finish(status, result, err) {
 		return
@@ -351,6 +359,7 @@ func (s *Server) finishJob(job *Job, status Status, result *Result, err error) {
 	s.mu.Lock()
 	s.finished = append(s.finished, job.ID)
 	for len(s.finished) > s.cfg.JobHistoryLimit {
+		delete(s.idem, s.jobs[s.finished[0]].idemKey)
 		delete(s.jobs, s.finished[0])
 		s.finished[0] = ""
 		s.finished = s.finished[1:]
@@ -436,7 +445,7 @@ func (s *Server) runJob(job *Job) {
 	var pe *cliquePanic
 	switch {
 	case err == nil:
-		s.results.put(req.resultKey(), result)
+		s.incr.PutObject(incr.GranResult, job.digest, result)
 		s.metrics.JobsDone.Add(1)
 		logger.Info("job done", "elapsed_ms", elapsed.Milliseconds())
 		s.finishJob(job, StatusDone, result, nil)
@@ -490,7 +499,7 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	job.noteStage("parse")
 	parseSpan := root.Child("parse")
 	parseStart := time.Now()
-	g, hit, err := s.designs.get(ctx, req.designKey(), func() (*graph.Graph, error) {
+	v, hit, err := s.incr.Build(ctx, incr.GranDesign, req.designKey(), func() (any, error) {
 		g, _, err := graph.Load(s.baseCtx, req.Verilog, req.Library, req.Top)
 		return g, err
 	})
@@ -506,6 +515,7 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 		parseSpan.Finish()
 		return nil, err
 	}
+	g := v.(*graph.Graph)
 	modes := make([]*sdc.Mode, len(req.Modes))
 	for i, m := range req.Modes {
 		mode, _, err := sdc.Parse(m.Name, m.SDC, g.Design)

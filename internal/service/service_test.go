@@ -456,25 +456,6 @@ func TestResultKeyPinned(t *testing.T) {
 	}
 }
 
-// TestLRUEviction bounds the cache at its capacity.
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.put("c", 3)
-	if _, ok := c.get("a"); ok {
-		t.Error("oldest entry survived eviction")
-	}
-	if v, ok := c.get("b"); !ok || v.(int) != 2 {
-		t.Error("recent entry evicted")
-	}
-	// Touch b, insert d: c (now oldest) must go.
-	c.put("d", 4)
-	if _, ok := c.get("c"); ok {
-		t.Error("LRU order ignores recency")
-	}
-}
-
 // TestSubmitShutdownRace hammers Submit concurrently with Shutdown: no
 // submission may panic (send on closed queue) and every accepted job must
 // still reach a terminal state.

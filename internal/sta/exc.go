@@ -175,32 +175,31 @@ func expandStartpoint(g *graph.Graph, id graph.NodeID) graph.NodeID {
 // Count returns the number of exceptions.
 func (s *excSet) Count() int { return len(s.matchers) }
 
-// internVec returns the id for a progress vector, interning it.
+// internVec returns the id for a progress vector, interning it. The
+// lookup key of a vector of up to 64 exceptions lives in a stack buffer
+// (a map index by string(b) does not allocate), so only a vector seen
+// for the first time allocates a key.
 func (s *excSet) internVec(v []int8) int32 {
-	key := string(int8sToBytes(v))
+	var buf [64]byte
+	b := buf[:0]
+	for _, x := range v {
+		b = append(b, byte(x))
+	}
 	s.mu.RLock()
-	id, ok := s.vecIDs[key]
+	id, ok := s.vecIDs[string(b)]
 	s.mu.RUnlock()
 	if ok {
 		return id
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.vecIDs[key]; ok {
+	if id, ok := s.vecIDs[string(b)]; ok {
 		return id
 	}
 	id = int32(len(s.vecs))
 	s.vecs = append(s.vecs, append([]int8(nil), v...))
-	s.vecIDs[key] = id
+	s.vecIDs[string(b)] = id
 	return id
-}
-
-func int8sToBytes(v []int8) []byte {
-	b := make([]byte, len(v))
-	for i, x := range v {
-		b[i] = byte(x)
-	}
-	return b
 }
 
 // vec returns the vector for an id. The returned slice is immutable.
