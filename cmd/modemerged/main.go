@@ -12,13 +12,13 @@
 // profile + goroutine dump) of slow, failed, or panicked jobs, served
 // at /v2/flights.
 //
-// Distributed merge fabric: -fabric turns the server into a
-// coordinator that publishes per-clique merge jobs on a work-stealing
-// queue (wire API under /fabric/v1/, cluster view at GET /v2/cluster),
-// and `modemerged -role worker -join http://coordinator:8080` starts a
-// merge worker that pulls and executes those jobs. Output is
-// byte-identical to the single-process path at any worker count,
-// including across worker deaths.
+// Distributed merge fabric: every server is a coordinator (GET
+// /v2/cluster) whose jobs merge their own cliques, and -fabric lets
+// workers join (wire API under /fabric/v1/) to steal clique merges off a
+// work-stealing queue: `modemerged -role worker -join
+// http://coordinator:8080`. Output is byte-identical to the
+// single-process path at any worker count, including across worker
+// deaths.
 package main
 
 import (
@@ -59,12 +59,12 @@ func main() {
 		flightKeep  = flag.Int("flight-keep", 16, "maximum flight recordings kept on disk")
 		flightSlow  = flag.Int("flight-slowest", 4, "slowest recordings protected from eviction (must be < -flight-keep)")
 
-		role        = flag.String("role", "server", "process role: server (HTTP API, optionally coordinating a merge fabric) or worker (join a coordinator and execute clique merges)")
+		role        = flag.String("role", "server", "process role: server (HTTP API and merge fabric coordinator) or worker (join a coordinator and execute clique merges)")
 		join        = flag.String("join", "", "coordinator base URL a worker joins (required with -role worker, e.g. http://coordinator:8080)")
 		workerID    = flag.String("worker-id", "", "cluster identity of this worker (default hostname-pid)")
-		fabricOn    = flag.Bool("fabric", false, "coordinate a distributed merge fabric: publish clique merges on /fabric/v1/ for workers to steal")
-		fabricLocal = flag.Int("fabric-local-executors", 0, "coordinator-side clique executors sharing the work queue (0 = 1, -1 = none: pure dispatcher)")
-		fabricWidth = flag.Int("fabric-dispatch", 0, "clique jobs one merge job keeps in flight on the fabric (0 = 8)")
+		fabricOn    = flag.Bool("fabric", false, "let merge workers join over /fabric/v1/ and steal clique merges from this server's jobs")
+		fabricLocal = flag.Int("fabric-local-executors", 0, "cliques each job merges in-process at once (0 = 1; -1 with -fabric = none: pure dispatcher)")
+		fabricWidth = flag.Int("fabric-dispatch", 0, "cliques one merge job keeps in flight while it shares them with workers (0 = 8)")
 		fabricLease = flag.Duration("fabric-lease-ttl", 30*time.Second, "silence after which a claimed clique job is presumed lost and requeued")
 		fabricTries = flag.Int("fabric-max-attempts", 3, "executions of one clique job across lease expiries before it fails")
 	)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,10 +21,8 @@ type CoordinatorConfig struct {
 	// MaxAttempts bounds executions of one job across lease expiries
 	// before it fails permanently. Default 3.
 	MaxAttempts int
-	// LocalExecutors is how many coordinator-side goroutines pull from
-	// the same queue as remote workers, so a cluster of one still makes
-	// progress. They claim under the reserved worker id "local". Default
-	// 1; 0 disables local execution (pure dispatcher).
+	// LocalExecutors, reported in Status, is how many of a job's cliques
+	// the job merges in-process at once; 0 is a pure dispatcher.
 	LocalExecutors int
 	// Logger receives fabric lifecycle logs. Default slog.Default().
 	Logger *slog.Logger
@@ -42,10 +41,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// LocalWorkerID is the worker id the coordinator's own executors claim
-// under.
-const LocalWorkerID = "local"
-
 // ErrClosed rejects operations on a closed coordinator.
 var ErrClosed = errors.New("fabric: coordinator closed")
 
@@ -55,36 +50,91 @@ type task struct {
 	attempts int
 	lessee   string    // worker holding the lease ("" while pending)
 	expiry   time.Time // lease deadline
-	subs     []chan taskResult
+	held     *Ticket   // subscriber merging it in-process, if any
+	subs     []*Ticket
 }
 
-type taskResult struct {
-	artifact []byte
-	err      error
+// Ticket is one subscription to a published clique job: the job settles
+// on the fabric (Done), or the subscriber claims it back to merge it.
+type Ticket struct {
+	c    *Coordinator
+	t    *task         // nil when the artifact was already stored
+	wake chan struct{} // holds a token while the job may be claimable
+	done chan struct{}
+	art  []byte
+	err  error
 }
 
-// Coordinator owns the clique job queue: Exec enqueues and waits,
-// workers claim jobs (remote via the wire API, local via executor
-// goroutines), leases expire back into the queue on worker death, and
-// every artifact round-trips through the shared blob store.
+// Done closes once the job settled on the fabric.
+func (tk *Ticket) Done() <-chan struct{} { return tk.done }
+
+// Result returns the settled job's artifact bytes or error, after Done.
+func (tk *Ticket) Result() ([]byte, error) { return tk.art, tk.err }
+
+// Claimable receives when the job may be (back) in the queue.
+func (tk *Ticket) Claimable() <-chan struct{} { return tk.wake }
+
+// Claim takes the queued job for the subscriber to merge itself. It
+// fails while a worker holds the job or after it settled.
+func (tk *Ticket) Claim() bool {
+	c := tk.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if tk.t == nil || !c.liveLocked(tk.t) || !c.unqueueLocked(tk.t) {
+		return false
+	}
+	tk.t.held = tk
+	return true
+}
+
+// Release ends the subscription. A job the subscriber claimed goes back
+// on the queue when other subscribers still wait for it, and a queued
+// job nobody waits for any more leaves the queue.
+func (tk *Ticket) Release() {
+	c, t := tk.c, tk.t
+	if t == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t.subs = slices.DeleteFunc(t.subs, func(sub *Ticket) bool { return sub == tk })
+	if !c.liveLocked(t) {
+		return
+	}
+	if t.held == tk {
+		t.held = nil
+		if len(t.subs) > 0 {
+			c.enqueueLocked(t)
+		} else {
+			delete(c.byKey, t.spec.Key)
+		}
+	} else if len(t.subs) == 0 && c.unqueueLocked(t) {
+		delete(c.byKey, t.spec.Key)
+	}
+}
+
+// Coordinator owns the clique job queue: jobs publish cliques and wait,
+// remote workers claim them over the wire API, a publishing job may
+// claim its own clique back to merge it in-process, leases expire back
+// into the queue on worker death, and every remote artifact round-trips
+// through the shared blob store.
 type Coordinator struct {
 	cfg   CoordinatorConfig
-	store incr.BlobStore
-	exec  *Executor
+	store incr.BlobStore // nil: no worker can join
 	log   *slog.Logger
 
 	mu      sync.Mutex
 	closed  bool
 	pending []*task          // FIFO; work-stealing pops the head
-	byKey   map[string]*task // pending + leased tasks by clique key
+	byKey   map[string]*task // pending, leased and held tasks by clique key
 	leased  map[string]*task // subset of byKey currently claimed
 	workers map[string]*workerInfo
-	waiters []chan *task // long-poll claimers, FIFO
+	queued  chan struct{} // closed and replaced on every enqueue
 
 	// counters (guarded by mu)
 	steals    int64 // jobs claimed by remote workers
 	retries   int64 // lease expiries requeued
-	completed int64
+	completed int64 // remote completions plus in-process merges
 	failed    int64
 
 	stop chan struct{}
@@ -100,32 +150,28 @@ type workerInfo struct {
 	completed int64
 }
 
-// NewCoordinator starts a coordinator, including its lease reaper and
-// any configured local executors. The local executors merge through
-// exec, and exec's artifact store is the store shared with workers.
-func NewCoordinator(exec *Executor, cfg CoordinatorConfig) *Coordinator {
+// NewCoordinator starts a coordinator and its lease reaper. store is the
+// artifact store shared with workers; a coordinator without one serves
+// no workers and reports itself disabled.
+func NewCoordinator(store incr.BlobStore, cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
-		store:   exec.store,
-		exec:    exec,
+		store:   store,
 		log:     cfg.Logger,
 		byKey:   map[string]*task{},
 		leased:  map[string]*task{},
 		workers: map[string]*workerInfo{},
+		queued:  make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	c.wg.Add(1)
 	go c.reaper()
-	for i := 0; i < cfg.LocalExecutors; i++ {
-		c.wg.Add(1)
-		go c.localExecutor()
-	}
 	return c
 }
 
-// Close stops the reaper and local executors and fails every queued and
-// in-flight job with ErrClosed.
+// Close stops the reaper and fails every queued and in-flight job with
+// ErrClosed.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -134,91 +180,107 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	close(c.stop)
-	var all []*task
+	close(c.queued)
 	for _, t := range c.byKey {
-		all = append(all, t)
+		deliverLocked(t, nil, ErrClosed)
 	}
 	c.pending = nil
 	c.byKey = map[string]*task{}
 	c.leased = map[string]*task{}
-	for _, w := range c.waiters {
-		close(w)
-	}
-	c.waiters = nil
 	c.mu.Unlock()
-	for _, t := range all {
-		deliver(t, taskResult{err: ErrClosed})
-	}
 	c.wg.Wait()
 }
 
-func deliver(t *task, r taskResult) {
+// deliverLocked settles every subscriber of t. Callers hold c.mu.
+func deliverLocked(t *task, art []byte, err error) {
 	for _, sub := range t.subs {
-		sub <- r // buffered 1 per subscriber; never blocks
+		sub.art, sub.err = art, err
+		close(sub.done)
 	}
 	t.subs = nil
 }
 
-// Exec submits one clique job and blocks until its artifact is
-// available (from any worker, or a local executor) or ctx is done.
-// Identical keys submitted concurrently share one execution.
-func (c *Coordinator) Exec(ctx context.Context, spec Spec) ([]byte, error) {
+// Publish queues one clique job and subscribes to it; the caller must
+// Release the ticket. A job whose artifact is already stored (an earlier
+// job, another node) settles at once, and identical keys published
+// concurrently share one job. The coordinator must have a store.
+func (c *Coordinator) Publish(spec Spec) (*Ticket, error) {
 	if spec.Key == "" {
 		return nil, fmt.Errorf("fabric: spec has no key")
 	}
-	// Artifact already in the store (an earlier job, another node): done.
+	tk := &Ticket{c: c, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	tk.wake <- struct{}{} // a fresh subscriber may try to claim at once
 	if b, err := c.store.Get(string(incr.GranClique), spec.Key); err == nil {
-		return b, nil
+		tk.art = b
+		close(tk.done)
+		return tk, nil
 	}
-	sub := make(chan taskResult, 1)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if t, ok := c.byKey[spec.Key]; ok {
-		t.subs = append(t.subs, sub) // piggyback on the in-flight job
-		c.mu.Unlock()
-	} else {
-		t := &task{spec: spec, subs: []chan taskResult{sub}}
+	t, ok := c.byKey[spec.Key]
+	if !ok {
+		t = &task{spec: spec}
 		c.byKey[spec.Key] = t
 		c.enqueueLocked(t)
-		c.mu.Unlock()
 	}
-	select {
-	case r := <-sub:
-		return r.artifact, r.err
-	case <-ctx.Done():
-		// The job stays queued for other subscribers; our result slot is
-		// buffered so completion never blocks on us.
-		return nil, ctx.Err()
+	tk.t = t
+	t.subs = append(t.subs, tk)
+	return tk, nil
+}
+
+// HasWorkers reports whether any remote worker has registered.
+func (c *Coordinator) HasWorkers() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.workers) > 0
+}
+
+// CompleteLocal counts one clique a job merged in-process.
+func (c *Coordinator) CompleteLocal() {
+	c.mu.Lock()
+	c.completed++
+	c.mu.Unlock()
+}
+
+// enqueueLocked puts t at the queue tail and wakes long-polling workers
+// and t's subscribers. Callers hold c.mu.
+func (c *Coordinator) enqueueLocked(t *task) {
+	c.pending = append(c.pending, t)
+	close(c.queued)
+	c.queued = make(chan struct{})
+	for _, sub := range t.subs {
+		select {
+		case sub.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
 	}
 }
 
-// enqueueLocked puts t at the queue tail, handing it directly to a
-// long-poll waiter when one is parked. Callers hold c.mu.
-func (c *Coordinator) enqueueLocked(t *task) {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		select {
-		case w <- t:
-			return
-		default: // waiter gave up (poll timeout); try the next
-		}
+// unqueueLocked takes t out of the queue, reporting whether it was
+// there. Callers hold c.mu.
+func (c *Coordinator) unqueueLocked(t *task) bool {
+	i := slices.Index(c.pending, t)
+	if i >= 0 {
+		c.pending = slices.Delete(c.pending, i, i+1)
 	}
-	c.pending = append(c.pending, t)
+	return i >= 0
 }
 
 // Join registers (or refreshes) a worker.
 func (c *Coordinator) Join(workerID, addr string) error {
-	if workerID == "" || workerID == LocalWorkerID {
+	if workerID == "" {
 		return fmt.Errorf("fabric: invalid worker id %q", workerID)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
+	}
+	if c.store == nil {
+		return fmt.Errorf("fabric: coordinator has no artifact store to share")
 	}
 	w, ok := c.workers[workerID]
 	if !ok {
@@ -235,66 +297,32 @@ func (c *Coordinator) Join(workerID, addr string) error {
 // to wait. It returns (nil, nil) when no work arrived in time, and
 // ErrClosed after Close.
 func (c *Coordinator) Claim(ctx context.Context, workerID string, wait time.Duration) (*Spec, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.touchLocked(workerID)
-	if len(c.pending) > 0 {
-		t := c.pending[0]
-		c.pending = c.pending[1:]
-		spec := c.leaseLocked(t, workerID)
-		c.mu.Unlock()
-		return spec, nil
-	}
-	if wait <= 0 {
-		c.mu.Unlock()
-		return nil, nil
-	}
-	w := make(chan *task, 1)
-	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	select {
-	case t, ok := <-w:
-		if !ok {
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
 			return nil, ErrClosed
 		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		c.touchLocked(workerID)
-		if !c.liveLocked(t) {
-			return nil, nil // completed late while handed over
+		if len(c.pending) > 0 {
+			t := c.pending[0]
+			c.pending = c.pending[1:]
+			spec := c.leaseLocked(t, workerID)
+			c.mu.Unlock()
+			return spec, nil
 		}
-		return c.leaseLocked(t, workerID), nil
-	case <-timer.C:
-	case <-ctx.Done():
-	}
-	// Timed out or canceled: withdraw the waiter. A task may have been
-	// handed to w concurrently — requeue it rather than lose it.
-	c.mu.Lock()
-	for i, waiter := range c.waiters {
-		if waiter == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			break
+		queued := c.queued
+		c.mu.Unlock()
+		select {
+		case <-queued:
+		case <-timer.C:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-	var stranded *Spec
-	select {
-	case t, ok := <-w:
-		if ok && c.liveLocked(t) {
-			stranded = c.leaseLocked(t, workerID)
-		}
-	default:
-	}
-	c.mu.Unlock()
-	if stranded != nil {
-		return stranded, nil
-	}
-	return nil, ctx.Err()
 }
 
 // leaseLocked marks t claimed by workerID. Callers hold c.mu.
@@ -306,9 +334,7 @@ func (c *Coordinator) leaseLocked(t *task, workerID string) *Spec {
 	if w, ok := c.workers[workerID]; ok {
 		w.active++
 	}
-	if workerID != LocalWorkerID {
-		c.steals++
-	}
+	c.steals++
 	spec := t.spec
 	return &spec
 }
@@ -351,30 +377,31 @@ func (c *Coordinator) Complete(workerID, key string, execErr string) error {
 	if execErr == "" && artErr != nil {
 		// Completion without a durable artifact: treat as a lost
 		// execution and requeue (bounded by MaxAttempts).
-		c.releaseLocked(t)
+		requeued := c.requeueLocked(t, fmt.Sprintf("artifact missing after completion by %s", workerID))
 		c.mu.Unlock()
 		c.log.Warn("fabric completion without artifact", "worker", workerID, "key", key, "error", artErr)
-		c.requeue(t, fmt.Sprintf("artifact missing after completion by %s", workerID))
+		if requeued != nil {
+			c.log.Warn("fabric clique requeued", requeued...)
+		}
 		return nil
 	}
 	c.settleLocked(t)
-	r := taskResult{artifact: art}
 	if execErr != "" {
 		// A worker-reported merge error is deterministic (bad input, not
 		// worker death): retrying elsewhere would fail identically, so
 		// fail the job now.
-		r = taskResult{err: fmt.Errorf("fabric: clique %.12s failed on %s: %s", key, workerID, execErr)}
+		deliverLocked(t, nil, fmt.Errorf("fabric: clique %.12s failed on %s: %s", key, workerID, execErr))
 		c.failed++
 	} else {
+		deliverLocked(t, art, nil)
 		c.completed++
 	}
 	c.mu.Unlock()
-	deliver(t, r)
 	return nil
 }
 
 // liveLocked reports whether t is still an unsettled job: pending,
-// leased, or on its way between the two. Callers hold c.mu.
+// leased or held. Callers hold c.mu.
 func (c *Coordinator) liveLocked(t *task) bool { return c.byKey[t.spec.Key] == t }
 
 // releaseLocked ends t's lease, if it has one. Callers hold c.mu.
@@ -392,40 +419,32 @@ func (c *Coordinator) releaseLocked(t *task) {
 // pending and byKey. Callers hold c.mu.
 func (c *Coordinator) settleLocked(t *task) {
 	c.releaseLocked(t)
-	for i, p := range c.pending {
-		if p == t {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
-		}
-	}
+	c.unqueueLocked(t)
 	delete(c.byKey, t.spec.Key)
 }
 
-// requeue returns a lost task to the queue, failing it permanently when
-// attempts are exhausted. A task settled meanwhile (a late completion
-// arrived) stays settled.
-func (c *Coordinator) requeue(t *task, why string) {
-	c.mu.Lock()
-	if c.closed || !c.liveLocked(t) {
-		c.mu.Unlock()
-		return
-	}
-	if t.attempts >= c.cfg.MaxAttempts {
-		attempts := t.attempts
+// requeueLocked ends t's lost lease and returns t to the queue, failing
+// it permanently when attempts are exhausted; a task nobody waits for
+// any more is dropped. It returns the attributes to log a requeue with
+// once c.mu is released, nil when t did not go back on the queue.
+// Callers hold c.mu.
+func (c *Coordinator) requeueLocked(t *task, why string) []any {
+	c.releaseLocked(t)
+	t.lessee = ""
+	switch {
+	case len(t.subs) == 0:
+		delete(c.byKey, t.spec.Key)
+	case t.attempts >= c.cfg.MaxAttempts:
 		delete(c.byKey, t.spec.Key)
 		c.failed++
-		c.mu.Unlock()
-		deliver(t, taskResult{err: fmt.Errorf(
-			"fabric: clique %.12s lost after %d attempts (%s)", t.spec.Key, attempts, why)})
-		return
+		deliverLocked(t, nil, fmt.Errorf(
+			"fabric: clique %.12s lost after %d attempts (%s)", t.spec.Key, t.attempts, why))
+	default:
+		c.retries++
+		c.enqueueLocked(t)
+		return []any{"key", t.spec.Key, "attempts", t.attempts, "why", why}
 	}
-	t.lessee = ""
-	attempts := t.attempts
-	key := t.spec.Key
-	c.retries++
-	c.enqueueLocked(t)
-	c.mu.Unlock()
-	c.log.Warn("fabric clique requeued", "key", key, "attempts", attempts, "why", why)
+	return nil
 }
 
 // reaper expires leases whose worker went silent.
@@ -440,53 +459,20 @@ func (c *Coordinator) reaper() {
 		case <-tick.C:
 		}
 		now := time.Now()
-		var expired []*task
-		var lessees []string
+		var requeued [][]any
 		c.mu.Lock()
 		for _, t := range c.leased {
 			if now.After(t.expiry) {
-				c.releaseLocked(t)
-				expired = append(expired, t)
-				lessees = append(lessees, t.lessee)
+				why := fmt.Sprintf("lease expired (worker %s presumed dead)", t.lessee)
+				if attrs := c.requeueLocked(t, why); attrs != nil {
+					requeued = append(requeued, attrs)
+				}
 			}
 		}
 		c.mu.Unlock()
-		for i, t := range expired {
-			c.requeue(t, fmt.Sprintf("lease expired (worker %s presumed dead)", lessees[i]))
+		for _, attrs := range requeued {
+			c.log.Warn("fabric clique requeued", attrs...)
 		}
-	}
-}
-
-// localExecutor is the coordinator's own merge worker: it claims from
-// the same queue as remote workers, so work is stolen by whichever node
-// is free first.
-func (c *Coordinator) localExecutor() {
-	defer c.wg.Done()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-c.stop
-		cancel()
-	}()
-	for {
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
-		spec, err := c.Claim(ctx, LocalWorkerID, time.Second)
-		if err != nil || spec == nil {
-			if errors.Is(err, ErrClosed) {
-				return
-			}
-			continue
-		}
-		_, execErr := c.exec.Execute(ctx, spec)
-		msg := ""
-		if execErr != nil {
-			msg = execErr.Error()
-		}
-		c.Complete(LocalWorkerID, spec.Key, msg) //nolint:errcheck // closed coordinator drops outcomes by design
 	}
 }
 
@@ -508,7 +494,8 @@ type InFlight struct {
 }
 
 // ClusterStatus is the coordinator's queue + registry snapshot, served
-// at GET /v2/cluster.
+// at GET /v2/cluster. Enabled: workers can join (there is a store).
+// Completed includes cliques merged in-process by their own jobs.
 type ClusterStatus struct {
 	Enabled        bool           `json:"enabled"`
 	LocalExecutors int            `json:"local_executors"`
@@ -526,7 +513,7 @@ func (c *Coordinator) Status() ClusterStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := ClusterStatus{
-		Enabled:        true,
+		Enabled:        c.store != nil,
 		LocalExecutors: c.cfg.LocalExecutors,
 		Workers:        []WorkerStatus{},
 		Pending:        len(c.pending),

@@ -12,7 +12,7 @@
 // guarantee), so executing a job twice writes the same bytes to the
 // same key. A worker dying mid-merge therefore costs only time: the
 // coordinator's lease expires, the job returns to the queue, and any
-// other node (or the coordinator itself) re-runs it with no way to
+// other node (or the publishing job itself) re-runs it with no way to
 // diverge. Output at any worker count, including across worker deaths,
 // is byte-identical to the single-process path.
 package fabric
@@ -101,10 +101,9 @@ func WireCorners(corners []library.Corner) []Corner {
 	return out
 }
 
-// Executor runs clique specs on one node: it reconstructs designs
+// Executor runs clique specs on a worker: it reconstructs designs
 // through the cache's design granularity (every clique of one job
-// shares the design, and a coordinator's executor finds the graph its
-// server already built), merges via core.MergeClique, and guarantees the
+// shares the design), merges via core.MergeClique, and guarantees the
 // artifact is in the store under spec.Key before reporting success.
 type Executor struct {
 	store       incr.BlobStore
@@ -137,22 +136,6 @@ func (e *Executor) design(ctx context.Context, spec *Spec) (*graph.Graph, error)
 	return v.(*graph.Graph), nil
 }
 
-// Options reconstructs the core options a spec encodes. The fields set
-// here are exactly the result-affecting ones the coordinator hashed
-// into spec.Key (plus parallelism knobs, which are excluded from the
-// key because output is byte-identical across them).
-func (e *Executor) Options(spec *Spec) core.Options {
-	return core.Options{
-		Tolerance:           spec.Tolerance,
-		MaxRefineIterations: spec.MaxRefineIterations,
-		MergedName:          spec.MergedName,
-		Parallelism:         e.parallelism,
-		Corners:             spec.CoreCorners(),
-		STA:                 sta.Options{Workers: spec.STAWorkers},
-		Cache:               e.cache,
-	}
-}
-
 // Execute runs one clique job and returns the artifact bytes now
 // guaranteed to be stored under (clique, spec.Key).
 func (e *Executor) Execute(ctx context.Context, spec *Spec) ([]byte, error) {
@@ -171,7 +154,18 @@ func (e *Executor) Execute(ctx context.Context, spec *Spec) ([]byte, error) {
 		}
 		group[i] = mode
 	}
-	opt := e.Options(spec)
+	// The core options the spec encodes: exactly the result-affecting
+	// ones hashed into spec.Key, plus parallelism, which never changes
+	// merged bytes.
+	opt := core.Options{
+		Tolerance:           spec.Tolerance,
+		MaxRefineIterations: spec.MaxRefineIterations,
+		MergedName:          spec.MergedName,
+		Parallelism:         e.parallelism,
+		Corners:             spec.CoreCorners(),
+		STA:                 sta.Options{Workers: spec.STAWorkers},
+		Cache:               e.cache,
+	}
 	if key := core.CliqueKey(g, opt, group); key != spec.Key {
 		// The job's identity must round-trip: a mismatch means the spec
 		// was corrupted or coordinator and worker disagree on options.

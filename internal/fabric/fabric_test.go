@@ -53,6 +53,21 @@ func memExecutor(parallelism int) *Executor {
 	return NewExecutor(incr.New(64).WithStore(incr.NewMemStore()), parallelism)
 }
 
+// publishAndWait publishes spec and waits for a worker to settle it.
+func publishAndWait(ctx context.Context, c *Coordinator, spec Spec) ([]byte, error) {
+	tk, err := c.Publish(spec)
+	if err != nil {
+		return nil, err
+	}
+	defer tk.Release()
+	select {
+	case <-tk.Done():
+		return tk.Result()
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
@@ -138,40 +153,188 @@ func TestExecutorRejectsKeyMismatch(t *testing.T) {
 	}
 }
 
-// TestCoordinatorLocalExec: a coordinator with only local executors
-// completes jobs (a cluster of one still works).
+// TestCoordinatorLocalExec: a publishing job claims its queued clique
+// back and merges it in-process (a cluster of one still works). No
+// worker can lease the held clique, and the merge counts as completed
+// without a steal.
 func TestCoordinatorLocalExec(t *testing.T) {
 	spec, g, want := buildSpec(t)
-	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
-		LocalExecutors: 1, Logger: quietLogger(),
-	})
+	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{Logger: quietLogger()})
 	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	art, err := c.Exec(ctx, spec)
+	if err := c.Join("w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	tk, err := c.Publish(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mode, _, err := core.DecodeCliqueArtifact(art, g)
+	defer tk.Release()
+	select {
+	case <-tk.Claimable():
+	default:
+		t.Fatal("published clique is not claimable")
+	}
+	if !tk.Claim() {
+		t.Fatal("could not claim the queued clique back")
+	}
+	if s, err := c.Claim(context.Background(), "w1", 0); err != nil || s != nil {
+		t.Fatalf("worker claimed %+v, %v; want nothing while the job holds the clique", s, err)
+	}
+	group := make([]*sdc.Mode, len(spec.Members))
+	for i, m := range spec.Members {
+		if group[i], _, err = sdc.Parse(m.Name, m.SDC, g.Design); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, _, err := core.MergeClique(context.Background(), g, group, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sdc.Write(mode); got != want {
-		t.Fatalf("local-executor merge diverged:\n got: %q\nwant: %q", got, want)
+	if got := sdc.Write(merged); got != want {
+		t.Fatalf("in-process merge diverged:\n got: %q\nwant: %q", got, want)
 	}
+	c.CompleteLocal()
+	tk.Release()
 	st := c.Status()
-	if st.Completed != 1 || st.Steals != 0 {
-		t.Fatalf("status = %+v, want completed=1 steals=0", st)
+	if st.Completed != 1 || st.Steals != 0 || st.Pending != 0 || len(st.InFlight) != 0 {
+		t.Fatalf("status = %+v, want completed=1 steals=0 and an empty queue", st)
+	}
+}
+
+// TestTicketClaimBack pins claim-back with two subscribers of one key:
+// while one holds the clique the other cannot claim it, the holder's
+// release requeues it and wakes the other, and a clique a worker leased
+// cannot be claimed back. A queued clique nobody waits for leaves the
+// queue.
+func TestTicketClaimBack(t *testing.T) {
+	spec, _, _ := buildSpec(t)
+	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{Logger: quietLogger()})
+	defer c.Close()
+	if err := c.Join("w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Publish(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Publish(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-b.Claimable()
+	if !a.Claim() {
+		t.Fatal("a could not claim the queued clique")
+	}
+	if b.Claim() {
+		t.Fatal("b claimed the clique a holds")
+	}
+	a.Release()
+	select {
+	case <-b.Claimable():
+	default:
+		t.Fatal("a's release did not wake b")
+	}
+	if st := c.Status(); st.Pending != 1 {
+		t.Fatalf("pending = %d after a's release, want 1", st.Pending)
+	}
+	s, err := c.Claim(context.Background(), "w1", 0)
+	if err != nil || s == nil || s.Key != spec.Key {
+		t.Fatalf("worker claimed %+v, %v", s, err)
+	}
+	if b.Claim() {
+		t.Fatal("b claimed a clique the worker leased")
+	}
+	b.Release()
+
+	other := spec
+	other.Key = incr.Hash("another clique")
+	tk, err := c.Publish(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Release()
+	if st := c.Status(); st.Pending != 0 || st.Steals != 1 {
+		t.Fatalf("status = %+v, want the abandoned clique dropped and one steal", st)
+	}
+}
+
+// TestTicketsRaceToClaim: subscribers of one clique race each other and
+// a worker for it. A subscriber that claims the clique back releases it
+// to the others; the rest see the worker's artifact. Every subscriber
+// finishes and the queue ends empty.
+func TestTicketsRaceToClaim(t *testing.T) {
+	spec, _, _ := buildSpec(t)
+	exec := memExecutor(1)
+	c := NewCoordinator(exec.store, CoordinatorConfig{Logger: quietLogger()})
+	defer c.Close()
+	if err := c.Join("w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var subs sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		tk, err := c.Publish(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs.Add(1)
+		go func() {
+			defer subs.Done()
+			defer tk.Release()
+			for {
+				select {
+				case <-tk.Done():
+					if _, err := tk.Result(); err != nil {
+						t.Errorf("result: %v", err)
+					}
+					return
+				case <-tk.Claimable():
+					if tk.Claim() {
+						return
+					}
+				case <-ctx.Done():
+					t.Error("subscriber never finished")
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	worker := make(chan struct{})
+	go func() {
+		defer close(worker)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s, err := c.Claim(ctx, "w1", 5*time.Millisecond)
+			if err != nil || s == nil {
+				continue
+			}
+			if _, err := exec.Execute(ctx, s); err != nil {
+				t.Errorf("execute: %v", err)
+			}
+			if err := c.Complete("w1", s.Key, ""); err != nil {
+				t.Errorf("complete: %v", err)
+			}
+		}
+	}()
+	subs.Wait()
+	close(stop)
+	<-worker
+	if st := c.Status(); st.Pending != 0 || len(st.InFlight) != 0 {
+		t.Fatalf("status = %+v, want an empty queue", st)
 	}
 }
 
 // TestCoordinatorWorkerOverHTTP: a remote worker over the wire API
-// executes the job; the coordinator has no local executors.
+// executes the job; nobody claims it back.
 func TestCoordinatorWorkerOverHTTP(t *testing.T) {
 	spec, g, want := buildSpec(t)
-	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
-		LocalExecutors: 0, Logger: quietLogger(),
-	})
+	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{Logger: quietLogger()})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -187,7 +350,7 @@ func TestCoordinatorWorkerOverHTTP(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	art, err := c.Exec(ctx, spec)
+	art, err := publishAndWait(ctx, c, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +384,7 @@ func TestLargeSpecOverHTTP(t *testing.T) {
 	// the worker-side graph — and therefore the clique key — is unchanged.
 	spec.Verilog = quickVerilog + strings.Repeat("\n", 4<<20)
 
-	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
-		LocalExecutors: 0, Logger: quietLogger(),
-	})
+	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{Logger: quietLogger()})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -239,7 +400,7 @@ func TestLargeSpecOverHTTP(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	art, err := c.Exec(ctx, spec)
+	art, err := publishAndWait(ctx, c, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +424,8 @@ func TestLargeSpecOverHTTP(t *testing.T) {
 func TestWorkerDeathRetry(t *testing.T) {
 	spec, g, want := buildSpec(t)
 	exec := memExecutor(2)
-	c := NewCoordinator(exec, CoordinatorConfig{
-		LocalExecutors: 0, LeaseTTL: 150 * time.Millisecond, MaxAttempts: 3,
+	c := NewCoordinator(exec.store, CoordinatorConfig{
+		LeaseTTL: 150 * time.Millisecond, MaxAttempts: 3,
 		Logger: quietLogger(),
 	})
 	defer c.Close()
@@ -277,7 +438,7 @@ func TestWorkerDeathRetry(t *testing.T) {
 		defer close(done)
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		art, err := c.Exec(ctx, spec)
+		art, err := publishAndWait(ctx, c, spec)
 		if err != nil {
 			t.Errorf("Exec: %v", err)
 			return
@@ -339,8 +500,8 @@ func TestWorkerDeathRetry(t *testing.T) {
 // fails permanently with a descriptive error instead of looping forever.
 func TestJobLostAfterMaxAttempts(t *testing.T) {
 	spec, _, _ := buildSpec(t)
-	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
-		LocalExecutors: 0, LeaseTTL: 50 * time.Millisecond, MaxAttempts: 2,
+	c := NewCoordinator(incr.NewMemStore(), CoordinatorConfig{
+		LeaseTTL: 50 * time.Millisecond, MaxAttempts: 2,
 		Logger: quietLogger(),
 	})
 	defer c.Close()
@@ -351,7 +512,7 @@ func TestJobLostAfterMaxAttempts(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_, err := c.Exec(ctx, spec)
+		_, err := publishAndWait(ctx, c, spec)
 		errCh <- err
 	}()
 	// Claim (and abandon) until the coordinator gives up on the job.
@@ -372,17 +533,20 @@ func TestJobLostAfterMaxAttempts(t *testing.T) {
 	t.Fatal("job never failed permanently")
 }
 
-// TestConcurrentExecShareOneRun: identical keys submitted concurrently
-// share one execution and all receive the same artifact.
+// TestConcurrentExecShareOneRun: identical keys published concurrently
+// share one job, which one worker execution settles for every
+// subscriber with the same artifact.
 func TestConcurrentExecShareOneRun(t *testing.T) {
 	spec, _, _ := buildSpec(t)
-	c := NewCoordinator(memExecutor(0), CoordinatorConfig{
-		LocalExecutors: 1, Logger: quietLogger(),
-	})
+	exec := memExecutor(0)
+	c := NewCoordinator(exec.store, CoordinatorConfig{Logger: quietLogger()})
 	defer c.Close()
+	if err := c.Join("w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	const n = 4
 	arts := make([][]byte, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -390,8 +554,18 @@ func TestConcurrentExecShareOneRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			arts[i], errs[i] = c.Exec(ctx, spec)
+			arts[i], errs[i] = publishAndWait(ctx, c, spec)
 		}(i)
+	}
+	claimed, err := c.Claim(ctx, "w1", 30*time.Second)
+	if err != nil || claimed == nil {
+		t.Fatalf("claim: %+v, %v", claimed, err)
+	}
+	if _, err := exec.Execute(ctx, claimed); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete("w1", claimed.Key, ""); err != nil {
+		t.Fatal(err)
 	}
 	wg.Wait()
 	for i := 0; i < n; i++ {
@@ -402,8 +576,8 @@ func TestConcurrentExecShareOneRun(t *testing.T) {
 			t.Fatalf("exec %d received different bytes", i)
 		}
 	}
-	if st := c.Status(); st.Completed > 1 {
-		t.Fatalf("dedup failed: %d executions for one key", st.Completed)
+	if st := c.Status(); st.Completed != 1 || st.Steals != 1 || st.Pending != 0 {
+		t.Fatalf("status = %+v, want one shared execution", st)
 	}
 }
 
@@ -414,8 +588,8 @@ func TestConcurrentExecShareOneRun(t *testing.T) {
 func TestLateCompletionAccepted(t *testing.T) {
 	spec, g, want := buildSpec(t)
 	exec := memExecutor(1)
-	c := NewCoordinator(exec, CoordinatorConfig{
-		LocalExecutors: 0, LeaseTTL: 50 * time.Millisecond, MaxAttempts: 2,
+	c := NewCoordinator(exec.store, CoordinatorConfig{
+		LeaseTTL: 50 * time.Millisecond, MaxAttempts: 2,
 		Logger: quietLogger(),
 	})
 	defer c.Close()
@@ -432,7 +606,7 @@ func TestLateCompletionAccepted(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		art, err := c.Exec(ctx, spec)
+		art, err := publishAndWait(ctx, c, spec)
 		res <- outcome{art, err}
 	}()
 	claim := func(id string) *Spec {

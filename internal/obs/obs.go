@@ -64,24 +64,23 @@ func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(name, 0)
+	return t.newSpan(name, 0, time.Now())
 }
 
-func (t *Tracer) newSpan(name string, parent int64) *Span {
-	now := time.Now()
+func (t *Tracer) newSpan(name string, parent int64, start time.Time) *Span {
 	s := &Span{
 		tracer:     t,
 		parent:     parent,
 		name:       name,
 		sid:        NewSpanID(),
-		start:      now,
+		start:      start,
 		startAlloc: heapAllocs(),
 	}
 	t.mu.Lock()
 	t.nextID++
 	s.id = t.nextID
 	if t.origin.IsZero() {
-		t.origin = now
+		t.origin = start
 	}
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
@@ -123,7 +122,16 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.newSpan(name, s.id)
+	return s.tracer.newSpan(name, s.id, time.Now())
+}
+
+// ChildSince opens a sub-span of s that began at start: a stage known to
+// be one only after it began. Its allocation delta counts from the call.
+func (s *Span) ChildSince(name string, start time.Time) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.tracer.newSpan(name, s.id, start)
 }
 
 // Add accumulates a domain counter on the span.

@@ -24,8 +24,9 @@ endmodule
 `
 
 // FuzzParseSDC feeds arbitrary SDC text to the parser against a fixed
-// design. The property is "no panic, no hang": every input must produce a
-// mode or an error within the interpreter budgets.
+// design. Every input must produce a mode or an error within the
+// interpreter budgets (no panic, no hang), and every accepted mode's
+// written text must parse back to the same text.
 func FuzzParseSDC(f *testing.F) {
 	design, err := netlist.ParseVerilog(fuzzVerilog, library.Default(), "quick")
 	if err != nil {
@@ -65,6 +66,10 @@ func FuzzParseSDC(f *testing.F) {
 			"set_max_time_borrow 0.5 [get_pins r1/D]\n",
 		"foreach p {din tmode} {\n  set_input_transition 0.1 [get_ports $p]\n}\n",
 		"set_units -time ns\nset sdc_version 2.1\n",
+		// Free text and names Write must reproduce or the parser reject.
+		"create_clock -name C -period 2 -comment {a [b] $c \"d\" \\e} [get_ports clk]\n" +
+			"set_false_path -from [get_clocks C] -comment {x $y}\n",
+		"create_clock -name {a b} -period 2 [get_ports clk]\n",
 		// Malformed shapes that must error, not crash.
 		"create_clock",
 		"create_clock -period x [get_ports clk]",
@@ -83,6 +88,19 @@ func FuzzParseSDC(f *testing.F) {
 		}
 		p := NewParser("fuzz", design)
 		p.Interp().MaxSteps = 10000
-		_ = p.Eval(src) // must not panic or hang
+		if p.Eval(src) != nil { // must not panic or hang
+			return
+		}
+		// Canonical text is a fixpoint of Write∘Parse: clique keys and
+		// artifacts are computed from it on one node and re-parsed on
+		// another.
+		want := Write(p.Mode())
+		again, _, err := Parse("fuzz", want, design)
+		if err != nil {
+			t.Fatalf("written SDC does not re-parse: %v\nsource:\n%s\nwritten:\n%s", err, src, want)
+		}
+		if got := Write(again); got != want {
+			t.Fatalf("Write∘Parse is not a fixpoint:\nsource:\n%s\nwritten:\n%s\nre-written:\n%s", src, want, got)
+		}
 	})
 }

@@ -385,6 +385,9 @@ func (p *Parser) cmdCreateClock(a *args) (string, error) {
 	}
 	c := &Clock{Period: period, Add: a.has("add"), Line: p.errLine(), Comment: a.str("comment")}
 	c.Name = a.str("name")
+	if err := checkName("create_clock", c.Name, true); err != nil {
+		return "", err
+	}
 	if a.has("waveform") {
 		for _, w := range tcl.SplitList(a.str("waveform")) {
 			v, err := strconv.ParseFloat(w, 64)
@@ -420,6 +423,9 @@ func (p *Parser) cmdCreateGeneratedClock(a *args) (string, error) {
 	c := &Clock{Generated: true, Add: a.has("add"), Invert: a.has("invert"),
 		Line: p.errLine(), Comment: a.str("comment")}
 	c.Name = a.str("name")
+	if err := checkName("create_generated_clock", c.Name, true); err != nil {
+		return "", err
+	}
 	if !a.has("source") {
 		return "", fmt.Errorf("create_generated_clock: -source is required")
 	}
@@ -448,6 +454,9 @@ func (p *Parser) cmdCreateGeneratedClock(a *args) (string, error) {
 		c.DivideBy = 1
 	}
 	c.Master = a.str("master_clock")
+	if err := checkName("create_generated_clock", c.Master, true); err != nil {
+		return "", err
+	}
 	srcs, err := a.positionalObjects(PortObj, PinObj)
 	if err != nil {
 		return "", err
@@ -493,6 +502,21 @@ func (p *Parser) cmdCreateGeneratedClock(a *args) (string, error) {
 	return "", p.addClock(c)
 }
 
+// checkName rejects a name given in the SDC text that Write could not
+// reproduce: Write brace-quotes names and refers to clocks by get_clocks
+// patterns inside brace lists, so a name holds no whitespace, braces,
+// backslashes or double quotes, and a clock name no wildcards.
+func checkName(cmd, name string, clock bool) error {
+	bad := " \t\r\n{}\\\""
+	if clock {
+		bad += "*?"
+	}
+	if strings.ContainsAny(name, bad) {
+		return fmt.Errorf("%s: name %q cannot be written back as SDC", cmd, name)
+	}
+	return nil
+}
+
 func (p *Parser) addClock(c *Clock) error {
 	if existing := p.mode.ClockByName(c.Name); existing != nil {
 		return fmt.Errorf("clock %q already defined (line %d)", c.Name, existing.Line)
@@ -525,6 +549,9 @@ func (p *Parser) addClock(c *Clock) error {
 
 func (p *Parser) cmdClockGroups(a *args) (string, error) {
 	g := &ClockGroups{Name: a.str("name"), Line: p.errLine()}
+	if err := checkName("set_clock_groups", g.Name, false); err != nil {
+		return "", err
+	}
 	switch {
 	case a.has("physically_exclusive"):
 		g.Kind = PhysicallyExclusive

@@ -225,40 +225,48 @@ func EncodeRefs(refs []ObjRef) []string {
 }
 
 // DecodeElem decodes one collection element. Elements produced by query
-// commands carry a "kind:" prefix; bare names written directly in a
-// constraint are resolved with the given preference order (first match
-// wins): clock, then port, then pin, then cell.
+// commands carry a "kind:" prefix and must name an existing object of
+// that kind (Tcl word concatenation can glue text onto a query result);
+// bare names written directly in a constraint are resolved with the
+// given preference order (first match wins): clock, then port, then
+// pin, then cell.
 func (r *Resolver) DecodeElem(elem string, prefer ...ObjKind) (ObjRef, error) {
 	for _, kind := range []ObjKind{PinObj, PortObj, ClockObj, CellObj} {
-		prefix := kind.String() + ":"
-		if strings.HasPrefix(elem, prefix) {
-			return ObjRef{kind, elem[len(prefix):]}, nil
+		if name, ok := strings.CutPrefix(elem, kind.String()+":"); ok {
+			if r.exists(kind, name) {
+				return ObjRef{kind, name}, nil
+			}
+			return ObjRef{}, fmt.Errorf("cannot resolve object %q", elem)
 		}
 	}
 	if len(prefer) == 0 {
 		prefer = []ObjKind{ClockObj, PortObj, PinObj, CellObj}
 	}
 	for _, kind := range prefer {
-		switch kind {
-		case ClockObj:
-			for _, n := range r.ClockNames() {
-				if n == elem {
-					return ObjRef{ClockObj, elem}, nil
-				}
-			}
-		case PortObj:
-			if r.Design.PortByName(elem) != nil {
-				return ObjRef{PortObj, elem}, nil
-			}
-		case PinObj:
-			if _, _, err := r.Design.FindPin(elem); err == nil {
-				return ObjRef{PinObj, elem}, nil
-			}
-		case CellObj:
-			if r.Design.InstByName(elem) != nil {
-				return ObjRef{CellObj, elem}, nil
-			}
+		if r.exists(kind, elem) {
+			return ObjRef{kind, elem}, nil
 		}
 	}
 	return ObjRef{}, fmt.Errorf("cannot resolve object %q", elem)
+}
+
+// exists reports whether the design, or for clocks the mode so far, has
+// an object of the given kind and name.
+func (r *Resolver) exists(kind ObjKind, name string) bool {
+	switch kind {
+	case ClockObj:
+		for _, n := range r.ClockNames() {
+			if n == name {
+				return true
+			}
+		}
+	case PortObj:
+		return r.Design.PortByName(name) != nil
+	case PinObj:
+		_, _, err := r.Design.FindPin(name)
+		return err == nil
+	case CellObj:
+		return r.Design.InstByName(name) != nil
+	}
+	return false
 }

@@ -246,3 +246,25 @@ set_max_time_borrow 1 [get_pins rX/D]
 		t.Errorf("borrows lost in round trip:\n%s", Write(m))
 	}
 }
+
+// TestPrefixedElemMustExist: Tcl word concatenation can glue text onto a
+// query result, so a "kind:name" element must name an existing object of
+// its kind. Accepting [get_clocks {*ca**c* }]0 as clock scan_clk0 made
+// Write emit [get_clocks {scan_clk0}], which does not re-parse.
+func TestPrefixedElemMustExist(t *testing.T) {
+	const clock = "create_clock -name scan_clk -period 2 [get_ports clk1]\n"
+	for _, src := range []string{
+		clock + "set_clock_groups -physically_exclusive -group {} -group [get_clocks {*ca**c* }]0",
+		clock + "set_false_path -to [get_ports out1]x",
+		clock + "set_false_path -through [get_pins inv1/Z]Z",
+		clock + "set_false_path -through [get_cells inv1]0",
+		clock + "set_false_path -from [get_clocks scan_clk]_x",
+	} {
+		parseErr(t, src)
+	}
+	m := parseOK(t, clock+"set_clock_groups -physically_exclusive -group {} -group [get_clocks {*ca**c* }]\n"+
+		"set_false_path -from [get_clocks scan_clk] -through [get_cells inv1] -to [get_ports out1]")
+	if got := Write(parseOK(t, Write(m))); got != Write(m) {
+		t.Fatalf("Write∘Parse is not a fixpoint:\n%s\n---\n%s", Write(m), got)
+	}
+}

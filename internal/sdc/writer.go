@@ -89,7 +89,7 @@ func writeClock(c *Clock) string {
 		b.WriteString(" -add")
 	}
 	if c.Comment != "" {
-		fmt.Fprintf(&b, " -comment %q", c.Comment)
+		fmt.Fprintf(&b, " -comment %s", quoteText(c.Comment))
 	}
 	if len(c.Sources) > 0 {
 		fmt.Fprintf(&b, " %s", objectArgs(c.Sources))
@@ -243,7 +243,7 @@ func WriteException(e *Exception) string {
 	}
 	b.WriteString(pointFlag("to", e.To))
 	if e.Comment != "" {
-		fmt.Fprintf(&b, " -comment %q", e.Comment)
+		fmt.Fprintf(&b, " -comment %s", quoteText(e.Comment))
 	}
 	b.WriteString("\n")
 	return b.String()
@@ -328,6 +328,31 @@ func minMaxFlag(m MinMax) string {
 	default:
 		return ""
 	}
+}
+
+// quoteText renders free text as a double-quoted Tcl word that reads back
+// verbatim: backslash escapes for the quote, backslash, substitution
+// characters and line breaks, every other byte as is.
+func quoteText(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\', '[', '$':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		case '\r':
+			b.WriteString(`\r`)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 func quoteName(n string) string {

@@ -191,7 +191,7 @@ func TestCliqueJobExternalCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for s.Fabric().Status().Pending == 0 {
+	for s.fabric.Status().Pending == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("clique never reached the fabric queue")
 		}
@@ -204,9 +204,9 @@ func TestCliqueJobExternalCancel(t *testing.T) {
 	}
 }
 
-// TestFabricLocalExecutorSharesIncrCache: the coordinator's local
-// executor merges through the server's own incremental cache, so the
-// clique it merged shows in IncrCache().Stats().
+// TestFabricLocalExecutorSharesIncrCache: a job on a fabric server
+// merges its clique in-process through the server's own incremental
+// cache, so the clique shows in IncrCache().Stats().
 func TestFabricLocalExecutorSharesIncrCache(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1,
@@ -221,7 +221,7 @@ func TestFabricLocalExecutorSharesIncrCache(t *testing.T) {
 	if job.Status() != StatusDone {
 		t.Fatalf("job: status %s, error %q", job.Status(), job.View().Error)
 	}
-	if st := s.Fabric().Status(); st.Completed != 1 || st.Steals != 0 {
+	if st := s.fabric.Status(); st.Completed != 1 || st.Steals != 0 {
 		t.Fatalf("fabric status = %+v, want one local completion", st)
 	}
 	st := s.IncrCache().Stats().Snapshot()

@@ -48,9 +48,8 @@ func resultJSON(t *testing.T, job *Job) []byte {
 }
 
 // TestFabricMergeByteIdentical runs the same request through a plain
-// single-process server and a fabric-enabled server (coordinator with
-// one local executor) and requires byte-identical results — the
-// tentpole's core guarantee.
+// single-process server and a fabric-enabled server (its job merging
+// one clique at a time in-process) and requires byte-identical results.
 func TestFabricMergeByteIdentical(t *testing.T) {
 	plain := newTestServer(t, Config{Workers: 1, Logger: quietSlog()})
 	job, err := plain.Submit(threeModeRequest())
@@ -80,7 +79,7 @@ func TestFabricMergeByteIdentical(t *testing.T) {
 		t.Fatalf("fabric result differs from single-process result:\nfabric: %s\nplain:  %s", got, want)
 	}
 
-	st := fab.Fabric().Status()
+	st := fab.fabric.Status()
 	if !st.Enabled || st.Completed < 1 {
 		t.Fatalf("fabric status after merge: %+v", st)
 	}
@@ -93,12 +92,11 @@ func TestFabricMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFabricExecutorReusesServerDesign pins one parse per design on a
-// coordinator: the job's parse builds the timing graph (the design
-// granularity's one miss), and the local executor merging the job's
-// two-mode clique finds that graph in the shared cache (a hit) instead
-// of parsing the netlist again.
-func TestFabricExecutorReusesServerDesign(t *testing.T) {
+// TestFabricLocalMergeParsesOnce pins one parse per design on a
+// coordinator with no remote worker: the job's parse builds the timing
+// graph (the design granularity's one miss), and the job merges its
+// two-mode clique in-process on that graph with no second design lookup.
+func TestFabricLocalMergeParsesOnce(t *testing.T) {
 	fab := newTestServer(t, Config{
 		Workers: 1,
 		Logger:  quietSlog(),
@@ -112,12 +110,12 @@ func TestFabricExecutorReusesServerDesign(t *testing.T) {
 	if job.Status() != StatusDone {
 		t.Fatalf("fabric job: status %s, error %q", job.Status(), job.View().Error)
 	}
-	if st := fab.Fabric().Status(); st.Completed != 1 {
-		t.Fatalf("fabric completed %d clique jobs, want 1", st.Completed)
+	if st := fab.fabric.Status(); st.Completed != 1 || st.Steals != 0 {
+		t.Fatalf("cluster status %+v, want one in-process completion", st)
 	}
 	hits, misses := fab.IncrCache().Stats().Snapshot().Counts(incr.GranDesign)
-	if misses != 1 || hits != 1 {
-		t.Fatalf("design granularity: %d hits, %d misses; want the executor's hit on the server's one build", hits, misses)
+	if misses != 1 || hits != 0 {
+		t.Fatalf("design granularity: %d hits, %d misses; want the job's one build", hits, misses)
 	}
 	if n := fab.Metrics().Snapshot().CacheHitsDesign; n != 0 {
 		t.Fatalf("cache_hits_design = %d on a fresh design, want 0", n)
@@ -146,7 +144,7 @@ func TestClusterEndpointDisabled(t *testing.T) {
 }
 
 // TestFabricWorkerDeathByteIdentity is the in-process 3-node harness:
-// a pure-dispatcher coordinator (no local executors) plus two worker
+// a pure-dispatcher coordinator (no in-process merges) plus two worker
 // nodes over real HTTP. The first worker claims the clique job and dies
 // mid-clique (never completes); the lease expires, the job is
 // rescheduled onto the second worker, and the finished result must be
@@ -192,7 +190,7 @@ func TestFabricWorkerDeathByteIdentity(t *testing.T) {
 	if spec == nil || len(spec.Members) != 2 {
 		t.Fatalf("doomed worker claimed %+v", spec)
 	}
-	if st := s.Fabric().Status(); len(st.InFlight) != 1 || st.InFlight[0].Worker != "doomed" {
+	if st := s.fabric.Status(); len(st.InFlight) != 1 || st.InFlight[0].Worker != "doomed" {
 		t.Fatalf("cluster status after claim: %+v", st)
 	}
 
@@ -217,7 +215,7 @@ func TestFabricWorkerDeathByteIdentity(t *testing.T) {
 		t.Fatalf("rescheduled merge differs from reference:\ngot:  %s\nwant: %s", got, want)
 	}
 
-	st := s.Fabric().Status()
+	st := s.fabric.Status()
 	if st.Retries < 1 {
 		t.Fatalf("expected ≥1 retry after worker death, status %+v", st)
 	}
@@ -269,7 +267,7 @@ func TestFabricShutdownFailsPendingCliques(t *testing.T) {
 	}
 	// Wait until the clique job is actually queued on the fabric.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Fabric().Status().Pending == 0 && time.Now().Before(deadline) {
+	for s.fabric.Status().Pending == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 
-	"modemerge/internal/fabric"
 	"modemerge/internal/obs"
 )
 
@@ -42,7 +41,7 @@ const maxRequestBytes = 32 << 20
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.registerV2(mux)
-	if s.fabric != nil {
+	if s.cfg.Fabric.Enabled {
 		// Cluster-internal wire API (join/poll/complete + blob
 		// passthrough); versioned by path, documented in docs/api.md.
 		mux.Handle("/fabric/v1/", s.fabric.Handler())
@@ -82,15 +81,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeClusterMetrics appends the modemerged_cluster_* family to a
-// Prometheus scrape. The gauges exist on every server (enabled=0 when
-// no fabric runs) so dashboards need no existence checks.
+// Prometheus scrape. Every server is a coordinator, so the gauges exist
+// everywhere (enabled=0 where workers cannot join).
 func (s *Server) writeClusterMetrics(w io.Writer) {
-	var st fabric.ClusterStatus
-	if s.fabric != nil {
-		st = s.fabric.Status()
-	}
+	st := s.fabric.Status()
 	pw := obs.NewPromWriter(w)
-	pw.Gauge("modemerged_cluster_enabled", "Whether this server coordinates a merge fabric.",
+	pw.Gauge("modemerged_cluster_enabled", "Whether merge workers can join this server.",
 		obs.Series{Value: boolGauge(st.Enabled)})
 	pw.Gauge("modemerged_cluster_workers", "Remote merge workers currently registered.",
 		obs.Series{Value: float64(len(st.Workers))})
@@ -102,7 +98,7 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 		obs.Series{Value: float64(st.Steals)})
 	pw.Counter("modemerged_cluster_retries_total", "Clique jobs requeued after lease expiry or lost artifacts.",
 		obs.Series{Value: float64(st.Retries)})
-	pw.Counter("modemerged_cluster_cliques_total", "Clique jobs by terminal outcome.",
+	pw.Counter("modemerged_cluster_cliques_total", "Multi-mode cliques by terminal outcome: completed in-process or by workers, failed on the fabric.",
 		obs.Series{Labels: []string{"outcome", "completed"}, Value: float64(st.Completed)},
 		obs.Series{Labels: []string{"outcome", "failed"}, Value: float64(st.Failed)})
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 
-	"modemerge/internal/fabric"
 	"modemerge/internal/obs"
 )
 
@@ -468,16 +467,8 @@ func (s *Server) handleCancelV2(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterV2 serves the merge fabric's cluster view: registered
 // workers, queued and in-flight clique jobs, and the steal/retry/
-// completion counters. With the fabric disabled it reports
-// enabled=false with empty collections (200, not 404 — the route is
-// always present, the feature is a runtime mode).
+// completion counters. Every server is a coordinator, so the route
+// always answers; enabled=false means workers cannot join.
 func (s *Server) handleClusterV2(w http.ResponseWriter, r *http.Request) {
-	if s.fabric == nil {
-		writeJSON(w, http.StatusOK, fabric.ClusterStatus{
-			Workers:  []fabric.WorkerStatus{},
-			InFlight: []fabric.InFlight{},
-		})
-		return
-	}
 	writeJSON(w, http.StatusOK, s.fabric.Status())
 }

@@ -78,8 +78,8 @@ type MergeRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
 	// testPanic makes the merge of clique 0 panic: on the job's own
-	// goroutine on a solo server, on a clique goroutine when a fabric
-	// server runs the job's cliques in parallel. Unexported so it is
+	// goroutine when the job merges one clique at a time, on a clique
+	// goroutine when it runs its cliques in parallel. Unexported so it is
 	// unreachable from JSON payloads; only tests set it (same pattern as
 	// core.Options.Inject fault injection).
 	testPanic bool

@@ -88,28 +88,26 @@ type Config struct {
 	// span tree, stage counters, CPU profile and goroutine dump for jobs
 	// that run slow, fail or panic. Zero value disables recording.
 	Flight FlightConfig
-	// Fabric configures the distributed merge fabric. Zero value:
-	// disabled — per-clique merges run in-process on the job's goroutine,
-	// exactly the sequential order the single-process path always had.
+	// Fabric configures the server's merge fabric coordinator. Zero
+	// value: no worker can join, so every job merges its cliques
+	// in-process, one at a time on its own goroutine.
 	Fabric FabricConfig
 }
 
-// FabricConfig enables the coordinator role of the distributed merge
-// fabric: multi-mode clique merges are published to a work-stealing
-// queue served under /fabric/v1/, where remote merge workers
-// (modemerged -role worker -join <addr>) and the coordinator's own
-// local executors compete for them. Merged output stays byte-identical
-// to the single-process path at any worker count.
+// FabricConfig configures the merge fabric coordinator every server is
+// (see mergeCliques). Remote merge workers run as modemerged -role worker
+// -join <addr>. Output is byte-identical at any worker count.
 type FabricConfig struct {
-	// Enabled turns the coordinator on.
+	// Enabled lets workers join: it serves the wire API under
+	// /fabric/v1/ and shares the incremental cache's artifact store (in
+	// memory unless IncrCacheDir sets a disk one).
 	Enabled bool
-	// LocalExecutors is how many coordinator-side goroutines also pull
-	// clique jobs, so a cluster of one makes progress before any worker
-	// joins. 0 means the default of 1; -1 disables local execution
-	// (pure dispatcher — jobs wait for remote workers).
+	// LocalExecutors is how many of a job's cliques the job merges
+	// in-process at once. 0 means the default of 1; -1 with Enabled is a
+	// pure dispatcher, whose cliques all wait for remote workers.
 	LocalExecutors int
-	// DispatchWidth bounds how many clique jobs one merge job keeps in
-	// flight on the fabric at once. Default 8.
+	// DispatchWidth bounds how many cliques one job keeps in flight
+	// while it shares them with workers. Default 8.
 	DispatchWidth int
 	// LeaseTTL is how long a claimed clique job may go silent before the
 	// worker is presumed dead and the job is requeued. Default 30s.
@@ -141,6 +139,9 @@ func (c Config) withDefaults() Config {
 	if c.Fabric.DispatchWidth <= 0 {
 		c.Fabric.DispatchWidth = 8
 	}
+	if c.Fabric.LocalExecutors == 0 || c.Fabric.LocalExecutors < 0 && !c.Fabric.Enabled {
+		c.Fabric.LocalExecutors = 1
+	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -161,7 +162,8 @@ type Server struct {
 	flights *FlightRecorder // nil when disabled
 
 	incr   *incr.Cache
-	fabric *fabric.Coordinator // nil when the fabric is disabled
+	fabric *fabric.Coordinator
+	locals int // cliques a job merges in-process at once; 0: pure dispatcher
 
 	// idemMu serializes the Idempotency-Key check-then-submit sequence
 	// so concurrent retries with one key create one job. Lock order:
@@ -205,30 +207,24 @@ func New(cfg Config) *Server {
 				"dir", cfg.IncrCacheDir, "error", err)
 		}
 	}
+	var store incr.BlobStore
 	if cfg.Fabric.Enabled {
 		// Coordinator and workers must share one artifact store: reuse the
 		// incremental cache's write-through store (disk when IncrCacheDir
-		// is set) so every locally merged clique is already published, or
-		// install an in-memory store when the cache had none. The local
-		// executors merge through that same cache at MergeParallelism.
+		// is set) so every clique a job merges in-process is already
+		// published, or install an in-memory store when the cache had none.
 		if s.incr.Store() == nil {
 			s.incr.WithStore(incr.NewMemStore())
 		}
-		locals := cfg.Fabric.LocalExecutors
-		switch {
-		case locals == 0:
-			locals = 1
-		case locals < 0:
-			locals = 0
-		}
-		exec := fabric.NewExecutor(s.incr, cfg.MergeParallelism)
-		s.fabric = fabric.NewCoordinator(exec, fabric.CoordinatorConfig{
-			LeaseTTL:       cfg.Fabric.LeaseTTL,
-			MaxAttempts:    cfg.Fabric.MaxAttempts,
-			LocalExecutors: locals,
-			Logger:         cfg.Logger,
-		})
+		store = s.incr.Store()
 	}
+	s.locals = max(cfg.Fabric.LocalExecutors, 0)
+	s.fabric = fabric.NewCoordinator(store, fabric.CoordinatorConfig{
+		LeaseTTL:       cfg.Fabric.LeaseTTL,
+		MaxAttempts:    cfg.Fabric.MaxAttempts,
+		LocalExecutors: s.locals,
+		Logger:         cfg.Logger,
+	})
 	if cfg.Flight.Dir != "" {
 		fr, err := NewFlightRecorder(cfg.Flight, cfg.Logger)
 		if err != nil {
@@ -251,9 +247,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // IncrCache exposes the shared incremental sub-merge cache.
 func (s *Server) IncrCache() *incr.Cache { return s.incr }
-
-// Fabric exposes the merge fabric coordinator (nil when disabled).
-func (s *Server) Fabric() *fabric.Coordinator { return s.fabric }
 
 // Job looks a job up by id.
 func (s *Server) Job(id string) (*Job, bool) {
@@ -613,17 +606,19 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 }
 
 // mergeCliques merges every clique and assembles the results in clique
-// order. Without a fabric it runs one clique at a time on the job's own
-// goroutine — the exact sequential loop core.MergeAll runs, byte for
-// byte. With a fabric, multi-mode cliques are published to the
-// work-stealing queue (up to DispatchWidth in flight) and merged by
-// whichever node is free first; singletons merge locally. Determinism
-// of the merge engine plus indexed assembly keeps the output
-// byte-identical either way.
+// order. A job merges its own cliques in-process, LocalExecutors at a
+// time: at the default of one, the sequential loop of core.MergeAll on
+// the job's own goroutine. While remote workers are registered, or on a
+// pure dispatcher, DispatchWidth cliques are in flight and multi-mode
+// ones are shared with workers (mergeShared). Determinism of the merge
+// engine plus indexed assembly keeps the output byte-identical.
 func (s *Server) mergeCliques(ctx context.Context, req *MergeRequest, g *graph.Graph, modes []*sdc.Mode, cliques [][]int, opt core.Options) ([]*sdc.Mode, []*core.Report, error) {
-	width := 1
-	if s.fabric != nil {
-		width = s.cfg.Fabric.DispatchWidth
+	share := s.locals == 0 || s.fabric.HasWorkers()
+	// slots holds the job's in-process merges while it shares; a pure
+	// dispatcher's is unbuffered and never takes one.
+	width, slots := s.locals, make(chan struct{}, s.locals)
+	if share {
+		width = max(width, s.cfg.Fabric.DispatchWidth)
 	}
 	merged := make([]*sdc.Mode, len(cliques))
 	reports := make([]*core.Report, len(cliques))
@@ -636,10 +631,10 @@ func (s *Server) mergeCliques(ctx context.Context, req *MergeRequest, g *graph.G
 			group[i] = modes[mi]
 		}
 		var err error
-		if s.fabric != nil && len(group) > 1 {
-			merged[ci], reports[ci], err = s.mergeOnFabric(cx, req, g, group, opt)
+		if share && len(group) > 1 {
+			merged[ci], reports[ci], err = s.mergeShared(cx, req, g, cliques[ci], group, opt, slots)
 		} else {
-			merged[ci], reports[ci], err = core.MergeClique(cx, g, group, opt)
+			merged[ci], reports[ci], err = s.mergeLocal(cx, g, group, opt)
 		}
 		return err
 	})
@@ -711,27 +706,37 @@ func forEachClique(ctx context.Context, n, width int, fn func(context.Context, i
 	return ctx.Err()
 }
 
-// mergeOnFabric runs one multi-mode clique on the distributed fabric:
-// build the self-contained spec, address it by its content key, submit
-// to the coordinator (which short-circuits on a stored artifact, dedups
-// concurrent identical submissions and retries worker deaths), and
-// decode the artifact bytes. The span mirrors the one core.MergeClique
-// opens locally, so job traces keep their shape across deployments.
-func (s *Server) mergeOnFabric(ctx context.Context, req *MergeRequest, g *graph.Graph, group []*sdc.Mode, opt core.Options) (*sdc.Mode, *core.Report, error) {
-	names := make([]string, len(group))
-	members := make([]fabric.Mode, len(group))
-	for i, m := range group {
-		names[i] = m.Name
-		// Canonical member texts: the worker re-parses and re-writes them,
-		// and sdc.Write∘Parse is stable, so both sides compute one key.
-		members[i] = fabric.Mode{Name: m.Name, SDC: sdc.Write(m)}
+// mergeLocal merges one clique in-process, counting a multi-mode one as
+// completed in the cluster view.
+func (s *Server) mergeLocal(ctx context.Context, g *graph.Graph, group []*sdc.Mode, opt core.Options) (*sdc.Mode, *core.Report, error) {
+	m, rep, err := core.MergeClique(ctx, g, group, opt)
+	if err == nil && len(group) > 1 {
+		s.fabric.CompleteLocal()
 	}
-	span := opt.Trace.Child("merge:" + strings.Join(names, "+"))
-	defer span.Finish()
-	span.SetAttr("design", g.Design.Name)
-	span.SetAttr("members", strings.Join(names, ","))
-	span.SetAttr("fabric", "1")
-	spec := fabric.Spec{
+	return m, rep, err
+}
+
+// mergeShared merges the multi-mode clique req.Modes[members] (parsed as
+// group) in-process when one of the job's slots is free. Otherwise it
+// publishes the clique's spec, carrying each member's SDC as the user
+// sent it, and whichever side claims it first merges it: a remote
+// worker, whose artifact is decoded under a merge:<names> span marked
+// fabric=1, or this job once a slot frees while the clique is queued.
+func (s *Server) mergeShared(ctx context.Context, req *MergeRequest, g *graph.Graph, members []int, group []*sdc.Mode, opt core.Options, slots chan struct{}) (*sdc.Mode, *core.Report, error) {
+	select {
+	case slots <- struct{}{}:
+		defer func() { <-slots }()
+		return s.mergeLocal(ctx, g, group, opt)
+	default:
+	}
+	names := make([]string, len(group))
+	wire := make([]fabric.Mode, len(group))
+	for i, mi := range members {
+		names[i] = group[i].Name
+		wire[i] = fabric.Mode{Name: req.Modes[mi].Name, SDC: req.Modes[mi].SDC}
+	}
+	published := time.Now()
+	tk, err := s.fabric.Publish(fabric.Spec{
 		Key:                 core.CliqueKey(g, opt, group),
 		Verilog:             req.Verilog,
 		Top:                 req.Top,
@@ -741,17 +746,43 @@ func (s *Server) mergeOnFabric(ctx context.Context, req *MergeRequest, g *graph.
 		MaxRefineIterations: opt.MaxRefineIterations,
 		STAWorkers:          opt.STA.Workers,
 		Corners:             fabric.WireCorners(opt.Corners),
-		Members:             members,
-	}
-	b, err := s.fabric.Exec(ctx, spec)
+		Members:             wire,
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("merging %v: %w", names, err)
 	}
-	m, rep, err := core.DecodeCliqueArtifact(b, g)
-	if err != nil {
-		return nil, nil, fmt.Errorf("merging %v: decoding artifact: %w", names, err)
+	defer tk.Release()
+	var slot chan struct{} // slots while the clique may be claimable
+	for {
+		select {
+		case <-tk.Done():
+			span := opt.Trace.ChildSince("merge:"+strings.Join(names, "+"), published)
+			defer span.Finish()
+			span.SetAttr("design", g.Design.Name)
+			span.SetAttr("members", strings.Join(names, ","))
+			span.SetAttr("fabric", "1")
+			b, err := tk.Result()
+			if err != nil {
+				return nil, nil, fmt.Errorf("merging %v: %w", names, err)
+			}
+			m, rep, err := core.DecodeCliqueArtifact(b, g)
+			if err != nil {
+				return nil, nil, fmt.Errorf("merging %v: decoding artifact: %w", names, err)
+			}
+			return m, rep, nil
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		case <-tk.Claimable():
+			slot = slots
+		case slot <- struct{}{}:
+			if tk.Claim() {
+				defer func() { <-slots }()
+				return s.mergeLocal(ctx, g, group, opt)
+			}
+			<-slots
+			slot = nil
+		}
 	}
-	return m, rep, nil
 }
 
 // Shutdown drains the server: no new submissions, queued and running jobs
@@ -771,27 +802,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	// The coordinator closes once no job can publish cliques (workers
+	// drained), failing anything still queued with fabric.ErrClosed.
 	select {
 	case <-done:
 		s.baseCancel()
-		s.closeFabric()
+		s.fabric.Close()
 		return nil
 	case <-ctx.Done():
 		// Grace period over: cancel every job (running ones abort
 		// cooperatively through their contexts) and wait for workers.
 		s.baseCancel()
 		<-done
-		s.closeFabric()
-		return ctx.Err()
-	}
-}
-
-// closeFabric stops the merge fabric coordinator once no job can submit
-// new clique work (workers drained), failing anything still queued with
-// fabric.ErrClosed.
-func (s *Server) closeFabric() {
-	if s.fabric != nil {
 		s.fabric.Close()
+		return ctx.Err()
 	}
 }
 
