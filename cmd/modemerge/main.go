@@ -77,32 +77,16 @@ func main() {
 	}
 }
 
-// cornerJSON is one corner of a -corners file. Field names match the
-// service API's corner objects, so one corner-set file serves both.
-type cornerJSON struct {
-	Name        string  `json:"name"`
-	DelayScale  float64 `json:"delay_scale,omitempty"`
-	EarlyScale  float64 `json:"early_scale,omitempty"`
-	LateScale   float64 `json:"late_scale,omitempty"`
-	MarginScale float64 `json:"margin_scale,omitempty"`
-	SDC         string  `json:"sdc,omitempty"`
-}
-
-// loadCorners reads and validates a -corners JSON file.
+// loadCorners reads and validates a -corners JSON file. Its corner
+// objects are the service API's, so one corner-set file serves both.
 func loadCorners(path string) ([]modemerge.Corner, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var raw []cornerJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
+	var out []modemerge.Corner
+	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := make([]modemerge.Corner, len(raw))
-	for i, c := range raw {
-		out[i] = modemerge.Corner{Name: c.Name, DelayScale: c.DelayScale,
-			EarlyScale: c.EarlyScale, LateScale: c.LateScale,
-			MarginScale: c.MarginScale, SDC: c.SDC}
 	}
 	if err := modemerge.ValidateCorners(out); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -210,12 +194,8 @@ func run(ctx context.Context, verilog, top, libFile, outDir, cacheDir, cornersFi
 		// with the corner's overlay appended — one cell of the reduced
 		// scenario matrix.
 		for _, crn := range opt.Corners {
-			dep := text
-			if crn.SDC != "" {
-				dep += "\n" + crn.SDC + "\n"
-			}
 			dpath := filepath.Join(outDir, sanitize(m.Name)+"@"+sanitize(crn.Name)+".sdc")
-			if err := os.WriteFile(dpath, []byte(dep), 0o644); err != nil {
+			if err := os.WriteFile(dpath, []byte(crn.Deploy(text)), 0o644); err != nil {
 				return err
 			}
 		}

@@ -438,8 +438,7 @@ func (mg *Merger) scenarioModes() ([]*sdc.Mode, error) {
 // ports; creating clocks would break the scenario↔mode clock-name
 // correspondence the merge relies on, so that is rejected here.
 func applyCornerOverlay(d *netlist.Design, m *sdc.Mode, crn *library.Corner) (*sdc.Mode, error) {
-	text := sdc.Write(m) + "\n" + crn.SDC + "\n"
-	eff, _, err := sdc.Parse(m.Name, text, d)
+	eff, _, err := sdc.Parse(m.Name, crn.Deploy(sdc.Write(m)), d)
 	if err != nil {
 		return nil, fmt.Errorf("corner %s overlay on mode %s: %w", crn.Name, m.Name, err)
 	}

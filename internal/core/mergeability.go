@@ -155,6 +155,14 @@ func analyzeMergeability(g *graph.Graph, modes []*sdc.Mode, opt Options) (*Merge
 	return mb, st, nil
 }
 
+// within reports whether two values agree within the relative
+// tolerance tol: the one rule both the mock merge and the preliminary
+// merge judge constraint values by.
+func within(a, b, tol float64) bool {
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b) <= tol*scale
+}
+
 // sortedKeys returns the keys of a string-keyed map in sorted order, so
 // first-conflict selection below never depends on map iteration order.
 func sortedKeys[V any](m map[string]V) []string {
@@ -169,11 +177,6 @@ func sortedKeys[V any](m map[string]V) []string {
 // mockMerge checks one pair; it returns "" when mergeable or the first
 // conflict found (in sorted key order, so the reason is deterministic).
 func mockMerge(a, b *sdc.Mode, tol float64) string {
-	within := func(x, y float64) bool {
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		return math.Abs(x-y) <= tol*scale
-	}
-
 	// Corresponding clocks: same sources + waveform → same merged clock.
 	// Their latency/uncertainty/transition values must agree within
 	// tolerance.
@@ -223,16 +226,16 @@ func mockMerge(a, b *sdc.Mode, tol float64) string {
 		if !shared {
 			continue
 		}
-		if ca.hasLat && cb.hasLat && !within(ca.latency, cb.latency) {
+		if ca.hasLat && cb.hasLat && !within(ca.latency, cb.latency, tol) {
 			return fmt.Sprintf("clock latency differs beyond tolerance (%g vs %g)", ca.latency, cb.latency)
 		}
-		if ca.hasSrcLat && cb.hasSrcLat && !within(ca.srcLatency, cb.srcLatency) {
+		if ca.hasSrcLat && cb.hasSrcLat && !within(ca.srcLatency, cb.srcLatency, tol) {
 			return fmt.Sprintf("source latency differs beyond tolerance (%g vs %g)", ca.srcLatency, cb.srcLatency)
 		}
-		if ca.hasUnc && cb.hasUnc && !within(ca.uncertainty, cb.uncertainty) {
+		if ca.hasUnc && cb.hasUnc && !within(ca.uncertainty, cb.uncertainty, tol) {
 			return fmt.Sprintf("clock uncertainty differs beyond tolerance (%g vs %g)", ca.uncertainty, cb.uncertainty)
 		}
-		if ca.hasTr && cb.hasTr && !within(ca.transition, cb.transition) {
+		if ca.hasTr && cb.hasTr && !within(ca.transition, cb.transition, tol) {
 			return fmt.Sprintf("clock transition differs beyond tolerance (%g vs %g)", ca.transition, cb.transition)
 		}
 	}
@@ -265,17 +268,17 @@ func mockMerge(a, b *sdc.Mode, tol float64) string {
 	trA, loadA, drvA, cellA := portVals(a)
 	trB, loadB, drvB, cellB := portVals(b)
 	for _, port := range sortedKeys(trA) {
-		if y, ok := trB[port]; ok && !within(trA[port], y) {
+		if y, ok := trB[port]; ok && !within(trA[port], y, tol) {
 			return fmt.Sprintf("input transition on %s differs beyond tolerance (%g vs %g)", port, trA[port], y)
 		}
 	}
 	for _, port := range sortedKeys(loadA) {
-		if y, ok := loadB[port]; ok && !within(loadA[port], y) {
+		if y, ok := loadB[port]; ok && !within(loadA[port], y, tol) {
 			return fmt.Sprintf("load on %s differs beyond tolerance (%g vs %g)", port, loadA[port], y)
 		}
 	}
 	for _, port := range sortedKeys(drvA) {
-		if y, ok := drvB[port]; ok && !within(drvA[port], y) {
+		if y, ok := drvB[port]; ok && !within(drvA[port], y, tol) {
 			return fmt.Sprintf("drive on %s differs beyond tolerance (%g vs %g)", port, drvA[port], y)
 		}
 	}

@@ -109,12 +109,6 @@ func (mg *Merger) unionClocks() {
 	mg.Report.MergedClocks = len(mg.merged.Clocks)
 }
 
-// within reports whether two values agree within the relative tolerance.
-func (mg *Merger) within(a, b float64) bool {
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= mg.opt.Tolerance*scale
-}
-
 // mergeClockConstraints implements §3.1.2: latency, uncertainty and
 // transition constraints merge per merged clock, picking the minimum of
 // min values and the maximum of max values.
@@ -475,7 +469,7 @@ func (mg *Merger) mergeDriveLoad() {
 			m[key] = a
 			*order = append(*order, key)
 		} else {
-			if !mg.within(a.value, v) {
+			if !within(a.value, v, mg.opt.Tolerance) {
 				a.ok = false
 			}
 			a.value = math.Max(a.value, v)

@@ -16,7 +16,9 @@ import (
 // CoordinatorConfig tunes a Coordinator.
 type CoordinatorConfig struct {
 	// LeaseTTL is how long a claimed clique job may go without completion
-	// before it is presumed lost (worker death) and requeued. Default 30s.
+	// before it is presumed lost (worker death) and requeued, and how long
+	// an idle worker may stay silent before it is dropped from the
+	// registry. Default 30s.
 	LeaseTTL time.Duration
 	// MaxAttempts bounds executions of one job across lease expiries
 	// before it fails permanently. Default 3.
@@ -146,7 +148,8 @@ type workerInfo struct {
 	addr      string
 	joined    time.Time
 	lastSeen  time.Time
-	active    int
+	active    int // leases held
+	polling   int // long polls in progress
 	completed int64
 }
 
@@ -282,30 +285,38 @@ func (c *Coordinator) Join(workerID, addr string) error {
 	if c.store == nil {
 		return fmt.Errorf("fabric: coordinator has no artifact store to share")
 	}
-	w, ok := c.workers[workerID]
-	if !ok {
-		w = &workerInfo{id: workerID, joined: time.Now()}
-		c.workers[workerID] = w
-		c.log.Info("fabric worker joined", "worker", workerID, "addr", addr)
-	}
-	w.addr = addr
-	w.lastSeen = time.Now()
+	c.touchLocked(workerID).addr = addr
 	return nil
 }
 
 // Claim hands the next pending clique job to workerID, long-polling up
 // to wait. It returns (nil, nil) when no work arrived in time, and
-// ErrClosed after Close.
+// ErrClosed after Close. A poll registers a worker the coordinator does
+// not know (dropped while silent, or polling a restarted coordinator),
+// and a worker is never dropped while it polls.
 func (c *Coordinator) Claim(ctx context.Context, workerID string, wait time.Duration) (*Spec, error) {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
+	c.mu.Lock()
+	w := c.touchLocked(workerID)
+	if w != nil {
+		w.polling++
+	}
+	c.mu.Unlock()
+	defer func() {
+		if w != nil {
+			c.mu.Lock()
+			w.polling--
+			w.lastSeen = time.Now()
+			c.mu.Unlock()
+		}
+	}()
 	for {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return nil, ErrClosed
 		}
-		c.touchLocked(workerID)
 		if len(c.pending) > 0 {
 			t := c.pending[0]
 			c.pending = c.pending[1:]
@@ -339,10 +350,22 @@ func (c *Coordinator) leaseLocked(t *task, workerID string) *Spec {
 	return &spec
 }
 
-func (c *Coordinator) touchLocked(workerID string) {
-	if w, ok := c.workers[workerID]; ok {
-		w.lastSeen = time.Now()
+// touchLocked records that workerID was heard from now and returns its
+// registry entry, registering the worker when it is unknown. It returns
+// nil when no worker can register: an empty ID, or no store to share.
+// Callers hold c.mu.
+func (c *Coordinator) touchLocked(workerID string) *workerInfo {
+	w, ok := c.workers[workerID]
+	if !ok {
+		if workerID == "" || c.store == nil {
+			return nil
+		}
+		w = &workerInfo{id: workerID, joined: time.Now()}
+		c.workers[workerID] = w
+		c.log.Info("fabric worker joined", "worker", workerID)
 	}
+	w.lastSeen = time.Now()
+	return w
 }
 
 // Complete reports one claimed job's outcome. On success the artifact
@@ -447,7 +470,10 @@ func (c *Coordinator) requeueLocked(t *task, why string) []any {
 	return nil
 }
 
-// reaper expires leases whose worker went silent.
+// reaper expires leases whose worker went silent, and drops a worker
+// that holds no lease, is not polling and has been silent for longer
+// than LeaseTTL, so a server whose workers all died stops publishing
+// cliques.
 func (c *Coordinator) reaper() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.LeaseTTL / 4)
@@ -460,6 +486,7 @@ func (c *Coordinator) reaper() {
 		}
 		now := time.Now()
 		var requeued [][]any
+		var dropped []string
 		c.mu.Lock()
 		for _, t := range c.leased {
 			if now.After(t.expiry) {
@@ -469,9 +496,18 @@ func (c *Coordinator) reaper() {
 				}
 			}
 		}
+		for id, w := range c.workers {
+			if w.active == 0 && w.polling == 0 && now.Sub(w.lastSeen) > c.cfg.LeaseTTL {
+				delete(c.workers, id)
+				dropped = append(dropped, id)
+			}
+		}
 		c.mu.Unlock()
 		for _, attrs := range requeued {
 			c.log.Warn("fabric clique requeued", attrs...)
+		}
+		for _, id := range dropped {
+			c.log.Warn("fabric worker dropped after going silent", "worker", id)
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"modemerge/internal/graph"
 	"modemerge/internal/incr"
 	"modemerge/internal/library"
+	"modemerge/internal/netlist"
 	"modemerge/internal/sdc"
 	"modemerge/internal/sta"
 )
@@ -34,20 +35,24 @@ import (
 // handshake rejects mismatches.
 const WireVersion = 1
 
-// Mode is one member mode of a clique job.
+// Mode is one member mode of a clique job, with its SDC text as the
+// user sent it. It is also the service's mode input (service.ModeInput).
 type Mode struct {
 	Name string `json:"name"`
 	SDC  string `json:"sdc"`
 }
 
-// Corner mirrors library.Corner over the wire.
-type Corner struct {
-	Name        string  `json:"name"`
-	DelayScale  float64 `json:"delay_scale,omitempty"`
-	EarlyScale  float64 `json:"early_scale,omitempty"`
-	LateScale   float64 `json:"late_scale,omitempty"`
-	MarginScale float64 `json:"margin_scale,omitempty"`
-	SDC         string  `json:"sdc,omitempty"`
+// ParseModes parses each mode's SDC text against design d.
+func ParseModes(d *netlist.Design, modes []Mode) ([]*sdc.Mode, error) {
+	out := make([]*sdc.Mode, len(modes))
+	for i, m := range modes {
+		mode, _, err := sdc.Parse(m.Name, m.SDC, d)
+		if err != nil {
+			return nil, fmt.Errorf("mode %s: %w", m.Name, err)
+		}
+		out[i] = mode
+	}
+	return out, nil
 }
 
 // Spec is one self-contained clique merge job: everything a worker
@@ -58,53 +63,51 @@ type Corner struct {
 type Spec struct {
 	Key string `json:"key"`
 
-	Verilog string `json:"verilog"`
-	Top     string `json:"top,omitempty"`
-	Library string `json:"library,omitempty"`
+	graph.Source
 
-	MergedName          string   `json:"merged_name,omitempty"`
-	Tolerance           float64  `json:"tolerance,omitempty"`
-	MaxRefineIterations int      `json:"max_refine_iterations,omitempty"`
-	STAWorkers          int      `json:"sta_workers,omitempty"`
-	Corners             []Corner `json:"corners,omitempty"`
+	MergedName          string           `json:"merged_name,omitempty"`
+	Tolerance           float64          `json:"tolerance,omitempty"`
+	MaxRefineIterations int              `json:"max_refine_iterations,omitempty"`
+	STAWorkers          int              `json:"sta_workers,omitempty"`
+	Corners             []library.Corner `json:"corners,omitempty"`
 
 	Members []Mode `json:"members"`
 }
 
-// CoreCorners converts the wire corners back to library corners.
-func (s *Spec) CoreCorners() []library.Corner {
-	if len(s.Corners) == 0 {
-		return nil
+// NewSpec builds the clique job that merges members, parsed as group,
+// on the graph g built from src, under opt. The spec carries exactly the
+// options core.CliqueKey hashes; Options maps them back.
+func NewSpec(src graph.Source, g *graph.Graph, opt core.Options, members []Mode, group []*sdc.Mode) Spec {
+	return Spec{
+		Key:                 core.CliqueKey(g, opt, group),
+		Source:              src,
+		MergedName:          opt.MergedName,
+		Tolerance:           opt.Tolerance,
+		MaxRefineIterations: opt.MaxRefineIterations,
+		STAWorkers:          opt.STA.Workers,
+		Corners:             opt.Corners,
+		Members:             members,
 	}
-	out := make([]library.Corner, len(s.Corners))
-	for i, c := range s.Corners {
-		out[i] = library.Corner{
-			Name: c.Name, DelayScale: c.DelayScale, EarlyScale: c.EarlyScale,
-			LateScale: c.LateScale, MarginScale: c.MarginScale, SDC: c.SDC,
-		}
-	}
-	return out
 }
 
-// WireCorners converts library corners to their wire form.
-func WireCorners(corners []library.Corner) []Corner {
-	if len(corners) == 0 {
-		return nil
+// Options returns the core options the spec encodes, merging with
+// parallelism and through cache; neither changes merged bytes.
+func (s *Spec) Options(parallelism int, cache *incr.Cache) core.Options {
+	return core.Options{
+		Tolerance:           s.Tolerance,
+		MaxRefineIterations: s.MaxRefineIterations,
+		MergedName:          s.MergedName,
+		Parallelism:         parallelism,
+		Corners:             s.Corners,
+		STA:                 sta.Options{Workers: s.STAWorkers},
+		Cache:               cache,
 	}
-	out := make([]Corner, len(corners))
-	for i, c := range corners {
-		out[i] = Corner{
-			Name: c.Name, DelayScale: c.DelayScale, EarlyScale: c.EarlyScale,
-			LateScale: c.LateScale, MarginScale: c.MarginScale, SDC: c.SDC,
-		}
-	}
-	return out
 }
 
 // Executor runs clique specs on a worker: it reconstructs designs
-// through the cache's design granularity (every clique of one job
-// shares the design), merges via core.MergeClique, and guarantees the
-// artifact is in the store under spec.Key before reporting success.
+// through the cache's design granularity (graph.LoadCached), merges via
+// core.MergeClique, and guarantees the artifact is in the store under
+// spec.Key before reporting success.
 type Executor struct {
 	store       incr.BlobStore
 	cache       *incr.Cache
@@ -121,51 +124,23 @@ func NewExecutor(cache *incr.Cache, parallelism int) *Executor {
 	return &Executor{store: cache.Store(), cache: cache, parallelism: parallelism}
 }
 
-// design returns the spec's timing graph, built once per design source.
-// The shared build ignores ctx's cancellation, so one canceled clique
-// cannot fail the others waiting on the same design.
-func (e *Executor) design(ctx context.Context, spec *Spec) (*graph.Graph, error) {
-	key := incr.Hash("lib", spec.Library, "top", spec.Top, "v", spec.Verilog)
-	v, _, err := e.cache.Build(ctx, incr.GranDesign, key, func() (any, error) {
-		g, _, err := graph.Load(context.WithoutCancel(ctx), spec.Verilog, spec.Library, spec.Top)
-		return g, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*graph.Graph), nil
-}
-
 // Execute runs one clique job and returns the artifact bytes now
-// guaranteed to be stored under (clique, spec.Key).
+// guaranteed to be stored under (clique, spec.Key). Every clique of one
+// design shares the design's cached graph, whose shared build ignores
+// ctx's cancellation, so one canceled clique cannot fail the others.
 func (e *Executor) Execute(ctx context.Context, spec *Spec) ([]byte, error) {
 	if len(spec.Members) < 2 {
 		return nil, fmt.Errorf("fabric: clique job needs at least 2 members, got %d", len(spec.Members))
 	}
-	g, err := e.design(ctx, spec)
+	g, _, err := graph.LoadCached(ctx, context.WithoutCancel(ctx), e.cache, spec.Source)
 	if err != nil {
 		return nil, err
 	}
-	group := make([]*sdc.Mode, len(spec.Members))
-	for i, m := range spec.Members {
-		mode, _, err := sdc.Parse(m.Name, m.SDC, g.Design)
-		if err != nil {
-			return nil, fmt.Errorf("mode %s: %w", m.Name, err)
-		}
-		group[i] = mode
+	group, err := ParseModes(g.Design, spec.Members)
+	if err != nil {
+		return nil, err
 	}
-	// The core options the spec encodes: exactly the result-affecting
-	// ones hashed into spec.Key, plus parallelism, which never changes
-	// merged bytes.
-	opt := core.Options{
-		Tolerance:           spec.Tolerance,
-		MaxRefineIterations: spec.MaxRefineIterations,
-		MergedName:          spec.MergedName,
-		Parallelism:         e.parallelism,
-		Corners:             spec.CoreCorners(),
-		STA:                 sta.Options{Workers: spec.STAWorkers},
-		Cache:               e.cache,
-	}
+	opt := spec.Options(e.parallelism, e.cache)
 	if key := core.CliqueKey(g, opt, group); key != spec.Key {
 		// The job's identity must round-trip: a mismatch means the spec
 		// was corrupted or coordinator and worker disagree on options.

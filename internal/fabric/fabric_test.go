@@ -12,8 +12,6 @@ import (
 	"modemerge/internal/core"
 	"modemerge/internal/graph"
 	"modemerge/internal/incr"
-	"modemerge/internal/library"
-	"modemerge/internal/netlist"
 	"modemerge/internal/sdc"
 )
 
@@ -77,34 +75,22 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // against.
 func buildSpec(t *testing.T) (Spec, *graph.Graph, string) {
 	t.Helper()
-	design, err := netlist.ParseVerilog(quickVerilog, library.Default(), "")
+	src := graph.Source{Verilog: quickVerilog}
+	g, _, err := graph.Load(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.Build(design)
+	members := []Mode{{Name: "func", SDC: funcSDC}, {Name: "test", SDC: testSDC}}
+	group, err := ParseModes(g.Design, members)
 	if err != nil {
 		t.Fatal(err)
-	}
-	group := make([]*sdc.Mode, 2)
-	for i, m := range []Mode{{Name: "func", SDC: funcSDC}, {Name: "test", SDC: testSDC}} {
-		mode, _, err := sdc.Parse(m.Name, m.SDC, design)
-		if err != nil {
-			t.Fatal(err)
-		}
-		group[i] = mode
 	}
 	opt := core.Options{}
-	key := core.CliqueKey(g, opt, group)
 	merged, _, err := core.MergeClique(context.Background(), g, group, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{
-		Key:     key,
-		Verilog: quickVerilog,
-		Members: []Mode{{Name: "func", SDC: funcSDC}, {Name: "test", SDC: testSDC}},
-	}
-	return spec, g, sdc.Write(merged)
+	return NewSpec(src, g, opt, members, group), g, sdc.Write(merged)
 }
 
 // TestExecutorMatchesLocalMerge: a spec round-tripped through the

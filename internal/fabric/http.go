@@ -176,12 +176,23 @@ func (cl *Client) post(path string, req, into any) (int, error) {
 		var e struct {
 			Error string `json:"error"`
 		}
+		se := &StatusError{Path: path, Status: resp.StatusCode, Msg: "unexpected status " + resp.Status}
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("fabric: %s: %s", path, e.Error)
+			se.Msg = e.Error
 		}
-		return resp.StatusCode, fmt.Errorf("fabric: %s: unexpected status %s", path, resp.Status)
+		return resp.StatusCode, se
 	}
 }
+
+// StatusError is a wire call the coordinator answered with an error
+// status. Msg is the coordinator's error message.
+type StatusError struct {
+	Path   string
+	Status int
+	Msg    string
+}
+
+func (e *StatusError) Error() string { return fmt.Sprintf("fabric: %s: %s", e.Path, e.Msg) }
 
 // Join registers with the coordinator and returns its lease TTL.
 func (cl *Client) Join(workerID, addr string) (time.Duration, error) {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"modemerge/internal/incr"
@@ -127,7 +126,8 @@ func (w *Worker) joinWithRetry(ctx context.Context) (time.Duration, error) {
 		if errors.Is(err, context.Canceled) || ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
-		// A version conflict never heals; connection errors might.
+		// A version conflict or a rejected request never heals;
+		// connection errors might.
 		if isPermanent(err) {
 			return 0, err
 		}
@@ -141,9 +141,12 @@ func (w *Worker) joinWithRetry(ctx context.Context) (time.Duration, error) {
 	}
 }
 
+// isPermanent reports whether the coordinator refused the request
+// itself: a conflict (wire version mismatch) or a bad request (invalid
+// worker id), which no retry can fix.
 func isPermanent(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "version mismatch") || strings.Contains(msg, "invalid worker id")
+	var se *StatusError
+	return errors.As(err, &se) && (se.Status == http.StatusConflict || se.Status == http.StatusBadRequest)
 }
 
 func (w *Worker) runOne(ctx context.Context, spec *Spec) {

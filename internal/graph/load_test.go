@@ -20,7 +20,7 @@ endmodule
 // TestLoad covers the one design loader: a good netlist builds, each
 // failing step keeps its error prefix, and a canceled ctx stops early.
 func TestLoad(t *testing.T) {
-	g, _, err := Load(context.Background(), loadVerilog, "", "")
+	g, _, err := Load(context.Background(), Source{Verilog: loadVerilog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,14 @@ func TestLoad(t *testing.T) {
 		{"library", loadVerilog, "not a library", "library: "},
 		{"verilog", "module", "", "verilog: "},
 	} {
-		if _, _, err := Load(context.Background(), tc.verilog, tc.lib, ""); err == nil || !strings.HasPrefix(err.Error(), tc.prefix) {
+		if _, _, err := Load(context.Background(), Source{Verilog: tc.verilog, Library: tc.lib}); err == nil || !strings.HasPrefix(err.Error(), tc.prefix) {
 			t.Errorf("%s: error %v, want prefix %q", tc.name, err, tc.prefix)
 		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Load(ctx, loadVerilog, "", ""); !errors.Is(err, context.Canceled) {
+	if _, _, err := Load(ctx, Source{Verilog: loadVerilog}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled load: error %v, want context.Canceled", err)
 	}
 }

@@ -12,38 +12,53 @@ import (
 // named point in the process/voltage/temperature space, expressed as
 // multiplicative derates over the nominal delay model plus an optional
 // SDC overlay. A scenario is a (mode, corner) pair: the mode's SDC with
-// the corner's overlay appended, analyzed under the corner's derates.
+// the corner's overlay appended (Deploy), analyzed under the corner's
+// derates.
 //
 // Scale factors of zero mean "unset" and behave as 1.0, so the zero
 // Corner is the neutral corner. A nil *Corner in sta.Options selects the
 // corner-less nominal path bit-for-bit (no multiplications are applied
 // at all), which is the compatibility guarantee the corner-less API
 // relies on.
+//
+// The JSON form is the corner object of every surface that takes
+// corners: the service's merge requests, fabric clique specs and the
+// CLI's -corners file.
 type Corner struct {
 	// Name identifies the corner ("ss_0p72v_125c", "wc", ...). Names
 	// must be unique within a corner set.
-	Name string
+	Name string `json:"name"`
 
 	// DelayScale scales every combinational/launch arc delay, early and
 	// late alike (global process/temperature derate).
-	DelayScale float64
+	DelayScale float64 `json:"delay_scale,omitempty"`
 	// EarlyScale additionally scales the early (min) delay values —
 	// an OCV-style early derate (< 1 widens hold pessimism).
-	EarlyScale float64
+	EarlyScale float64 `json:"early_scale,omitempty"`
 	// LateScale additionally scales the late (max) delay values
 	// (> 1 widens setup pessimism).
-	LateScale float64
+	LateScale float64 `json:"late_scale,omitempty"`
 	// MarginScale scales library setup/hold check margins (and
 	// output-delay port margins), modelling corner-dependent
 	// characterization guard-bands.
-	MarginScale float64
+	MarginScale float64 `json:"margin_scale,omitempty"`
 
 	// SDC is an optional constraint overlay appended to every mode's
 	// SDC text when building this corner's analysis context (clock
 	// uncertainty, input transitions, extra loads...). Overlays refine
 	// the environment of existing clocks and ports; they must not
 	// create clocks (enforced at scenario construction).
-	SDC string
+	SDC string `json:"sdc,omitempty"`
+}
+
+// Deploy returns a mode's SDC text as deployed in this corner: the text
+// with the corner's overlay appended on lines of its own, or the text
+// unchanged when the corner has no overlay.
+func (c *Corner) Deploy(text string) string {
+	if c.SDC == "" {
+		return text
+	}
+	return text + "\n" + c.SDC + "\n"
 }
 
 // factorOr1 maps the zero value to the neutral factor.

@@ -250,41 +250,9 @@ func WriteVerilogHier(h *HierDesign) string {
 // module's leaf cells and ports elaborate into the Top design. topName
 // selects the top module; empty infers it like ParseVerilog.
 func ParseVerilogHier(src string, lib *library.Library, topName string) (*HierDesign, error) {
-	mods, err := parseModules(src)
+	byName, top, err := parseTop(src, topName)
 	if err != nil {
 		return nil, err
-	}
-	if len(mods) == 0 {
-		return nil, fmt.Errorf("verilog: no modules found")
-	}
-	byName := make(map[string]*vmodule, len(mods))
-	for _, m := range mods {
-		if _, dup := byName[m.name]; dup {
-			return nil, fmt.Errorf("verilog: duplicate module %q", m.name)
-		}
-		byName[m.name] = m
-	}
-	top := byName[topName]
-	if topName == "" {
-		instantiated := map[string]bool{}
-		for _, m := range mods {
-			for _, inst := range m.insts {
-				instantiated[inst.module] = true
-			}
-		}
-		var roots []*vmodule
-		for _, m := range mods {
-			if !instantiated[m.name] {
-				roots = append(roots, m)
-			}
-		}
-		if len(roots) != 1 {
-			return nil, fmt.Errorf("verilog: cannot infer top module (%d candidates); pass a top name", len(roots))
-		}
-		top = roots[0]
-	}
-	if top == nil {
-		return nil, fmt.Errorf("verilog: no module %q", topName)
 	}
 
 	// Elaborate each distinct submodule of the top as a standalone
@@ -301,8 +269,7 @@ func ParseVerilogHier(src string, lib *library.Library, topName string) (*HierDe
 		if masters[inst.module] != nil {
 			continue
 		}
-		me := &elaborator{lib: lib, modules: byName, slotName: []string{}, slotRank: []int{}, parent: []int{}}
-		md, err := me.elaborate(child)
+		md, err := newElaborator(lib, byName).elaborate(child)
 		if err != nil {
 			return nil, fmt.Errorf("module %s: %w", inst.module, err)
 		}
@@ -311,62 +278,13 @@ func ParseVerilogHier(src string, lib *library.Library, topName string) (*HierDe
 
 	// Elaborate the top level alone: leaf cells and assigns as usual,
 	// block instances recorded with their port-bit slots.
-	e := &elaborator{lib: lib, modules: byName, slotName: []string{}, slotRank: []int{}, parent: []int{}}
-	e.tie0, e.tie1 = -1, -1
-	env := map[bitKey]int{}
-	for _, pname := range top.ports {
-		sig := top.signals[pname]
-		if sig.dir < 0 {
-			return nil, fmt.Errorf("verilog: top port %q has no direction", pname)
-		}
-		for _, bit := range sig.rng.bits() {
-			flat := pname
-			if bit >= 0 {
-				flat = fmt.Sprintf("%s[%d]", pname, bit)
-			}
-			slot := e.newSlot(flat)
-			env[bitKey{pname, bit}] = slot
-			dir := In
-			if sig.dir == 1 {
-				dir = Out
-			}
-			e.topPorts = append(e.topPorts, flatPort{name: flat, dir: dir, slot: slot})
-		}
+	e := newElaborator(lib, byName)
+	env, err := e.slotTopPorts(top)
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range top.sigDecl {
-		sig := top.signals[name]
-		for _, bit := range sig.rng.bits() {
-			k := bitKey{name, bit}
-			if _, bound := env[k]; bound {
-				continue
-			}
-			flat := name
-			if bit >= 0 {
-				flat = fmt.Sprintf("%s[%d]", name, bit)
-			}
-			env[k] = e.newSlot(flat)
-		}
-	}
-	for _, a := range top.assigns {
-		lhs, err := e.exprSlots(top, "", env, a.lhs)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := e.exprSlots(top, "", env, a.rhs)
-		if err != nil {
-			return nil, err
-		}
-		if len(lhs) != len(rhs) {
-			return nil, fmt.Errorf("verilog line %d: assign width mismatch %d vs %d", a.line, len(lhs), len(rhs))
-		}
-		for i := range lhs {
-			if lhs[i] < 0 {
-				return nil, fmt.Errorf("verilog line %d: assign to open bit", a.line)
-			}
-			if rhs[i] >= 0 {
-				e.union(lhs[i], rhs[i])
-			}
-		}
+	if err := e.elabLocals(top, "", env); err != nil {
+		return nil, err
 	}
 	type blockRec struct {
 		name   string
@@ -381,53 +299,15 @@ func ParseVerilogHier(src string, lib *library.Library, topName string) (*HierDe
 			}
 			continue
 		}
-		child := byName[inst.module]
 		rec := blockRec{name: inst.name, module: inst.module, binds: map[string]int{}}
-		bind := func(portName string, expr vexpr) error {
-			sig := child.signals[portName]
-			if sig == nil {
-				return fmt.Errorf("verilog line %d: module %q has no port %q", inst.line, child.name, portName)
+		err := e.bindPorts(top, "", env, inst, byName[inst.module], func(port string, bit, slot int) {
+			if bit >= 0 {
+				port = fmt.Sprintf("%s[%d]", port, bit)
 			}
-			slots, err := e.exprSlots(top, "", env, expr)
-			if err != nil {
-				return err
-			}
-			bits := sig.rng.bits()
-			if len(slots) == 0 {
-				return nil
-			}
-			if len(slots) != len(bits) {
-				return fmt.Errorf("verilog line %d: port %q width %d connected to %d bits",
-					inst.line, portName, len(bits), len(slots))
-			}
-			for i, bit := range bits {
-				if slots[i] < 0 {
-					continue
-				}
-				flat := portName
-				if bit >= 0 {
-					flat = fmt.Sprintf("%s[%d]", portName, bit)
-				}
-				rec.binds[flat] = slots[i]
-			}
-			return nil
-		}
-		if inst.pos != nil {
-			if len(inst.pos) > len(child.ports) {
-				return nil, fmt.Errorf("verilog line %d: %d positional connections for %d ports",
-					inst.line, len(inst.pos), len(child.ports))
-			}
-			for i, expr := range inst.pos {
-				if err := bind(child.ports[i], expr); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for _, c := range inst.named {
-				if err := bind(c.pin, c.expr); err != nil {
-					return nil, err
-				}
-			}
+			rec.binds[port] = slot
+		})
+		if err != nil {
+			return nil, err
 		}
 		blocks = append(blocks, rec)
 	}

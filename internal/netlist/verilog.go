@@ -20,17 +20,27 @@ import (
 // 1'b0/1'b1 tie literals, simple alias assigns (identifier to identifier),
 // and // or /* */ comments. Hierarchy is flattened with '/'-joined names.
 func ParseVerilog(src string, lib *library.Library, topName string) (*Design, error) {
-	mods, err := parseModules(src)
+	modules, top, err := parseTop(src, topName)
 	if err != nil {
 		return nil, err
 	}
+	return newElaborator(lib, modules).elaborate(top)
+}
+
+// parseTop parses src's modules and picks the top one: topName, or when
+// it is empty the single module that no other module instantiates.
+func parseTop(src, topName string) (map[string]*vmodule, *vmodule, error) {
+	mods, err := parseModules(src)
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(mods) == 0 {
-		return nil, fmt.Errorf("verilog: no modules found")
+		return nil, nil, fmt.Errorf("verilog: no modules found")
 	}
 	byName := make(map[string]*vmodule, len(mods))
 	for _, m := range mods {
 		if _, dup := byName[m.name]; dup {
-			return nil, fmt.Errorf("verilog: duplicate module %q", m.name)
+			return nil, nil, fmt.Errorf("verilog: duplicate module %q", m.name)
 		}
 		byName[m.name] = m
 	}
@@ -49,15 +59,14 @@ func ParseVerilog(src string, lib *library.Library, topName string) (*Design, er
 			}
 		}
 		if len(roots) != 1 {
-			return nil, fmt.Errorf("verilog: cannot infer top module (%d candidates); pass a top name", len(roots))
+			return nil, nil, fmt.Errorf("verilog: cannot infer top module (%d candidates); pass a top name", len(roots))
 		}
 		top = roots[0]
 	}
 	if top == nil {
-		return nil, fmt.Errorf("verilog: no module %q", topName)
+		return nil, nil, fmt.Errorf("verilog: no module %q", topName)
 	}
-	e := &elaborator{lib: lib, modules: byName, slotName: []string{}, slotRank: []int{}, parent: []int{}}
-	return e.elaborate(top)
+	return byName, top, nil
 }
 
 // ---------- AST ----------
@@ -709,9 +718,24 @@ func better(a, b string) bool {
 	return a < b
 }
 
+func newElaborator(lib *library.Library, modules map[string]*vmodule) *elaborator {
+	return &elaborator{lib: lib, modules: modules, slotName: []string{}, slotRank: []int{}, parent: []int{}, tie0: -1, tie1: -1}
+}
+
 func (e *elaborator) elaborate(top *vmodule) (*Design, error) {
-	e.tie0, e.tie1 = -1, -1
-	// Top-level ports: one slot per bit.
+	env, err := e.slotTopPorts(top)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.elabModule(top, "", env, 0); err != nil {
+		return nil, err
+	}
+	return e.materialize(top.name)
+}
+
+// slotTopPorts gives every bit of the top module's ports a slot, records
+// the flat ports, and returns the environment binding them.
+func (e *elaborator) slotTopPorts(top *vmodule) (map[bitKey]int, error) {
 	env := map[bitKey]int{}
 	for _, pname := range top.ports {
 		sig := top.signals[pname]
@@ -732,10 +756,7 @@ func (e *elaborator) elaborate(top *vmodule) (*Design, error) {
 			e.topPorts = append(e.topPorts, flatPort{name: flat, dir: dir, slot: slot})
 		}
 	}
-	if err := e.elabModule(top, "", env, 0); err != nil {
-		return nil, err
-	}
-	return e.materialize(top.name)
+	return env, nil
 }
 
 const maxDepth = 64
@@ -746,7 +767,38 @@ func (e *elaborator) elabModule(m *vmodule, prefix string, env map[bitKey]int, d
 	if depth > maxDepth {
 		return fmt.Errorf("verilog: hierarchy deeper than %d (recursive instantiation of %q?)", maxDepth, m.name)
 	}
-	// Create slots for all local signal bits not bound by ports.
+	if err := e.elabLocals(m, prefix, env); err != nil {
+		return err
+	}
+	// Instances.
+	for _, inst := range m.insts {
+		if cell := e.lib.Cell(inst.module); cell != nil {
+			if err := e.elabLeaf(m, prefix, env, inst, cell); err != nil {
+				return err
+			}
+			continue
+		}
+		child, ok := e.modules[inst.module]
+		if !ok {
+			return fmt.Errorf("verilog line %d: unknown cell or module %q", inst.line, inst.module)
+		}
+		childEnv := map[bitKey]int{}
+		err := e.bindPorts(m, prefix, env, inst, child, func(port string, bit, slot int) {
+			childEnv[bitKey{port, bit}] = slot
+		})
+		if err != nil {
+			return err
+		}
+		if err := e.elabModule(child, prefix+inst.name+"/", childEnv, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// elabLocals gives a slot to every local signal bit of m not bound by a
+// port, then applies m's alias assigns.
+func (e *elaborator) elabLocals(m *vmodule, prefix string, env map[bitKey]int) error {
 	for _, name := range m.sigDecl {
 		sig := m.signals[name]
 		for _, bit := range sig.rng.bits() {
@@ -761,7 +813,6 @@ func (e *elaborator) elabModule(m *vmodule, prefix string, env map[bitKey]int, d
 			env[k] = e.newSlot(flat)
 		}
 	}
-	// Aliases.
 	for _, a := range m.assigns {
 		lhs, err := e.exprSlots(m, prefix, env, a.lhs)
 		if err != nil {
@@ -784,61 +835,51 @@ func (e *elaborator) elabModule(m *vmodule, prefix string, env map[bitKey]int, d
 			e.union(lhs[i], rhs[i])
 		}
 	}
-	// Instances.
-	for _, inst := range m.insts {
-		if cell := e.lib.Cell(inst.module); cell != nil {
-			if err := e.elabLeaf(m, prefix, env, inst, cell); err != nil {
-				return err
-			}
-			continue
+	return nil
+}
+
+// bindPorts resolves the connections of inst, an instance of module child
+// inside m, calling set for every connected bit of child's ports with the
+// slot it connects to.
+func (e *elaborator) bindPorts(m *vmodule, prefix string, env map[bitKey]int, inst *vinst, child *vmodule, set func(port string, bit, slot int)) error {
+	bind := func(portName string, expr vexpr) error {
+		sig := child.signals[portName]
+		if sig == nil {
+			return fmt.Errorf("verilog line %d: module %q has no port %q", inst.line, child.name, portName)
 		}
-		child, ok := e.modules[inst.module]
-		if !ok {
-			return fmt.Errorf("verilog line %d: unknown cell or module %q", inst.line, inst.module)
+		slots, err := e.exprSlots(m, prefix, env, expr)
+		if err != nil {
+			return err
 		}
-		childEnv := map[bitKey]int{}
-		bind := func(portName string, expr vexpr) error {
-			sig := child.signals[portName]
-			if sig == nil {
-				return fmt.Errorf("verilog line %d: module %q has no port %q", inst.line, child.name, portName)
-			}
-			slots, err := e.exprSlots(m, prefix, env, expr)
-			if err != nil {
-				return err
-			}
-			bits := sig.rng.bits()
-			if len(slots) == 0 { // unconnected
-				return nil
-			}
-			if len(slots) != len(bits) {
-				return fmt.Errorf("verilog line %d: port %q width %d connected to %d bits",
-					inst.line, portName, len(bits), len(slots))
-			}
-			for i, bit := range bits {
-				if slots[i] >= 0 {
-					childEnv[bitKey{portName, bit}] = slots[i]
-				}
-			}
+		bits := sig.rng.bits()
+		if len(slots) == 0 { // unconnected
 			return nil
 		}
-		if inst.pos != nil {
-			if len(inst.pos) > len(child.ports) {
-				return fmt.Errorf("verilog line %d: %d positional connections for %d ports",
-					inst.line, len(inst.pos), len(child.ports))
-			}
-			for i, expr := range inst.pos {
-				if err := bind(child.ports[i], expr); err != nil {
-					return err
-				}
-			}
-		} else {
-			for _, c := range inst.named {
-				if err := bind(c.pin, c.expr); err != nil {
-					return err
-				}
+		if len(slots) != len(bits) {
+			return fmt.Errorf("verilog line %d: port %q width %d connected to %d bits",
+				inst.line, portName, len(bits), len(slots))
+		}
+		for i, bit := range bits {
+			if slots[i] >= 0 {
+				set(portName, bit, slots[i])
 			}
 		}
-		if err := e.elabModule(child, prefix+inst.name+"/", childEnv, depth+1); err != nil {
+		return nil
+	}
+	if inst.pos != nil {
+		if len(inst.pos) > len(child.ports) {
+			return fmt.Errorf("verilog line %d: %d positional connections for %d ports",
+				inst.line, len(inst.pos), len(child.ports))
+		}
+		for i, expr := range inst.pos {
+			if err := bind(child.ports[i], expr); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, c := range inst.named {
+		if err := bind(c.pin, c.expr); err != nil {
 			return err
 		}
 	}

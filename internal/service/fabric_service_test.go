@@ -229,18 +229,27 @@ func TestFabricWorkerDeathByteIdentity(t *testing.T) {
 		t.Fatalf("healthy worker row: %+v (status %+v)", healthyRow, st)
 	}
 
-	// The cluster view over HTTP matches the in-process snapshot.
-	resp, err := http.Get(ts.URL + "/v2/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	// The cluster view over HTTP matches the in-process snapshot, and
+	// the silent doomed worker leaves it once it has been silent for a
+	// lease TTL; the polling healthy worker stays.
 	var wire fabric.ClusterStatus
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/v2/cluster")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = fabric.ClusterStatus{}
+		err = json.NewDecoder(resp.Body).Decode(&wire)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wire.Workers) == 1 || time.Now().After(deadline) {
+			break
+		}
 	}
-	if !wire.Enabled || wire.Retries < 1 || len(wire.Workers) != 2 {
-		t.Fatalf("GET /v2/cluster: %+v", wire)
+	if !wire.Enabled || wire.Retries < 1 || len(wire.Workers) != 1 || wire.Workers[0].ID != "healthy" {
+		t.Fatalf("GET /v2/cluster: %+v, want only the healthy worker", wire)
 	}
 
 	wcancel()

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"modemerge/internal/core"
+	"modemerge/internal/fabric"
+	"modemerge/internal/graph"
 	"modemerge/internal/incr"
 	"modemerge/internal/library"
 	"modemerge/internal/obs"
@@ -25,24 +27,9 @@ const (
 	StatusCanceled Status = "canceled"
 )
 
-// ModeInput is one SDC mode of a merge request.
-type ModeInput struct {
-	Name string `json:"name"`
-	SDC  string `json:"sdc"`
-}
-
-// CornerInput is one operating corner of an MCMM scenario matrix
-// (library.Corner over the wire): multiplicative derates on the nominal
-// delay model plus an optional SDC overlay appended to every mode in
-// that corner. Scale values of zero mean 1.0.
-type CornerInput struct {
-	Name        string  `json:"name"`
-	DelayScale  float64 `json:"delay_scale,omitempty"`
-	EarlyScale  float64 `json:"early_scale,omitempty"`
-	LateScale   float64 `json:"late_scale,omitempty"`
-	MarginScale float64 `json:"margin_scale,omitempty"`
-	SDC         string  `json:"sdc,omitempty"`
-}
+// ModeInput is one SDC mode of a merge request: the member mode a
+// fabric clique spec carries, with the text as the user sent it.
+type ModeInput = fabric.Mode
 
 // RequestOptions mirrors the tunable subset of core.Options.
 type RequestOptions struct {
@@ -66,7 +53,7 @@ type MergeRequest struct {
 	// the across-corner worst case. Empty means corner-less merging —
 	// byte-identical to the pre-corner API. Corner names must be unique:
 	// a duplicate name would duplicate every "mode@corner" scenario key.
-	Corners []CornerInput `json:"corners,omitempty"`
+	Corners []library.Corner `json:"corners,omitempty"`
 	// Options tunes the merge flow.
 	Options RequestOptions `json:"options"`
 	// Validate runs the equivalence check on each merged clique
@@ -105,25 +92,10 @@ func (r *MergeRequest) validateRequest() error {
 		}
 		seen[m.Name] = true
 	}
-	if err := library.ValidateCorners(r.coreCorners()); err != nil {
+	if err := library.ValidateCorners(r.Corners); err != nil {
 		return fmt.Errorf("scenario matrix: %w", err)
 	}
 	return nil
-}
-
-// coreCorners maps the request's corner inputs to library corners.
-func (r *MergeRequest) coreCorners() []library.Corner {
-	if len(r.Corners) == 0 {
-		return nil
-	}
-	out := make([]library.Corner, len(r.Corners))
-	for i, c := range r.Corners {
-		out[i] = library.Corner{
-			Name: c.Name, DelayScale: c.DelayScale, EarlyScale: c.EarlyScale,
-			LateScale: c.LateScale, MarginScale: c.MarginScale, SDC: c.SDC,
-		}
-	}
-	return out
 }
 
 func (r *MergeRequest) wantValidate() bool { return r.Validate == nil || *r.Validate }
@@ -147,14 +119,14 @@ func (r *MergeRequest) resultKey() string {
 	// requests keep their historical digests (idempotency keys and result
 	// caches survive the API addition).
 	if len(r.Corners) > 0 {
-		parts = append(parts, "corners", library.CornerSetKey(r.coreCorners()))
+		parts = append(parts, "corners", library.CornerSetKey(r.Corners))
 	}
 	return incr.Hash(parts...)
 }
 
-// designKey content-addresses only the parse inputs.
-func (r *MergeRequest) designKey() string {
-	return incr.Hash("lib", r.Library, "top", r.Top, "v", r.Verilog)
+// source returns the request's design parse inputs.
+func (r *MergeRequest) source() graph.Source {
+	return graph.Source{Verilog: r.Verilog, Top: r.Top, Library: r.Library}
 }
 
 // MergedMode is one merged output mode.

@@ -15,13 +15,14 @@ import (
 	"testing"
 
 	"modemerge/internal/gen"
+	"modemerge/internal/library"
 	"modemerge/internal/netlist"
 )
 
 // matrixRequest is quickRequest plus a minimal two-corner matrix axis.
 func matrixRequest() *MergeRequest {
 	req := quickRequest()
-	req.Corners = []CornerInput{
+	req.Corners = []library.Corner{
 		{Name: "tc"},
 		{Name: "wc", DelayScale: 1.2, LateScale: 1.1, MarginScale: 1.5},
 	}
@@ -199,12 +200,7 @@ func TestV2MatrixEndToEnd(t *testing.T) {
 	for _, m := range g.Modes(fspec) {
 		req.Modes = append(req.Modes, ModeInput{Name: m.Name, SDC: m.Text})
 	}
-	for _, crn := range g.CornerSet(fspec) {
-		req.Corners = append(req.Corners, CornerInput{
-			Name: crn.Name, DelayScale: crn.DelayScale, EarlyScale: crn.EarlyScale,
-			LateScale: crn.LateScale, MarginScale: crn.MarginScale, SDC: crn.SDC,
-		})
-	}
+	req.Corners = g.CornerSet(fspec)
 
 	s := newTestServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -319,7 +315,7 @@ func TestV2MatrixEndToEnd(t *testing.T) {
 	// embeds the overlay text; the neutral corner's entry is exactly the
 	// merged base mode.
 	for _, e := range entries {
-		var crn *CornerInput
+		var crn *library.Corner
 		for i := range req.Corners {
 			if req.Corners[i].Name == e.Corner {
 				crn = &req.Corners[i]
@@ -393,4 +389,41 @@ func TestV2MatrixSingleNeutralCornerByteCompat(t *testing.T) {
 			t.Fatalf("matrix entry %d differs from its merged mode", i)
 		}
 	}
+}
+
+// TestV2MatrixDigestPinned pins the /v2/matrix digest of a corner
+// request that sets every corner field, decoded from literal JSON, and
+// keeps unknown corner fields rejected. The digest was captured while
+// the service still declared its own corner type, so it shows that
+// result caches and idempotency keys of corner requests kept their
+// addresses when the request switched to library.Corner.
+func TestV2MatrixDigestPinned(t *testing.T) {
+	const want = "bfb0f1bc9865f1c658282f62cc11666a636048cb802ba5ffb5da6dca2a0961f7"
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	modes, _ := json.Marshal(quickRequest().Modes)
+	body := `{"verilog": ` + jsonString(quickVerilog) + `, "modes": ` + string(modes) + `,
+	  "corners": [{"name": "tc"},
+	    {"name": "wc", "delay_scale": 1.2, "early_scale": 0.9, "late_scale": 1.1,
+	     "margin_scale": 1.5, "sdc": "set_input_transition 0.1 [get_ports din]"}],
+	  "options": {"tolerance": 0.07, "max_refine_iterations": 3}, "validate": false}`
+	var sub submitResponseV2
+	decodeBody(t, postJSON(t, ts.URL+"/v2/matrix", []byte(body), ""), http.StatusAccepted, &sub)
+	if sub.Digest != want {
+		t.Errorf("matrix digest = %s, want %s", sub.Digest, want)
+	}
+
+	unknown := strings.Replace(body, `"late_scale"`, `"late_scal"`, 1)
+	e := decodeEnvelope(t, postJSON(t, ts.URL+"/v2/matrix", []byte(unknown), ""),
+		http.StatusBadRequest, codeInvalidRequest)
+	if !strings.Contains(e.Message, `unknown field "late_scal"`) {
+		t.Fatalf("error = %q, want the unknown corner field named", e.Message)
+	}
+}
+
+func jsonString(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
 }

@@ -492,43 +492,32 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	job.noteStage("parse")
 	parseSpan := root.Child("parse")
 	parseStart := time.Now()
-	v, hit, err := s.incr.Build(ctx, incr.GranDesign, req.designKey(), func() (any, error) {
-		g, _, err := graph.Load(s.baseCtx, req.Verilog, req.Library, req.Top)
-		return g, err
-	})
+	g, hit, err := graph.LoadCached(ctx, s.baseCtx, s.incr, req.source())
 	if hit {
 		s.metrics.CacheHitsDesign.Add(1)
 		parseSpan.Add("design_cache_hit", 1)
 	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	var modes []*sdc.Mode
+	if err == nil {
+		modes, err = fabric.ParseModes(g.Design, req.Modes)
+	}
 	if err != nil {
 		parseSpan.Finish()
 		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		parseSpan.Finish()
-		return nil, err
-	}
-	g := v.(*graph.Graph)
-	modes := make([]*sdc.Mode, len(req.Modes))
-	for i, m := range req.Modes {
-		mode, _, err := sdc.Parse(m.Name, m.SDC, g.Design)
-		if err != nil {
-			parseSpan.Finish()
-			return nil, fmt.Errorf("mode %s: %w", m.Name, err)
-		}
-		modes[i] = mode
 	}
 	parseSpan.Add("modes", int64(len(modes)))
 	parseSpan.Finish()
 	observe("parse", time.Since(parseStart))
 
 	job.noteStage("merge")
-	corners := req.coreCorners()
 	opt := core.Options{
 		Tolerance:           req.Options.Tolerance,
 		MaxRefineIterations: req.Options.MaxRefineIterations,
 		Parallelism:         s.cfg.MergeParallelism,
-		Corners:             corners,
+		Corners:             req.Corners,
 		STA:                 sta.Options{Workers: req.Options.Workers},
 		StageHook:           observe,
 		Trace:               root,
@@ -555,14 +544,10 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 	// matrix to #cliques × #corners deployable entries: each merged mode
 	// deployed in each corner (merged text + that corner's overlay), with
 	// the member scenario keys it covers as provenance.
-	if len(corners) > 0 {
+	if len(req.Corners) > 0 {
 		for ci, m := range result.Merged {
-			for _, crn := range corners {
-				text := m.SDC
-				if crn.SDC != "" {
-					text += "\n" + crn.SDC + "\n"
-				}
-				entry := MatrixEntry{Mode: m.Name, Corner: crn.Name, SDC: text}
+			for _, crn := range req.Corners {
+				entry := MatrixEntry{Mode: m.Name, Corner: crn.Name, SDC: crn.Deploy(m.SDC)}
 				for _, member := range result.Groups[ci] {
 					entry.Scenarios = append(entry.Scenarios, member+"@"+crn.Name)
 				}
@@ -730,24 +715,13 @@ func (s *Server) mergeShared(ctx context.Context, req *MergeRequest, g *graph.Gr
 	default:
 	}
 	names := make([]string, len(group))
-	wire := make([]fabric.Mode, len(group))
+	wire := make([]ModeInput, len(group))
 	for i, mi := range members {
 		names[i] = group[i].Name
-		wire[i] = fabric.Mode{Name: req.Modes[mi].Name, SDC: req.Modes[mi].SDC}
+		wire[i] = req.Modes[mi]
 	}
 	published := time.Now()
-	tk, err := s.fabric.Publish(fabric.Spec{
-		Key:                 core.CliqueKey(g, opt, group),
-		Verilog:             req.Verilog,
-		Top:                 req.Top,
-		Library:             req.Library,
-		MergedName:          opt.MergedName,
-		Tolerance:           opt.Tolerance,
-		MaxRefineIterations: opt.MaxRefineIterations,
-		STAWorkers:          opt.STA.Workers,
-		Corners:             fabric.WireCorners(opt.Corners),
-		Members:             wire,
-	})
+	tk, err := s.fabric.Publish(fabric.NewSpec(req.source(), g, opt, wire, group))
 	if err != nil {
 		return nil, nil, fmt.Errorf("merging %v: %w", names, err)
 	}

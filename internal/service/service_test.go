@@ -421,7 +421,7 @@ func TestResultKeyOrderMatters(t *testing.T) {
 	if a.resultKey() != quickRequest().resultKey() {
 		t.Error("identical requests have different result keys")
 	}
-	if a.designKey() != b.designKey() {
+	if a.source().Key() != b.source().Key() {
 		t.Error("same design must share a design key regardless of modes")
 	}
 }
@@ -451,7 +451,7 @@ func TestResultKeyPinned(t *testing.T) {
 	if got := req.resultKey(); got != wantResult {
 		t.Errorf("quickRequest result key = %s, want %s", got, wantResult)
 	}
-	if got := req.designKey(); got != wantDesign {
+	if got := req.source().Key(); got != wantDesign {
 		t.Errorf("quickRequest design key = %s, want %s", got, wantDesign)
 	}
 }

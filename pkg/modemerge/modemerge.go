@@ -104,7 +104,7 @@ type Design struct {
 // it and builds the timing graph. top selects the top module; empty
 // infers it.
 func LoadDesign(verilog, librarySrc, top string) (*Design, error) {
-	g, warnings, err := graph.Load(context.Background(), verilog, librarySrc, top)
+	g, warnings, err := graph.Load(context.Background(), graph.Source{Verilog: verilog, Library: librarySrc, Top: top})
 	if err != nil {
 		return nil, err
 	}
@@ -118,29 +118,9 @@ func LoadDesign(verilog, librarySrc, top string) (*Design, error) {
 // merged against the flattened design; merged output references
 // flattened (block-prefixed) names exactly like LoadDesign.
 func LoadHierDesign(verilog, librarySrc, top string) (*Design, error) {
-	lib := library.Default()
-	if librarySrc != "" {
-		parsed, err := library.Parse(librarySrc)
-		if err != nil {
-			return nil, fmt.Errorf("library: %w", err)
-		}
-		lib = parsed
-	}
-	hier, err := netlist.ParseVerilogHier(verilog, lib, top)
+	g, hier, warnings, err := graph.LoadHier(context.Background(), graph.Source{Verilog: verilog, Library: librarySrc, Top: top})
 	if err != nil {
-		return nil, fmt.Errorf("verilog: %w", err)
-	}
-	design, err := hier.Flatten()
-	if err != nil {
-		return nil, fmt.Errorf("flatten: %w", err)
-	}
-	warnings, err := design.Validate()
-	if err != nil {
-		return nil, fmt.Errorf("design: %w", err)
-	}
-	g, err := graph.Build(design)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
+		return nil, err
 	}
 	return &Design{graph: g, hier: hier, warnings: warnings}, nil
 }
