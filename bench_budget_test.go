@@ -58,12 +58,14 @@ func TestLargeMergeBudget(t *testing.T) {
 // largeMergeAllocBudget bounds the heap allocations (runtime.MemStats
 // Mallocs) of one untraced large merge at Parallelism 1. The count
 // hardly moves from run to run (75,724–75,741 over 4 runs before packed
-// relation keys), so unlike wall time it can gate on a 1–2 CPU runner.
-// With packed relation keys and inline singleton state sets the merge
-// makes 35,698 allocations (75,727 before); the budget is 1.15× that, so
-// a change that brings back per-group maps or per-set slices fails here
-// while run-to-run noise never does.
-const largeMergeAllocBudget = 41_053
+// relation keys; 16,411–16,442 over 3 best-of-3 runs now), so unlike
+// wall time it can gate on a 1–2 CPU runner. Packed relation keys and
+// inline singleton state sets took the merge from 75,727 to 35,698
+// allocations (budget 41,053); carving every node's tag set from pooled
+// propagation slabs took it to 16,442. The budget is 1.15× that, so a
+// change that brings back per-node tag slices, per-group maps or
+// per-set slices fails here while run-to-run noise never does.
+const largeMergeAllocBudget = 18_908
 
 // TestLargeMergeAllocBudget counts the allocations of one untraced large
 // merge, best of 3 after a warm-up, against largeMergeAllocBudget. Under
@@ -89,7 +91,7 @@ func TestLargeMergeAllocBudget(t *testing.T) {
 	}
 	t.Logf("large merge best-of-3: %d allocations (budget %d)", best, largeMergeAllocBudget)
 	if best > largeMergeAllocBudget {
-		t.Fatalf("large merge made %d allocations, over the budget of %d — the §3.2 comparator "+
-			"or the relation fill allocates per path group again", best, largeMergeAllocBudget)
+		t.Fatalf("large merge made %d allocations, over the budget of %d — the data propagation "+
+			"allocates per node or the relation fill per path group again", best, largeMergeAllocBudget)
 	}
 }

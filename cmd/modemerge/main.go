@@ -20,7 +20,8 @@
 // With -corners corners.json, the merge spans a multi-corner scenario
 // matrix: the JSON file holds an array of corners ({"name": ...,
 // "delay_scale": ..., "early_scale": ..., "late_scale": ...,
-// "margin_scale": ..., "sdc": ...}; zero factors mean 1.0), a clique
+// "margin_scale": ..., "sdc": ...}; zero factors mean 1.0, and any other
+// field is an error, as in the service's corner objects), a clique
 // merges only when mergeable in every corner, refinement targets the
 // across-corner worst case, and each merged mode additionally writes
 // one deployment file per corner (<name>@<corner>.sdc — the merged
@@ -28,11 +29,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,15 +81,22 @@ func main() {
 }
 
 // loadCorners reads and validates a -corners JSON file. Its corner
-// objects are the service API's, so one corner-set file serves both.
+// objects are the service API's, so one corner-set file serves both, and
+// like the service it rejects unknown fields: a misspelled one would
+// otherwise leave that corner at nominal delays without a word.
 func loadCorners(path string) ([]modemerge.Corner, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var out []modemerge.Corner
-	if err := json.Unmarshal(data, &out); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&out); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%s: trailing data after the corner list", path)
 	}
 	if err := modemerge.ValidateCorners(out); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

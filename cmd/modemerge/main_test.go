@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -52,5 +53,29 @@ func TestCornersOutputGolden(t *testing.T) {
 		if string(g) != string(w) {
 			t.Errorf("%s drifted:\n got: %q\nwant: %q", e.Name(), g, w)
 		}
+	}
+}
+
+// TestCornersRejectUnknownField checks that a -corners file with a
+// misspelled corner field fails, naming the file, instead of merging
+// that corner at nominal delays.
+func TestCornersRejectUnknownField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(path, []byte(`[{"name":"tc"},{"name":"wc","delay_scal":1.2}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sdcs := []string{filepath.Join("testdata", "func.sdc"), filepath.Join("testdata", "test.sdc")}
+	err := run(context.Background(), filepath.Join("testdata", "quick.v"), "", "", t.TempDir(), "",
+		path, 0.05, 1, 1, false, true, false, false, sdcs)
+	if err == nil {
+		t.Fatal("a corner file with an unknown field was accepted")
+	}
+	for _, want := range []string{path, "delay_scal"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if _, err := loadCorners(filepath.Join("testdata", "corners.json")); err != nil {
+		t.Errorf("the golden corner file is rejected: %v", err)
 	}
 }

@@ -145,10 +145,6 @@ type Context struct {
 	// forcedCase records the direct case-analysis values by node.
 	forcedCase map[graph.NodeID]library.Logic
 
-	// tagArrayPool recycles node-indexed tag arrays for the transient
-	// data propagations (see propagate).
-	tagArrayPool sync.Pool
-
 	// clockActive caches per-clock activity (lazy, once-protected so a
 	// context cached by the incremental engine can be shared by
 	// concurrent merges; see ClockActive).

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"math"
+	"sync"
 
 	"modemerge/internal/graph"
 	"modemerge/internal/library"
@@ -31,53 +32,177 @@ type tagEntry struct {
 	arr arrival
 }
 
-// tagMap is the tag set of one node: a slice (cheap to allocate and
-// iterate) with a hash index built lazily once the set grows past the
-// point where linear scans lose (start-tracked pass-2 propagations can
-// hold hundreds of tags per node).
-type tagMap = tagSet
-
+// tagSet is the tag set of one node: its entries in first-insertion
+// order, valid until the propagation's arena is released.
 type tagSet struct {
 	entries []tagEntry
-	index   map[dataTag]int32
 }
 
+// tagIndexThreshold is the entry count past which the node being filled
+// dedupes through the arena's hash index instead of a linear scan
+// (start-tracked pass-2 propagations can hold hundreds of tags per node).
 const tagIndexThreshold = 16
 
-// reserve pre-sizes the entry slice for an expected entry count (an
-// upper bound: duplicate tags collapse). The hash index still builds
-// lazily at the threshold — pre-creating it per node costs more in map
-// allocation than the linear pre-index scans it would save.
-func (m *tagSet) reserve(n int) {
-	if n == 0 || m.entries != nil {
-		return
-	}
-	m.entries = make([]tagEntry, 0, n)
+// slabEntries sizes a pooled slab at 64 KiB of 32-byte entries: small
+// slabs keep the pooled bytes that survive a collection close to what
+// the propagations in flight use.
+const slabEntries = 2048
+
+type tagSlab [slabEntries]tagEntry
+
+// The pools serve every context, so a fresh one (a sign-off run, a cache
+// miss) reuses what an earlier one released. A sync.Pool field in a
+// Context would also keep that whole context alive through the next
+// collection.
+var (
+	slabPool  = sync.Pool{New: func() any { return new(tagSlab) }}
+	arenaPool sync.Pool // *propArena
+)
+
+// propArena is the transient storage of one data propagation. Each
+// node's entries are a sub-slice of a pooled slab with the node's upper
+// bound as capacity, so a node past its bound would reallocate on append
+// rather than write into the next node's entries; once the node is done
+// they are trimmed to their length. The node being filled dedupes
+// through one open-addressed table shared by every node.
+type propArena struct {
+	tags    []tagSet
+	touched []graph.NodeID
+	slabs   []*tagSlab // borrowed; the last one is being carved
+	off     int        // entries carved from the last slab
+
+	// The node being filled: its entries, whether they were carved, and
+	// past tagIndexThreshold its table, slots[:mask+1] of entry
+	// positions + 1 (0 is empty).
+	cur    []tagEntry
+	carved bool
+	slots  []int32
+	mask   uint32
+
+	// plain gives every node a heap slice of its own and dedupes by
+	// linear scan: the reference the arena tests compare against.
+	plain bool
 }
 
-func (m *tagSet) add(t dataTag, a arrival) {
-	if m.index == nil {
-		for i := range m.entries {
-			if m.entries[i].tag == t {
-				m.entries[i].arr.merge(a)
+// newArena borrows an arena with a zeroed tag array of n nodes.
+func newArena(n int) *propArena {
+	a, _ := arenaPool.Get().(*propArena)
+	if a == nil {
+		a = &propArena{}
+	}
+	if cap(a.tags) < n {
+		a.tags = make([]tagSet, n)
+	}
+	a.tags = a.tags[:n]
+	return a
+}
+
+// release clears the touched nodes and returns the slabs and the arena.
+func (a *propArena) release() {
+	for _, id := range a.touched {
+		a.tags[id] = tagSet{}
+	}
+	a.touched = a.touched[:0]
+	for i, s := range a.slabs {
+		slabPool.Put(s)
+		a.slabs[i] = nil
+	}
+	a.slabs, a.off, a.cur = a.slabs[:0], 0, nil
+	arenaPool.Put(a)
+}
+
+// begin starts filling a node whose tag count is at most est.
+func (a *propArena) begin(est int) {
+	a.carved, a.mask = false, 0
+	switch {
+	case est == 0:
+		a.cur = nil
+	case a.plain || est > slabEntries:
+		a.cur = make([]tagEntry, 0, est)
+	default:
+		a.carved = true
+		if len(a.slabs) == 0 || a.off+est > slabEntries {
+			a.slabs = append(a.slabs, slabPool.Get().(*tagSlab))
+			a.off = 0
+		}
+		a.cur = a.slabs[len(a.slabs)-1][a.off : a.off : a.off+est]
+	}
+}
+
+// finish stores the filled node's entries. If they are still in their
+// slab, the space past them goes to the next node.
+func (a *propArena) finish(id graph.NodeID) {
+	n := len(a.cur)
+	if n == 0 {
+		return
+	}
+	if a.carved && &a.cur[0] == &a.slabs[len(a.slabs)-1][a.off] {
+		a.off += n
+	}
+	a.tags[id] = tagSet{entries: a.cur[:n:n]}
+	a.touched = append(a.touched, id)
+}
+
+func (a *propArena) add(t dataTag, arr arrival) {
+	if a.mask == 0 {
+		for i := range a.cur {
+			if a.cur[i].tag == t {
+				a.cur[i].arr.merge(arr)
 				return
 			}
 		}
-		m.entries = append(m.entries, tagEntry{tag: t, arr: a})
-		if len(m.entries) > tagIndexThreshold {
-			m.index = make(map[dataTag]int32, 2*len(m.entries))
-			for i := range m.entries {
-				m.index[m.entries[i].tag] = int32(i)
-			}
+		a.cur = append(a.cur, tagEntry{tag: t, arr: arr})
+		if len(a.cur) > tagIndexThreshold && !a.plain {
+			a.reindex(cap(a.cur))
 		}
 		return
 	}
-	if i, ok := m.index[t]; ok {
-		m.entries[i].arr.merge(a)
+	s := a.slot(t)
+	if *s != 0 {
+		a.cur[*s-1].arr.merge(arr)
 		return
 	}
-	m.index[t] = int32(len(m.entries))
-	m.entries = append(m.entries, tagEntry{tag: t, arr: a})
+	a.cur = append(a.cur, tagEntry{tag: t, arr: arr})
+	*s = int32(len(a.cur))
+	if 2*len(a.cur) > int(a.mask) {
+		a.reindex(2 * len(a.cur))
+	}
+}
+
+// reindex sizes the dedupe table for n entries at load ≤ 1/2 and
+// inserts the node's entries.
+func (a *propArena) reindex(n int) {
+	size := 64
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(a.slots) < size {
+		a.slots = make([]int32, size)
+	}
+	a.slots = a.slots[:size]
+	clear(a.slots)
+	a.mask = uint32(size - 1)
+	for i := range a.cur {
+		*a.slot(a.cur[i].tag) = int32(i + 1)
+	}
+}
+
+// slot returns the table slot holding t's position, or the empty one
+// where it belongs.
+func (a *propArena) slot(t dataTag) *int32 {
+	for i := t.hash() & a.mask; ; i = (i + 1) & a.mask {
+		s := &a.slots[i]
+		if *s == 0 || a.cur[*s-1].tag == t {
+			return s
+		}
+	}
+}
+
+func (t dataTag) hash() uint32 {
+	h := uint64(uint32(t.launch)) | uint64(uint8(t.launchEdge))<<32 | uint64(uint8(t.trans))<<40
+	h = h*0x9e3779b97f4a7c15 ^ (uint64(uint32(t.start))<<32 | uint64(uint32(t.vec)))
+	h *= 0xbf58476d1ce4e5b9
+	return uint32(h >> 32)
 }
 
 // merge widens the arrival window.
@@ -100,36 +225,27 @@ type propOpts struct {
 	seedFilter func(graph.NodeID) bool
 }
 
-// propagate runs one transient data propagation (propagateInto) on a
-// node-indexed tag array borrowed from the context pool; release clears
-// the touched entries and returns the array. No propagation outlives its
-// caller, and pooling matters: the relation passes run one per fill or
-// pair, and a fresh O(nodes) array per call is pure GC churn.
-func (ctx *Context) propagate(o propOpts) (tags []tagMap, release func()) {
-	if v := ctx.tagArrayPool.Get(); v != nil {
-		tags = v.([]tagMap)
-	} else {
-		tags = make([]tagMap, ctx.G.NumNodes())
-	}
-	touched := ctx.propagateInto(o, tags)
-	return tags, func() {
-		for _, id := range touched {
-			tags[id] = tagMap{}
-		}
-		ctx.tagArrayPool.Put(tags)
-	}
+// propagate runs one transient data propagation (propagateInto) into a
+// pooled arena; release returns it. No propagation outlives its caller,
+// and pooling matters: the relation passes run one per fill or pair, and
+// fresh per-node storage per call is pure GC churn.
+func (ctx *Context) propagate(o propOpts) (tags []tagSet, release func()) {
+	a := newArena(ctx.G.NumNodes())
+	ctx.propagateInto(o, a)
+	return a.tags, a.release
 }
 
 // propagateInto performs forward data propagation over the timing graph
-// into a zeroed array, returning the node ids it stored tags at.
+// into an arena with a zeroed tag array.
 //
 // Paths are launched at register clock pins (one tag per clock present at
 // the pin, via the clk→Q launch arc) and at input ports carrying
 // set_input_delay (one tag per reference clock). Tags move over net and
 // combinational arcs, transitions follow arc unateness, and exception
 // progress vectors advance at every traversed node.
-func (ctx *Context) propagateInto(o propOpts, out []tagMap) (touched []graph.NodeID) {
+func (ctx *Context) propagateInto(o propOpts, ar *propArena) {
 	g := ctx.G
+	out := ar.tags
 	allow := func(id graph.NodeID) bool {
 		return o.nodeFilter == nil || o.nodeFilter[id]
 	}
@@ -144,12 +260,16 @@ func (ctx *Context) propagateInto(o propOpts, out []tagMap) (touched []graph.Nod
 		if !allow(id) || ctx.NodeDisabled[id] || ctx.Consts[id].Known() {
 			continue
 		}
-		var m tagMap
 		node := g.Node(id)
+		seeds := node.Port != nil && node.Port.Dir == netlist.In &&
+			(o.seedFilter == nil || o.seedFilter(id))
 
-		// Upper-bound the node's tag count from its in-arc sources so the
-		// set allocates once (and indexes up front past the threshold).
+		// Upper-bound the node's tag count from its in-arc sources and
+		// input delays so its entries are carved from a slab once.
 		est := 0
+		if seeds {
+			est = 2 * len(ctx.ioByPort[id])
+		}
 		for _, ai := range g.InArcs(id) {
 			if ctx.ArcDisabled[ai] {
 				continue
@@ -169,7 +289,7 @@ func (ctx *Context) propagateInto(o propOpts, out []tagMap) (touched []graph.Nod
 				est += 2 * len(out[a.From].entries)
 			}
 		}
-		m.reserve(est)
+		ar.begin(est)
 
 		// Arc-driven tags.
 		for _, ai := range g.InArcs(id) {
@@ -200,7 +320,7 @@ func (ctx *Context) propagateInto(o propOpts, out []tagMap) (touched []graph.Nod
 						vec := ctx.exc.seedVec(cpNode, ct.Clock, launchEdge, launchEdge)
 						vec = ctx.exc.advance(vec, id, trans)
 						d := &ctx.delays[ai]
-						m.add(dataTag{
+						ar.add(dataTag{
 							launch:     ct.Clock,
 							launchEdge: launchEdge,
 							trans:      trans,
@@ -214,39 +334,32 @@ func (ctx *Context) propagateInto(o propOpts, out []tagMap) (touched []graph.Nod
 			for _, te := range out[a.From].entries {
 				switch a.Unate() {
 				case library.PositiveUnate:
-					ctx.emit(&m, te.tag, te.tag.trans, id, ai, te.arr)
+					ctx.emit(ar, te.tag, te.tag.trans, id, ai, te.arr)
 				case library.NegativeUnate:
-					ctx.emit(&m, te.tag, flip(te.tag.trans), id, ai, te.arr)
+					ctx.emit(ar, te.tag, flip(te.tag.trans), id, ai, te.arr)
 				default:
-					ctx.emit(&m, te.tag, sdc.EdgeRise, id, ai, te.arr)
-					ctx.emit(&m, te.tag, sdc.EdgeFall, id, ai, te.arr)
+					ctx.emit(ar, te.tag, sdc.EdgeRise, id, ai, te.arr)
+					ctx.emit(ar, te.tag, sdc.EdgeFall, id, ai, te.arr)
 				}
 			}
 		}
 
 		// Input-port seeds.
-		if node.Port != nil && node.Port.Dir == netlist.In {
-			if o.seedFilter == nil || o.seedFilter(id) {
-				ctx.seedInputPort(&m, id, startOf(id))
-			}
+		if seeds {
+			ctx.seedInputPort(ar, id, startOf(id))
 		}
-
-		if len(m.entries) > 0 {
-			out[id] = m
-			touched = append(touched, id)
-		}
+		ar.finish(id)
 	}
-	return touched
 }
 
 // emit adds a tag advanced through node id with the given transition,
 // applying the arc's corner delays for that transition.
-func (ctx *Context) emit(m *tagMap, t dataTag, trans sdc.EdgeSel, id graph.NodeID, ai int32, base arrival) {
+func (ctx *Context) emit(a *propArena, t dataTag, trans sdc.EdgeSel, id graph.NodeID, ai int32, base arrival) {
 	d := &ctx.delays[ai]
 	nt := t
 	nt.trans = trans
 	nt.vec = ctx.exc.advance(t.vec, id, trans)
-	m.add(nt, arrival{base.min + d.sel(trans, false), base.max + d.sel(trans, true)})
+	a.add(nt, arrival{base.min + d.sel(trans, false), base.max + d.sel(trans, true)})
 }
 
 func flip(e sdc.EdgeSel) sdc.EdgeSel {
@@ -261,14 +374,20 @@ func flip(e sdc.EdgeSel) sdc.EdgeSel {
 }
 
 // seedInputPort seeds tags for a port's input delays. Delays on the same
-// reference clock and edge combine (min of mins, max of maxes).
-func (ctx *Context) seedInputPort(m *tagMap, id graph.NodeID, start graph.NodeID) {
-	type key struct {
+// reference clock and edge combine (min of mins, max of maxes), and the
+// seeds follow the order in which each (clock, edge) first appears.
+func (ctx *Context) seedInputPort(a *propArena, id graph.NodeID, start graph.NodeID) {
+	type seed struct {
 		clock ClockID
 		edge  sdc.EdgeSel
+		arr   arrival
 	}
-	acc := map[key]arrival{}
-	for _, d := range ctx.inputDelays(id) {
+	var buf [8]seed
+	seeds := buf[:0]
+	for _, d := range ctx.ioByPort[id] {
+		if !d.IsInput {
+			continue
+		}
 		cid := NoClock
 		if d.Clock != "" {
 			if c, ok := ctx.clockByName[d.Clock]; ok {
@@ -279,51 +398,38 @@ func (ctx *Context) seedInputPort(m *tagMap, id graph.NodeID, start graph.NodeID
 		if d.ClockFall {
 			edge = sdc.EdgeFall
 		}
-		k := key{cid, edge}
-		a, have := acc[k]
-		switch d.Level {
-		case sdc.MinOnly:
-			if !have {
-				a = arrival{d.Value, math.Inf(-1)}
-			} else if d.Value < a.min {
-				a.min = d.Value
-			}
-		case sdc.MaxOnly:
-			if !have {
-				a = arrival{math.Inf(1), d.Value}
-			} else if d.Value > a.max {
-				a.max = d.Value
-			}
-		default:
-			if !have {
-				a = arrival{d.Value, d.Value}
-			} else {
-				if d.Value < a.min {
-					a.min = d.Value
-				}
-				if d.Value > a.max {
-					a.max = d.Value
-				}
-			}
+		k := 0
+		for k < len(seeds) && (seeds[k].clock != cid || seeds[k].edge != edge) {
+			k++
 		}
-		acc[k] = a
+		if k == len(seeds) {
+			seeds = append(seeds, seed{cid, edge, arrival{math.Inf(1), math.Inf(-1)}})
+		}
+		w := &seeds[k].arr
+		if d.Level != sdc.MaxOnly && d.Value < w.min {
+			w.min = d.Value
+		}
+		if d.Level != sdc.MinOnly && d.Value > w.max {
+			w.max = d.Value
+		}
 	}
-	for k, a := range acc {
-		if math.IsInf(a.min, 1) {
-			a.min = a.max
+	for _, sd := range seeds {
+		w := sd.arr
+		if math.IsInf(w.min, 1) {
+			w.min = w.max
 		}
-		if math.IsInf(a.max, -1) {
-			a.max = a.min
+		if math.IsInf(w.max, -1) {
+			w.max = w.min
 		}
 		for _, trans := range []sdc.EdgeSel{sdc.EdgeRise, sdc.EdgeFall} {
-			vec := ctx.exc.seedVec(id, k.clock, k.edge, trans)
-			m.add(dataTag{
-				launch:     k.clock,
-				launchEdge: k.edge,
+			vec := ctx.exc.seedVec(id, sd.clock, sd.edge, trans)
+			a.add(dataTag{
+				launch:     sd.clock,
+				launchEdge: sd.edge,
 				trans:      trans,
 				start:      start,
 				vec:        vec,
-			}, a)
+			}, w)
 		}
 	}
 }

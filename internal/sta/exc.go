@@ -222,7 +222,8 @@ func (s *excSet) seedVec(start graph.NodeID, launch ClockID, launchEdge sdc.Edge
 	if ok {
 		return id
 	}
-	v := make([]int8, len(s.matchers))
+	var buf [64]int8
+	v := scratchVec(&buf, len(s.matchers))
 	for i := range s.matchers {
 		m := &s.matchers[i]
 		if m.inert || !m.fromMatches(start, launch, launchEdge) {
@@ -283,15 +284,27 @@ func advanceOne(m *excMatcher, p int8, node graph.NodeID, trans sdc.EdgeSel) int
 	return p
 }
 
+// scratchVec returns an n-exception candidate vector in buf, or on the
+// heap past 64 exceptions. internVec copies a vector it stores, so
+// nothing kept points into buf.
+func scratchVec(buf *[64]int8, n int) []int8 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int8, n)
+}
+
 // advance walks a progress vector through a node, returning the interned
 // id of the result (which may be the input id unchanged). Only matchers
-// with a through anchor on this node can change.
+// with a through anchor on this node can change; the candidate vector is
+// built in a stack buffer.
 func (s *excSet) advance(id int32, node graph.NodeID, trans sdc.EdgeSel) int32 {
 	cands := s.nodeMatchers[node]
 	if len(cands) == 0 {
 		return id
 	}
 	v := s.vec(id)
+	var buf [64]int8
 	var out []int8
 	for _, i := range cands {
 		if v[i] == progDead {
@@ -300,7 +313,8 @@ func (s *excSet) advance(id int32, node graph.NodeID, trans sdc.EdgeSel) int32 {
 		np := advanceOne(&s.matchers[i], v[i], node, trans)
 		if np != v[i] {
 			if out == nil {
-				out = append([]int8(nil), v...)
+				out = scratchVec(&buf, len(v))
+				copy(out, v)
 			}
 			out[i] = np
 		}

@@ -217,7 +217,7 @@ func (f *relFolder) take(n int) []Rel {
 // start-tracked tag sets repeat heavily across startpoints. States Add
 // in tag-entry order within the group, so every set's first-insertion
 // order is that of the naive per-entry fold.
-func (f *relFolder) fold(end graph.NodeID, m tagMap) []Rel {
+func (f *relFolder) fold(end graph.NodeID, m tagSet) []Rel {
 	if len(m.entries) == 0 {
 		return nil
 	}
@@ -501,6 +501,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 	cellGen := make([]int32, len(cells))
 	gen := int32(0)
 	var touched []int32
+	var winners []*sdc.Exception
 
 	var out []ThroughRel
 	for _, n := range coneNodes {
@@ -533,7 +534,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 						set.Add(relation.StateFalse)
 						continue
 					}
-					var winners []*sdc.Exception
+					winners = winners[:0]
 					ambiguous := false
 					for _, i := range alive {
 						mi := &ctx.exc.matchers[i]

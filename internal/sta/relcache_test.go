@@ -121,7 +121,7 @@ func relationDiffs(g *graph.Graph, ends []graph.NodeID, got func(i int) []Rel, w
 
 // relationsFrom computes each endpoint's relation rows of the pass from a
 // given tag lattice.
-func relationsFrom(ctx *Context, tags []tagMap, ends []graph.NodeID, startTracked bool) [][]Rel {
+func relationsFrom(ctx *Context, tags []tagSet, ends []graph.NodeID, startTracked bool) [][]Rel {
 	f := ctx.newRelFolder(startTracked)
 	out := make([][]Rel, len(ends))
 	for i, end := range ends {
@@ -216,7 +216,7 @@ func TestFillRelationsIdentity(t *testing.T) {
 // empty name, an unknown name and a repeated name. The negative control
 // reads presence from one endpoint's cone only; it must not match.
 func TestLaunchClockTableIdentity(t *testing.T) {
-	presence := func(ctx *Context, tags []tagMap, names []string) [][]bool {
+	presence := func(ctx *Context, tags []tagSet, names []string) [][]bool {
 		rows := make([][]bool, len(names))
 		for i, name := range names {
 			cid, ok := ctx.ClockByName(name)

@@ -25,7 +25,7 @@ func (f refFold) add(k RelName, st relation.State) {
 
 // refEndpointFold folds one endpoint's tags of a full propagation into
 // name-keyed pass-1 (or, startTracked, pass-2) relations.
-func refEndpointFold(ctx *Context, tags []tagMap, end graph.NodeID, startTracked bool) refFold {
+func refEndpointFold(ctx *Context, tags []tagSet, end graph.NodeID, startTracked bool) refFold {
 	out := refFold{}
 	for _, te := range tags[end].entries {
 		tag := te.tag

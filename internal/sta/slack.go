@@ -79,7 +79,7 @@ func (ctx *Context) AnalyzeEndpoints(cx context.Context) []EndpointResult {
 
 // analyzeEndpoint runs every (data tag × capture clock) check at one
 // endpoint and keeps the worst slacks.
-func (ctx *Context) analyzeEndpoint(end graph.NodeID, m tagMap) EndpointResult {
+func (ctx *Context) analyzeEndpoint(end graph.NodeID, m tagSet) EndpointResult {
 	res := EndpointResult{Node: end, Name: ctx.G.Node(end).Name,
 		SetupSlack: math.Inf(1), HoldSlack: math.Inf(1)}
 	if len(m.entries) == 0 {

@@ -52,7 +52,7 @@ func (ctx *Context) TraceWorstArrival(end graph.NodeID) (*Path, bool) {
 }
 
 // traceWorst is TraceWorstArrival over a given tag lattice.
-func (ctx *Context) traceWorst(tags []tagMap, end graph.NodeID) (*Path, bool) {
+func (ctx *Context) traceWorst(tags []tagSet, end graph.NodeID) (*Path, bool) {
 	m := tags[end]
 	var worst dataTag
 	worstArr := math.Inf(-1)
@@ -93,7 +93,7 @@ func (ctx *Context) traceWorst(tags []tagMap, end graph.NodeID) (*Path, bool) {
 
 // traceStep finds a predecessor (node, tag, arrival) explaining the
 // current arrival. It returns ok=false at a path startpoint.
-func (ctx *Context) traceStep(tags []tagMap, node graph.NodeID, tag dataTag, arr float64, eps float64) (graph.NodeID, dataTag, float64, float64, bool) {
+func (ctx *Context) traceStep(tags []tagSet, node graph.NodeID, tag dataTag, arr float64, eps float64) (graph.NodeID, dataTag, float64, float64, bool) {
 	g := ctx.G
 	for _, ai := range g.InArcs(node) {
 		if ctx.ArcDisabled[ai] {
