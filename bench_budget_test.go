@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"modemerge/internal/experiments"
+	"modemerge/internal/sta"
 )
 
 // largeMergeBudgetDefaultMS is the default wall-clock budget for one
@@ -58,14 +61,16 @@ func TestLargeMergeBudget(t *testing.T) {
 // largeMergeAllocBudget bounds the heap allocations (runtime.MemStats
 // Mallocs) of one untraced large merge at Parallelism 1. The count
 // hardly moves from run to run (75,724–75,741 over 4 runs before packed
-// relation keys; 16,411–16,442 over 3 best-of-3 runs now), so unlike
+// relation keys; 14,815–14,843 over 3 best-of-3 runs now), so unlike
 // wall time it can gate on a 1–2 CPU runner. Packed relation keys and
 // inline singleton state sets took the merge from 75,727 to 35,698
 // allocations (budget 41,053); carving every node's tag set from pooled
-// propagation slabs took it to 16,442. The budget is 1.15× that, so a
-// change that brings back per-node tag slices, per-group maps or
-// per-set slices fails here while run-to-run noise never does.
-const largeMergeAllocBudget = 18_908
+// propagation slabs took it to 16,442 (budget 18,908); one anchor table
+// per context's exceptions, with a dense pass-3 suffix DP, took it to
+// 14,815. The budget is 1.15× that, so a change that brings back
+// per-node tag slices, per-group maps, per-set slices or per-exception
+// maps fails here while run-to-run noise never does.
+const largeMergeAllocBudget = 17_037
 
 // TestLargeMergeAllocBudget counts the allocations of one untraced large
 // merge, best of 3 after a warm-up, against largeMergeAllocBudget. Under
@@ -93,5 +98,49 @@ func TestLargeMergeAllocBudget(t *testing.T) {
 	if best > largeMergeAllocBudget {
 		t.Fatalf("large merge made %d allocations, over the budget of %d — the data propagation "+
 			"allocates per node or the relation fill per path group again", best, largeMergeAllocBudget)
+	}
+}
+
+// contextBytesBudget bounds the live heap one sta.Context adds per cell
+// of design F at scale 1 (seed 1), measured after a GC. It is 1.15× the
+// measured value, so a change that brings back per-exception maps or a
+// per-node slice header per context fails here.
+const contextBytesBudget = 1.15 * 294.5
+
+// TestContextBytesBudget builds one context per mode of design F and
+// holds the heap they keep, per context per cell, under
+// contextBytesBudget. Under -short and the race detector it is skipped:
+// the race runtime's shadow allocations inflate the heap.
+func TestContextBytesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("context heap budget not checked under -short")
+	}
+	if raceEnabled {
+		t.Skip("heap sizes differ under the race detector")
+	}
+	c := experiments.PaperDesigns(1)[5] // F
+	c.Spec.Seed = 1
+	p, err := experiments.Prepare(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ctxs := make([]*sta.Context, len(p.Modes))
+	for i, m := range p.Modes {
+		if ctxs[i], err = sta.NewContext(p.Graph, m, sta.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perCell := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(ctxs)*p.Cells)
+	runtime.KeepAlive(ctxs)
+	t.Logf("design F: %d cells, %d contexts, %.1f B/cell per context (budget %.1f)",
+		p.Cells, len(ctxs), perCell, contextBytesBudget)
+	if perCell > contextBytesBudget {
+		t.Fatalf("one context keeps %.1f B/cell, over the budget of %.1f — a context compiles "+
+			"per-exception maps or per-node slices again", perCell, contextBytesBudget)
 	}
 }

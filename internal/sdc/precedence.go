@@ -51,29 +51,32 @@ func (e *Exception) Specificity() int {
 func Winner(cands []*Exception) *Exception {
 	var best *Exception
 	for _, e := range cands {
-		if best == nil {
-			best = e
-			continue
-		}
-		kr, kb := KindRank(e.Kind), KindRank(best.Kind)
-		switch {
-		case kr > kb:
-			best = e
-		case kr < kb:
-			// keep best
-		default:
-			sr, sb := e.Specificity(), best.Specificity()
-			switch {
-			case sr > sb:
-				best = e
-			case sr < sb:
-				// keep best
-			default:
-				best = pessimistic(best, e)
-			}
-		}
+		best = Prefer(best, e)
 	}
 	return best
+}
+
+// Prefer is one step of Winner: the governing one of the winner so far
+// (nil for none) and the next candidate.
+func Prefer(best, e *Exception) *Exception {
+	if best == nil {
+		return e
+	}
+	kr, kb := KindRank(e.Kind), KindRank(best.Kind)
+	switch {
+	case kr > kb:
+		return e
+	case kr < kb:
+		return best
+	}
+	sr, sb := e.Specificity(), best.Specificity()
+	switch {
+	case sr > sb:
+		return e
+	case sr < sb:
+		return best
+	}
+	return pessimistic(best, e)
 }
 
 // pessimistic picks the tighter of two equally ranked exceptions.

@@ -82,7 +82,7 @@ func arenaFixture(t *testing.T, nThrough int) *Context {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.exc.Count(); got != len(mode.Exceptions) || got < nThrough {
+	if got := len(ctx.exc.matchers); got != len(mode.Exceptions) || got < nThrough {
 		t.Fatalf("context compiled %d exceptions, want at least %d", got, nThrough)
 	}
 	return ctx
@@ -239,29 +239,29 @@ func TestExcVectorScratch(t *testing.T) {
 	for _, n := range []int{12, 70} {
 		ctx := arenaFixture(t, n)
 		s := ctx.exc
-		if n > 64 && s.Count() <= 64 {
-			t.Fatalf("%d exceptions compiled; the heap fallback is not reached", s.Count())
+		if n > 64 && len(s.matchers) <= 64 {
+			t.Fatalf("%d exceptions compiled; the heap fallback is not reached", len(s.matchers))
 		}
 		refSeed := func(start graph.NodeID, launch ClockID, edge, trans sdc.EdgeSel) int32 {
 			v := make([]int8, len(s.matchers))
 			for i := range s.matchers {
-				m := &s.matchers[i]
-				if m.inert || !m.fromMatches(start, launch, edge) {
+				i := int32(i)
+				if s.matchers[i].inert || !s.fromMatches(i, start, launch, edge) {
 					v[i] = progDead
 					continue
 				}
-				v[i] = advanceOne(m, 0, start, trans)
+				v[i] = s.advanceOne(i, 0, start, trans)
 			}
 			return s.internVec(v)
 		}
 		refAdvance := func(id int32, node graph.NodeID, trans sdc.EdgeSel) int32 {
 			v := s.vec(id)
 			var out []int8
-			for _, i := range s.nodeMatchers[node] {
+			for i := range v {
 				if v[i] == progDead {
 					continue
 				}
-				if np := advanceOne(&s.matchers[i], v[i], node, trans); np != v[i] {
+				if np := s.advanceOne(int32(i), v[i], node, trans); np != v[i] {
 					if out == nil {
 						out = append([]int8(nil), v...)
 					}
@@ -298,7 +298,7 @@ func TestExcVectorScratch(t *testing.T) {
 		for k := 0; k < len(queue); k++ {
 			id := queue[k]
 			for _, node := range ctx.G.Topo() {
-				if len(s.nodeMatchers[node]) == 0 {
+				if len(s.anchors(node)) == 0 {
 					continue
 				}
 				for _, trans := range edges {

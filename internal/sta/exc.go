@@ -1,6 +1,8 @@
 package sta
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"modemerge/internal/graph"
@@ -8,8 +10,8 @@ import (
 	"modemerge/internal/sdc"
 )
 
-// excMatcher precompiles one exception's point lists to node sets and
-// clock sets for fast path matching.
+// excMatcher is one compiled exception: everything that is not a pin
+// anchor. Its resolved pins live in the excSet's anchor table.
 type excMatcher struct {
 	e *sdc.Exception
 
@@ -17,51 +19,58 @@ type excMatcher struct {
 	// context (e.g. a uniquified exception referencing a clock that only
 	// exists in another mode) — it can never match a path.
 	inert bool
+	// edgeSensitive marks a -to or -through list with a rise/fall
+	// selector: pass 3's edge-blind suffix walk cannot decide it.
+	edgeSensitive bool
+	nThru         int8 // through groups
 
-	fromNodes  map[graph.NodeID]bool // empty map = no pin restriction
-	fromClocks map[ClockID]bool
-	fromEdge   sdc.EdgeSel
-
-	throughs  []map[graph.NodeID]bool
-	thruEdges []sdc.EdgeSel
-
-	toNodes  map[graph.NodeID]bool
-	toClocks map[ClockID]bool
-	toEdge   sdc.EdgeSel
+	fromClocks, toClocks []ClockID // sorted
 }
+
+// excRef is one resolved pin anchor: its matcher and its role there
+// (roleFrom, roleTo, or through group k ≥ 0).
+type excRef struct {
+	m, role int32
+}
+
+// Anchor roles besides through group k. Both stay clear of progDead, so
+// a dead progress never matches an anchor.
+const (
+	roleFrom int32 = -3
+	roleTo   int32 = -2
+)
 
 // progress values per exception inside a vector.
 const progDead = -1 // cannot match on this path (from side failed)
+
+// excVec is one interned progress vector with the candidate lists that
+// depend on it alone: full holds the matchers whose through progress is
+// complete (the only ones winner() can return), alive the matchers not
+// dead (the only ones the pass-3 suffix DP can consult). All three are
+// immutable once stored.
+type excVec struct {
+	v           []int8
+	full, alive []int32
+}
 
 // excSet is the compiled exception set of a context plus the progress
 // vector interner. The interner is safe for concurrent use so relation
 // queries (pass-2 per-endpoint propagations) can run in parallel on one
 // context.
 type excSet struct {
-	ctx      *Context
 	matchers []excMatcher
 
-	// nodeMatchers indexes, per node, the matchers with a through group
-	// containing that node — advance() only needs to look at those. A
-	// node-indexed slice, not a map: advance() consults it once per (tag,
-	// arc) on every propagation, and most nodes carry no matchers.
-	nodeMatchers [][]int32
+	// The anchor table: node n's anchors are refs[off[n]:off[n+1]], in
+	// (matcher, role) order and without duplicates. -from anchors sit on
+	// the startpoint node the data propagation uses.
+	refs []excRef
+	off  []int32
 
-	// Progress vector interning: id → vector; vectors are immutable once
+	// Progress vector interning: id → record; records are immutable once
 	// stored. mu guards both structures.
 	mu     sync.RWMutex
-	vecs   [][]int8
+	vecs   []excVec
 	vecIDs map[string]int32
-
-	// Per-vector candidate indices, computed lazily: fullByVec lists the
-	// matchers fully matched by the vector (the only ones completed() can
-	// return), aliveByVec the matchers not dead on it (the only ones the
-	// pass-3 suffix DP can consult). Both depend on the vector alone, and
-	// vectors are immutable, so the memos never invalidate. candMu guards
-	// both maps.
-	candMu     sync.RWMutex
-	fullByVec  map[int32][]int32
-	aliveByVec map[int32][]int32
 
 	// seedVec memo: the seed is pure in its arguments (matchers are
 	// immutable after compile), and every propagation re-seeds the same
@@ -78,82 +87,72 @@ type seedKey struct {
 }
 
 func newExcSet(ctx *Context) *excSet {
-	s := &excSet{ctx: ctx, vecIDs: map[string]int32{}}
-	for _, e := range ctx.Mode.Exceptions {
-		m := excMatcher{e: e,
-			fromNodes:  map[graph.NodeID]bool{},
-			fromClocks: map[ClockID]bool{},
-			toNodes:    map[graph.NodeID]bool{},
-			toClocks:   map[ClockID]bool{},
-		}
-		m.fromEdge = e.From.Edge
-		m.toEdge = e.To.Edge
-		for _, pin := range e.From.Pins {
-			if id, ok := ctx.G.NodeByName(pin.Name); ok {
-				m.fromNodes[expandStartpoint(ctx.G, id)] = true
-			} else {
-				ctx.warnf("%s line %d: -from object %q not in design", e.Kind, e.Line, pin.Name)
+	s := &excSet{vecIDs: map[string]int32{}}
+	type anchor struct {
+		node graph.NodeID
+		ref  excRef
+	}
+	var anchors []anchor
+	// pins adds one point list's resolved pins in role; it reports
+	// whether any resolved.
+	pins := func(e *sdc.Exception, i int32, role int32, side string, l *sdc.PointList) bool {
+		n := len(anchors)
+		for _, pin := range l.Pins {
+			id, ok := ctx.G.NodeByName(pin.Name)
+			if !ok {
+				ctx.warnf("%s line %d: %s object %q not in design", e.Kind, e.Line, side, pin.Name)
+				continue
 			}
+			if role == roleFrom {
+				id = expandStartpoint(ctx.G, id)
+			}
+			anchors = append(anchors, anchor{id, excRef{i, role}})
 		}
-		for _, c := range e.From.Clocks {
+		return len(anchors) > n
+	}
+	clocks := func(e *sdc.Exception, side string, l *sdc.PointList) []ClockID {
+		var out []ClockID
+		for _, c := range l.Clocks {
 			if id, ok := ctx.clockByName[c]; ok {
-				m.fromClocks[id] = true
+				out = append(out, id)
 			} else {
-				ctx.warnf("%s line %d: -from clock %q undefined in this mode", e.Kind, e.Line, c)
+				ctx.warnf("%s line %d: %s clock %q undefined in this mode", e.Kind, e.Line, side, c)
 			}
 		}
-		for _, pin := range e.To.Pins {
-			if id, ok := ctx.G.NodeByName(pin.Name); ok {
-				m.toNodes[id] = true
-			} else {
-				ctx.warnf("%s line %d: -to object %q not in design", e.Kind, e.Line, pin.Name)
-			}
-		}
-		for _, c := range e.To.Clocks {
-			if id, ok := ctx.clockByName[c]; ok {
-				m.toClocks[id] = true
-			} else {
-				ctx.warnf("%s line %d: -to clock %q undefined in this mode", e.Kind, e.Line, c)
-			}
-		}
-		for _, t := range e.Throughs {
-			nodes := map[graph.NodeID]bool{}
-			for _, pin := range t.Pins {
-				if id, ok := ctx.G.NodeByName(pin.Name); ok {
-					nodes[id] = true
-				} else {
-					ctx.warnf("%s line %d: -through object %q not in design", e.Kind, e.Line, pin.Name)
-				}
-			}
-			m.throughs = append(m.throughs, nodes)
-			m.thruEdges = append(m.thruEdges, t.Edge)
-		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	for i, e := range ctx.Mode.Exceptions {
+		i := int32(i)
+		m := excMatcher{e: e, nThru: int8(len(e.Throughs))}
 		// A side whose anchors were all specified but none resolved makes
 		// the exception inert in this context.
-		if !e.From.Empty() && len(m.fromNodes) == 0 && len(m.fromClocks) == 0 {
-			m.inert = true
-		}
-		if !e.To.Empty() && len(m.toNodes) == 0 && len(m.toClocks) == 0 {
-			m.inert = true
-		}
-		for _, nodes := range m.throughs {
-			if len(nodes) == 0 {
-				m.inert = true
-			}
+		fromPins := pins(e, i, roleFrom, "-from", e.From)
+		m.fromClocks = clocks(e, "-from", e.From)
+		m.inert = !e.From.Empty() && !fromPins && len(m.fromClocks) == 0
+		toPins := pins(e, i, roleTo, "-to", e.To)
+		m.toClocks = clocks(e, "-to", e.To)
+		m.inert = m.inert || !e.To.Empty() && !toPins && len(m.toClocks) == 0
+		m.edgeSensitive = e.To.Edge != sdc.EdgeBoth
+		for k, t := range e.Throughs {
+			m.inert = !pins(e, i, int32(k), "-through", t) || m.inert
+			m.edgeSensitive = m.edgeSensitive || t.Edge != sdc.EdgeBoth
 		}
 		s.matchers = append(s.matchers, m)
 	}
-	s.nodeMatchers = make([][]int32, ctx.G.NumNodes())
-	for i := range s.matchers {
-		seen := map[graph.NodeID]bool{}
-		for _, nodes := range s.matchers[i].throughs {
-			for n := range nodes {
-				if !seen[n] {
-					seen[n] = true
-					s.nodeMatchers[n] = append(s.nodeMatchers[n], int32(i))
-				}
-			}
-		}
+	// Anchors were added in (matcher, role) order, so a stable sort by
+	// node keeps that order within a node and puts duplicates side by
+	// side.
+	slices.SortStableFunc(anchors, func(a, b anchor) int { return cmp.Compare(a.node, b.node) })
+	anchors = slices.Compact(anchors)
+	s.refs = make([]excRef, len(anchors))
+	s.off = make([]int32, ctx.G.NumNodes()+1)
+	for k, a := range anchors {
+		s.refs[k] = a.ref
+		s.off[a.node+1]++
+	}
+	for n := 1; n < len(s.off); n++ {
+		s.off[n] += s.off[n-1]
 	}
 	return s
 }
@@ -172,13 +171,31 @@ func expandStartpoint(g *graph.Graph, id graph.NodeID) graph.NodeID {
 	return id
 }
 
-// Count returns the number of exceptions.
-func (s *excSet) Count() int { return len(s.matchers) }
+// anchors returns node n's anchors in (matcher, role) order.
+func (s *excSet) anchors(n graph.NodeID) []excRef {
+	return s.refs[s.off[n]:s.off[n+1]]
+}
 
-// internVec returns the id for a progress vector, interning it. The
-// lookup key of a vector of up to 64 exceptions lives in a stack buffer
-// (a map index by string(b) does not allocate), so only a vector seen
-// for the first time allocates a key.
+// anchorsOf returns matcher i's anchors on node n, in role order.
+func (s *excSet) anchorsOf(n graph.NodeID, i int32) []excRef {
+	refs := s.anchors(n)
+	lo, _ := slices.BinarySearchFunc(refs, i, func(r excRef, i int32) int { return cmp.Compare(r.m, i) })
+	hi := lo
+	for hi < len(refs) && refs[hi].m == i {
+		hi++
+	}
+	return refs[lo:hi]
+}
+
+// anchored reports whether matcher i has an anchor in role on node n.
+func (s *excSet) anchored(n graph.NodeID, i, role int32) bool {
+	return slices.Contains(s.anchorsOf(n, i), excRef{i, role})
+}
+
+// internVec returns the id for a progress vector, interning it with its
+// candidate lists. The lookup key of a vector of up to 64 exceptions
+// lives in a stack buffer (a map index by string(b) does not allocate),
+// so only a vector seen for the first time allocates.
 func (s *excSet) internVec(v []int8) int32 {
 	var buf [64]byte
 	b := buf[:0]
@@ -196,19 +213,47 @@ func (s *excSet) internVec(v []int8) int32 {
 	if id, ok := s.vecIDs[string(b)]; ok {
 		return id
 	}
+	rec := excVec{v: append([]int8(nil), v...)}
+	nAlive, nFull := 0, 0
+	for i, p := range v {
+		if p != progDead {
+			nAlive++
+		}
+		if p == s.matchers[i].nThru {
+			nFull++
+		}
+	}
+	if nAlive > 0 {
+		// One allocation holds both lists: alive, then full.
+		cands := make([]int32, 0, nAlive+nFull)
+		for i, p := range v {
+			if p != progDead {
+				cands = append(cands, int32(i))
+			}
+		}
+		for i, p := range v {
+			if p == s.matchers[i].nThru {
+				cands = append(cands, int32(i))
+			}
+		}
+		rec.alive, rec.full = cands[:nAlive:nAlive], cands[nAlive:]
+	}
 	id = int32(len(s.vecs))
-	s.vecs = append(s.vecs, append([]int8(nil), v...))
+	s.vecs = append(s.vecs, rec)
 	s.vecIDs[string(b)] = id
 	return id
 }
 
-// vec returns the vector for an id. The returned slice is immutable.
-func (s *excSet) vec(id int32) []int8 {
+// rec returns the interned record for an id.
+func (s *excSet) rec(id int32) excVec {
 	s.mu.RLock()
-	v := s.vecs[id]
+	r := s.vecs[id]
 	s.mu.RUnlock()
-	return v
+	return r
 }
+
+// vec returns the vector for an id. The returned slice is immutable.
+func (s *excSet) vec(id int32) []int8 { return s.rec(id).v }
 
 // seedVec builds the initial progress vector for a path starting at the
 // given node with the given launch clock and launch edge. Exceptions whose
@@ -225,12 +270,12 @@ func (s *excSet) seedVec(start graph.NodeID, launch ClockID, launchEdge sdc.Edge
 	var buf [64]int8
 	v := scratchVec(&buf, len(s.matchers))
 	for i := range s.matchers {
-		m := &s.matchers[i]
-		if m.inert || !m.fromMatches(start, launch, launchEdge) {
+		i := int32(i)
+		if s.matchers[i].inert || !s.fromMatches(i, start, launch, launchEdge) {
 			v[i] = progDead
 			continue
 		}
-		v[i] = advanceOne(m, 0, start, trans)
+		v[i] = s.advanceOne(i, 0, start, trans)
 	}
 	id = s.internVec(v)
 	s.seedMu.Lock()
@@ -242,44 +287,46 @@ func (s *excSet) seedVec(start graph.NodeID, launch ClockID, launchEdge sdc.Edge
 	return id
 }
 
-// fromMatches applies the -from side. A list mixing pins and clocks is an
-// OR per SDC; an empty list matches everything.
-func (m *excMatcher) fromMatches(start graph.NodeID, launch ClockID, launchEdge sdc.EdgeSel) bool {
-	if len(m.fromNodes) == 0 && len(m.fromClocks) == 0 {
-		return true
-	}
-	if !edgeOK(m.fromEdge, launchEdge) {
-		return false
-	}
-	if m.fromNodes[start] {
-		return true
-	}
-	return launch != NoClock && m.fromClocks[launch]
+// fromMatches applies matcher i's -from side. A list mixing pins and
+// clocks is an OR per SDC; an empty list matches everything.
+func (s *excSet) fromMatches(i int32, start graph.NodeID, launch ClockID, launchEdge sdc.EdgeSel) bool {
+	m := &s.matchers[i]
+	return m.e.From.Empty() || edgeOK(m.e.From.Edge, launchEdge) &&
+		(s.anchored(start, i, roleFrom) || hasClock(m.fromClocks, launch))
 }
 
-// toMatches applies the -to side at an endpoint with a capture clock and
-// the data transition there.
-func (m *excMatcher) toMatches(end graph.NodeID, capture ClockID, trans sdc.EdgeSel) bool {
-	if len(m.toNodes) == 0 && len(m.toClocks) == 0 {
-		return true
-	}
-	if !edgeOK(m.toEdge, trans) {
-		return false
-	}
-	if m.toNodes[end] {
-		return true
-	}
-	return capture != NoClock && m.toClocks[capture]
+// toMatches applies matcher i's -to side at an endpoint with a capture
+// clock and the data transition there.
+func (s *excSet) toMatches(i int32, end graph.NodeID, capture ClockID, trans sdc.EdgeSel) bool {
+	m := &s.matchers[i]
+	return m.e.To.Empty() || edgeOK(m.e.To.Edge, trans) &&
+		(s.anchored(end, i, roleTo) || hasClock(m.toClocks, capture))
+}
+
+func hasClock(sorted []ClockID, c ClockID) bool {
+	_, ok := slices.BinarySearch(sorted, c)
+	return ok
 }
 
 func edgeOK(want, have sdc.EdgeSel) bool {
 	return want == sdc.EdgeBoth || have == sdc.EdgeBoth || want == have
 }
 
-// advanceOne advances one exception's progress through a node.
-func advanceOne(m *excMatcher, p int8, node graph.NodeID, trans sdc.EdgeSel) int8 {
-	for int(p) < len(m.throughs) && m.throughs[p][node] && edgeOK(m.thruEdges[p], trans) {
-		p++
+// advanceOne advances matcher i's progress p through a node: past every
+// consecutive through group, from group p on, that holds the node and
+// accepts the transition.
+func (s *excSet) advanceOne(i int32, p int8, node graph.NodeID, trans sdc.EdgeSel) int8 {
+	return s.step(i, p, s.anchorsOf(node, i), trans)
+}
+
+// step is advanceOne over matcher i's anchors on the node. They come in
+// role order, so one scan passes consecutive groups; -from and -to
+// roles never equal a progress.
+func (s *excSet) step(i int32, p int8, run []excRef, trans sdc.EdgeSel) int8 {
+	for _, r := range run {
+		if r.role == int32(p) && edgeOK(s.matchers[i].e.Throughs[p].Edge, trans) {
+			p++
+		}
 	}
 	return p
 }
@@ -296,28 +343,32 @@ func scratchVec(buf *[64]int8, n int) []int8 {
 
 // advance walks a progress vector through a node, returning the interned
 // id of the result (which may be the input id unchanged). Only matchers
-// with a through anchor on this node can change; the candidate vector is
-// built in a stack buffer.
+// anchored on this node can change, one run of anchors each; the
+// candidate vector is built in a stack buffer.
 func (s *excSet) advance(id int32, node graph.NodeID, trans sdc.EdgeSel) int32 {
-	cands := s.nodeMatchers[node]
-	if len(cands) == 0 {
+	refs := s.anchors(node)
+	if len(refs) == 0 {
 		return id
 	}
 	v := s.vec(id)
 	var buf [64]int8
 	var out []int8
-	for _, i := range cands {
-		if v[i] == progDead {
-			continue
+	for k := 0; k < len(refs); {
+		i := refs[k].m
+		j := k + 1
+		for j < len(refs) && refs[j].m == i {
+			j++
 		}
-		np := advanceOne(&s.matchers[i], v[i], node, trans)
-		if np != v[i] {
-			if out == nil {
-				out = scratchVec(&buf, len(v))
-				copy(out, v)
+		if p := v[i]; p != progDead {
+			if np := s.step(i, p, refs[k:j], trans); np != p {
+				if out == nil {
+					out = scratchVec(&buf, len(v))
+					copy(out, v)
+				}
+				out[i] = np
 			}
-			out[i] = np
 		}
+		k = j
 	}
 	if out == nil {
 		return id
@@ -325,70 +376,29 @@ func (s *excSet) advance(id int32, node graph.NodeID, trans sdc.EdgeSel) int32 {
 	return s.internVec(out)
 }
 
-// fullCandidates returns (memoized per vector) the ascending matcher
-// indices whose through progress is complete — the only exceptions
-// completed() can ever return for this vector.
-func (s *excSet) fullCandidates(vecID int32) []int32 {
-	s.candMu.RLock()
-	cands, ok := s.fullByVec[vecID]
-	s.candMu.RUnlock()
-	if ok {
-		return cands
-	}
-	v := s.vec(vecID)
-	for i := range s.matchers {
-		if v[i] != progDead && int(v[i]) == len(s.matchers[i].throughs) {
-			cands = append(cands, int32(i))
-		}
-	}
-	s.candMu.Lock()
-	if s.fullByVec == nil {
-		s.fullByVec = map[int32][]int32{}
-	}
-	s.fullByVec[vecID] = cands
-	s.candMu.Unlock()
-	return cands
-}
-
-// aliveCandidates returns (memoized per vector) the ascending matcher
-// indices not dead on this vector.
-func (s *excSet) aliveCandidates(vecID int32) []int32 {
-	s.candMu.RLock()
-	cands, ok := s.aliveByVec[vecID]
-	s.candMu.RUnlock()
-	if ok {
-		return cands
-	}
-	v := s.vec(vecID)
-	for i := range v {
-		if v[i] != progDead {
-			cands = append(cands, int32(i))
-		}
-	}
-	s.candMu.Lock()
-	if s.aliveByVec == nil {
-		s.aliveByVec = map[int32][]int32{}
-	}
-	s.aliveByVec[vecID] = cands
-	s.candMu.Unlock()
-	return cands
-}
-
 // completed appends to out the exceptions fully matched for a path
 // ending at end with the given capture clock, data transition and check
-// side.
+// side, in matcher order.
 func (s *excSet) completed(out []*sdc.Exception, vecID int32, end graph.NodeID, capture ClockID, trans sdc.EdgeSel, check relation.CheckType) []*sdc.Exception {
-	for _, i := range s.fullCandidates(vecID) {
-		m := &s.matchers[i]
-		if !m.appliesTo(check) {
-			continue
+	for _, i := range s.rec(vecID).full {
+		if s.matchers[i].appliesTo(check) && s.toMatches(i, end, capture, trans) {
+			out = append(out, s.matchers[i].e)
 		}
-		if !m.toMatches(end, capture, trans) {
-			continue
-		}
-		out = append(out, m.e)
 	}
 	return out
+}
+
+// winner returns the exception that governs a path ending at end with
+// the given capture clock, data transition and check side: the sdc
+// precedence winner of the completed exceptions, or nil.
+func (s *excSet) winner(vecID int32, end graph.NodeID, capture ClockID, trans sdc.EdgeSel, check relation.CheckType) *sdc.Exception {
+	var best *sdc.Exception
+	for _, i := range s.rec(vecID).full {
+		if s.matchers[i].appliesTo(check) && s.toMatches(i, end, capture, trans) {
+			best = sdc.Prefer(best, s.matchers[i].e)
+		}
+	}
+	return best
 }
 
 // appliesTo reports whether the exception applies to the setup (max) or

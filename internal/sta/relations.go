@@ -165,10 +165,9 @@ type relFolder struct {
 	sorted   []int32
 	// rowAt memoizes, per distinct (vec, trans), the offset in states of
 	// the winner state for every (capture, check) combination.
-	rowAt   map[rowKey]int32
-	states  []relation.State
-	rows    []int32 // scratch: one group's row offsets
-	winners []*sdc.Exception
+	rowAt  map[rowKey]int32
+	states []relation.State
+	rows   []int32 // scratch: one group's row offsets
 
 	chunk []Rel // the rest of the current output chunk
 }
@@ -212,8 +211,8 @@ func (f *relFolder) take(n int) []Rel {
 //
 // Entries group by (startpoint, launch clock) first: a relation key is a
 // function of exactly that pair (plus the loop's capture/check), so each
-// key's state set folds from one group, with the completed()/Winner
-// computation memoized per (vec, trans, capture, check), which
+// key's state set folds from one group, with the winner computation
+// memoized per (vec, trans, capture, check), which
 // start-tracked tag sets repeat heavily across startpoints. States Add
 // in tag-entry order within the group, so every set's first-insertion
 // order is that of the naive per-entry fold.
@@ -277,19 +276,7 @@ func (f *relFolder) fold(end graph.NodeID, m tagSet) []Rel {
 		at := int32(len(f.states))
 		for _, capture := range captures {
 			for _, check := range relChecks {
-				f.winners = ctx.exc.completed(f.winners[:0], vec, end, capture, trans, check)
-				winner := sdc.Winner(f.winners)
-				st := stateOf(winner)
-				if winner != nil {
-					// Normalize kinds that do not apply to this side.
-					switch {
-					case check == relation.Setup && winner.Kind == sdc.MinDelay:
-						st = relation.StateValid
-					case check == relation.Hold && winner.Kind == sdc.MaxDelay:
-						st = relation.StateValid
-					}
-				}
-				f.states = append(f.states, st)
+				f.states = append(f.states, stateOf(ctx.exc.winner(vec, end, capture, trans, check)))
 			}
 		}
 		f.rowAt[k] = at
@@ -398,7 +385,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 	fwd := g.ForwardReach([]graph.NodeID{start})
 	bwd := g.BackwardReach([]graph.NodeID{end})
 	cone := make([]bool, g.NumNodes())
-	var coneNodes []graph.NodeID
+	var coneNodes []graph.NodeID // topological order
 	for _, id := range g.Topo() {
 		if fwd[id] && bwd[id] {
 			cone[id] = true
@@ -408,6 +395,14 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 	if len(coneNodes) == 0 {
 		return nil
 	}
+	// A cone node's row in the suffix DP is its index in id order: a
+	// node-indexed array would cost a graph-sized allocation per pair.
+	byID := slices.Clone(coneNodes)
+	slices.Sort(byID)
+	row := func(n graph.NodeID) int {
+		r, _ := slices.BinarySearch(byID, n)
+		return r
+	}
 
 	tags, release := ctx.propagate(propOpts{
 		withStart:  true,
@@ -416,52 +411,34 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 	})
 	defer release()
 
-	// Backward DP per exception: status[n][p] with p = progress after n.
-	// The DP for one matcher is independent of the others, so it computes
-	// lazily on first consultation — a tag's progress vector leaves most
-	// matchers dead, and dead matchers are never consulted.
-	nExc := len(ctx.exc.matchers)
-	type excDP struct {
-		full          int8
-		edgeSensitive bool
-		status        map[graph.NodeID][]suffStatus // nil until ensured
-	}
-	dps := make([]excDP, nExc)
-	for i := range dps {
-		m := &ctx.exc.matchers[i]
-		dp := excDP{full: int8(len(m.throughs))}
-		if m.toEdge != sdc.EdgeBoth {
-			dp.edgeSensitive = true
+	// Backward DP per exception: dps[i][row(n)*(full+1)+p] is the suffix
+	// completion from n with progress p after n. The DP for one matcher
+	// is independent of the others, so it computes lazily on first
+	// consultation — a tag's progress vector leaves most matchers dead,
+	// and dead matchers are never consulted.
+	exc := ctx.exc
+	dps := make([][]suffStatus, len(exc.matchers))
+	ensureDP := func(i int32) []suffStatus {
+		if dps[i] != nil {
+			return dps[i]
 		}
-		for _, e := range m.thruEdges {
-			if e != sdc.EdgeBoth {
-				dp.edgeSensitive = true
-			}
-		}
-		dps[i] = dp
-	}
-	ensureDP := func(i int32) *excDP {
-		dp := &dps[i]
-		if dp.status != nil {
-			return dp
-		}
-		m := &ctx.exc.matchers[i]
-		dp.status = make(map[graph.NodeID][]suffStatus, len(coneNodes))
+		full := exc.matchers[i].nThru
+		w := int(full) + 1
+		st := make([]suffStatus, len(coneNodes)*w)
 		// Reverse topological order over cone nodes.
 		for ci := len(coneNodes) - 1; ci >= 0; ci-- {
 			n := coneNodes[ci]
-			st := make([]suffStatus, dp.full+1)
-			for p := int8(0); p <= dp.full; p++ {
+			at := row(n) * w
+			for p := int8(0); p <= full; p++ {
+				acc := suffNone
 				if n == end {
-					if p == dp.full {
-						st[p] = suffAll
-					} else {
-						st[p] = suffNone
+					if p == full {
+						acc = suffAll
 					}
+					st[at+int(p)] = acc
 					continue
 				}
 				first := true
-				var acc suffStatus
 				for _, ai := range g.OutArcs(n) {
 					if ctx.ArcDisabled[ai] {
 						continue
@@ -470,9 +447,8 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 					if !cone[a.To] || a.Kind == graph.LaunchArc && n != start {
 						continue
 					}
-					succ := a.To
-					pp := advanceOne(m, p, succ, sdc.EdgeBoth)
-					sStat := dp.status[succ][pp]
+					pp := exc.advanceOne(i, p, a.To, sdc.EdgeBoth)
+					sStat := st[row(a.To)*w+int(pp)]
 					if first {
 						acc = sStat
 						first = false
@@ -480,14 +456,11 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 						acc = combineSuff(acc, sStat)
 					}
 				}
-				if first {
-					acc = suffNone
-				}
-				st[p] = acc
+				st[at+int(p)] = acc
 			}
-			dp.status[n] = st
 		}
-		return dp
+		dps[i] = st
+		return st
 	}
 
 	captures := ctx.captureClocks(nil, end)
@@ -501,7 +474,6 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 	cellGen := make([]int32, len(cells))
 	gen := int32(0)
 	var touched []int32
-	var winners []*sdc.Exception
 
 	var out []ThroughRel
 	for _, n := range coneNodes {
@@ -512,6 +484,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 			continue
 		}
 		tr := ThroughRel{Node: n, Name: g.Node(n).Name}
+		nRow := row(n)
 		gen++
 		touched = touched[:0]
 		for _, te := range entries {
@@ -519,8 +492,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 			if tag.launch == NoClock {
 				continue
 			}
-			vec := ctx.exc.vec(tag.vec)
-			alive := ctx.exc.aliveCandidates(tag.vec)
+			rec := exc.rec(tag.vec)
 			for ci, capture := range captures {
 				for hi, check := range relChecks {
 					idx := (int(tag.launch)*nCaps+ci)*2 + hi
@@ -534,36 +506,21 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 						set.Add(relation.StateFalse)
 						continue
 					}
-					winners = winners[:0]
+					var winner *sdc.Exception
 					ambiguous := false
-					for _, i := range alive {
-						mi := &ctx.exc.matchers[i]
-						if !mi.appliesTo(check) {
+					for _, i := range rec.alive {
+						mi := &exc.matchers[i]
+						if !mi.appliesTo(check) || !exc.toMatches(i, end, capture, sdc.EdgeBoth) {
 							continue
 						}
-						toAcc := len(mi.toNodes) == 0 && len(mi.toClocks) == 0 ||
-							mi.toNodes[end] || mi.toClocks[capture]
-						if !toAcc {
-							continue
-						}
-						dp := ensureDP(i)
-						var stat suffStatus
-						if n == end {
-							if vec[i] == dp.full {
-								stat = suffAll
-							} else {
-								stat = suffNone
-							}
-						} else {
-							stat = dp.status[n][vec[i]]
-						}
-						if dp.edgeSensitive && stat != suffNone {
+						stat := ensureDP(i)[nRow*(int(mi.nThru)+1)+int(rec.v[i])]
+						if mi.edgeSensitive && stat != suffNone {
 							ambiguous = true
 							continue
 						}
 						switch stat {
 						case suffAll:
-							winners = append(winners, mi.e)
+							winner = sdc.Prefer(winner, mi.e)
 						case suffSome:
 							ambiguous = true
 						}
@@ -575,7 +532,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 						set.Add(relation.StateValid)
 						set.Add(relation.StateFalse)
 					} else {
-						set.Add(stateOf(sdc.Winner(winners)))
+						set.Add(stateOf(winner))
 					}
 				}
 			}

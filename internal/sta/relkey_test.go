@@ -83,9 +83,8 @@ func refThroughFold(ctx *Context, start, end graph.NodeID) map[string]refFold {
 	memo := map[memoKey]suffStatus{}
 	var suffix func(i int32, n graph.NodeID, p int8) suffStatus
 	suffix = func(i int32, n graph.NodeID, p int8) suffStatus {
-		m := &ctx.exc.matchers[i]
 		if n == end {
-			if p == int8(len(m.throughs)) {
+			if p == ctx.exc.matchers[i].nThru {
 				return suffAll
 			}
 			return suffNone
@@ -101,7 +100,7 @@ func refThroughFold(ctx *Context, start, end graph.NodeID) map[string]refFold {
 			if ctx.ArcDisabled[ai] || !cone[a.To] || a.Kind == graph.LaunchArc && n != start {
 				continue
 			}
-			st := suffix(i, a.To, advanceOne(m, p, a.To, sdc.EdgeBoth))
+			st := suffix(i, a.To, ctx.exc.advanceOne(i, p, a.To, sdc.EdgeBoth))
 			if first {
 				acc, first = st, false
 			} else if acc != st {
@@ -115,11 +114,11 @@ func refThroughFold(ctx *Context, start, end graph.NodeID) map[string]refFold {
 		return acc
 	}
 	edgeSensitive := func(m *excMatcher) bool {
-		if m.toEdge != sdc.EdgeBoth {
+		if m.e.To.Edge != sdc.EdgeBoth {
 			return true
 		}
-		for _, e := range m.thruEdges {
-			if e != sdc.EdgeBoth {
+		for _, t := range m.e.Throughs {
+			if t.Edge != sdc.EdgeBoth {
 				return true
 			}
 		}
@@ -149,10 +148,10 @@ func refThroughFold(ctx *Context, start, end graph.NodeID) map[string]refFold {
 					}
 					var winners []*sdc.Exception
 					ambiguous := false
-					for _, i := range ctx.exc.aliveCandidates(tag.vec) {
+					for i := range vec {
+						i := int32(i)
 						m := &ctx.exc.matchers[i]
-						if !m.appliesTo(check) ||
-							!(len(m.toNodes) == 0 && len(m.toClocks) == 0 || m.toNodes[end] || m.toClocks[ct.Clock]) {
+						if vec[i] == progDead || !m.appliesTo(check) || !ctx.exc.toMatches(i, end, ct.Clock, sdc.EdgeBoth) {
 							continue
 						}
 						st := suffix(i, n, vec[i])

@@ -195,8 +195,7 @@ func (ctx *Context) checkPair(res *EndpointResult, end graph.NodeID, tag dataTag
 	capture := ctx.Clocks[ct.Clock]
 
 	// Setup side.
-	setupExcs := ctx.exc.completed(nil, tag.vec, end, ct.Clock, tag.trans, relation.Setup)
-	setupWinner := sdc.Winner(setupExcs)
+	setupWinner := ctx.exc.winner(tag.vec, end, ct.Clock, tag.trans, relation.Setup)
 	mSetup := 1
 	setupIsFP := false
 	setupMaxDelay := math.NaN()
@@ -272,8 +271,7 @@ func (ctx *Context) checkPair(res *EndpointResult, end graph.NodeID, tag dataTag
 	}
 
 	// Hold side.
-	holdExcs := ctx.exc.completed(nil, tag.vec, end, ct.Clock, tag.trans, relation.Hold)
-	holdWinner := sdc.Winner(holdExcs)
+	holdWinner := ctx.exc.winner(tag.vec, end, ct.Clock, tag.trans, relation.Hold)
 	mHold := 0
 	holdIsFP := false
 	holdMinDelay := math.NaN()
