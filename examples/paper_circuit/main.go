@@ -139,9 +139,10 @@ set_false_path -to rZ/D
 	for _, p := range ambiguousPairs {
 		startID, _ := g.NodeByName(p.start)
 		endID, _ := g.NodeByName(p.end)
-		trA := indexThrough(ctxA, ctxA.ThroughRelations(startID, endID))
-		trB := indexThrough(ctxB, ctxB.ThroughRelations(startID, endID))
-		trM := indexThrough(ctxM, ctxM.ThroughRelations(startID, endID))
+		cone := g.Cone(startID, endID)
+		trA := indexThrough(ctxA, ctxA.ThroughRelations(cone))
+		trB := indexThrough(ctxB, ctxB.ThroughRelations(cone))
+		trM := indexThrough(ctxM, ctxM.ThroughRelations(cone))
 		// The paper inspects the divergence branches feeding the
 		// reconvergent gate.
 		for _, through := range []string{"and2/A", "inv3/A"} {

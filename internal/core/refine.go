@@ -275,10 +275,10 @@ type groupStates struct {
 	merged  relation.Set
 }
 
-// mergedTimes reports whether the merged mode actually times the group
-// (non-empty and not purely false).
-func mergedTimes(gs *groupStates) bool {
-	return !gs.merged.Empty() && !gs.merged.Equal(relation.NewSet(relation.StateFalse))
+// mergedTimes reports whether the merged mode actually times a group
+// with the merged state set (non-empty and not purely false).
+func mergedTimes(merged relation.Set) bool {
+	return !merged.Empty() && !merged.Equal(relation.NewSet(relation.StateFalse))
 }
 
 // verdict is the §3.2 outcome of comparing one path group's merged state
@@ -445,21 +445,41 @@ func (mg *Merger) compareKeys(a, b relKey) int {
 	return cmp.Compare(a.check, b.check)
 }
 
+// cmpScratch is the comparator's working memory for one key's groups
+// (an endpoint, or a pass-3 through node): every context's mapped rows,
+// the gathered groups, the arena their per-mode sets carve out of, and
+// the merge heads. Each gather overwrites it, so a caller that needs
+// rows after the next gather copies them out (keepMerged). Scratch
+// belongs to one pass call and is garbage once the call returns: its
+// rows reference the contexts' relation sets, so a sync.Pool, whose
+// values outlive a collection, would keep the whole merge reachable.
+type cmpScratch struct {
+	lists  [][]relRow // per context, the merged context last
+	groups []group
+	arena  []relation.Set
+	heads  []int
+}
+
+func (mg *Merger) newScratch() *cmpScratch {
+	n := len(mg.ids.of)
+	return &cmpScratch{lists: make([][]relRow, n), heads: make([]int, n)}
+}
+
 // mapRows keys context c's relation rows in the merged namespace, in
-// compareKeys order. The merged context's rows arrive sorted, and so do
-// a member's unless the clock map reorders its names. Two local clocks
-// that map onto one merged clock make two rows with one key; their sets
-// union.
-func (mg *Merger) mapRows(c int, rows []sta.Rel) []relRow {
+// compareKeys order, into sc.lists[c]. The merged context's rows arrive
+// sorted, and so do a member's unless the clock map reorders its names.
+// Two local clocks that map onto one merged clock make two rows with one
+// key; their sets union.
+func (mg *Merger) mapRows(sc *cmpScratch, c int, rows []sta.Rel) {
 	of := mg.ids.of[c]
-	out := make([]relRow, len(rows))
+	out := sc.lists[c][:0]
 	sorted := true
 	for i, r := range rows {
-		out[i] = relRow{
+		out = append(out, relRow{
 			key: relKey{start: r.Key.Start, end: r.Key.End,
 				launch: of[r.Key.Launch], capture: of[r.Key.Capture], check: r.Key.Check},
 			set: r.States,
-		}
+		})
 		if i > 0 && mg.compareKeys(out[i-1].key, out[i].key) > 0 {
 			sorted = false
 		}
@@ -476,23 +496,21 @@ func (mg *Merger) mapRows(c int, rows []sta.Rel) []relRow {
 		out[w] = r
 		w++
 	}
-	return out[:w]
+	sc.lists[c] = out[:w]
 }
 
-// gatherGroups aligns the sorted rows of every member context (lists[m])
-// and of the merged context (the last list) into one group per key, in
-// key order: a merge of the sorted lists. The groups' per-mode sets
-// carve out of one arena.
-func (mg *Merger) gatherGroups(lists [][]relRow) []group {
-	nModes := len(lists) - 1
-	merged := lists[nModes]
-	out := make([]group, 0, len(merged)+8)
-	arena := make([]relation.Set, 0, (len(merged)+8)*nModes)
-	heads := make([]int, len(lists))
+// gatherGroups aligns the mapped rows of every member context and of the
+// merged context (the last list) into one group per key, in key order: a
+// merge of the sorted lists. The groups and their per-mode sets live in
+// sc until the next gather.
+func (mg *Merger) gatherGroups(sc *cmpScratch) []group {
+	nModes := len(sc.lists) - 1
+	out, arena, heads := sc.groups[:0], sc.arena[:0], sc.heads
+	clear(heads)
 	for {
 		var key relKey
 		found := false
-		for c, l := range lists {
+		for c, l := range sc.lists {
 			if heads[c] < len(l) && (!found || mg.compareKeys(l[heads[c]].key, key) < 0) {
 				key, found = l[heads[c]].key, true
 			}
@@ -501,7 +519,7 @@ func (mg *Merger) gatherGroups(lists [][]relRow) []group {
 			break
 		}
 		g := group{key: key}
-		for c, l := range lists {
+		for c, l := range sc.lists {
 			var set relation.Set
 			if heads[c] < len(l) && l[heads[c]].key == key {
 				set = l[heads[c]].set
@@ -518,7 +536,13 @@ func (mg *Merger) gatherGroups(lists [][]relRow) []group {
 	for i := range out {
 		out[i].perMode = arena[i*nModes : (i+1)*nModes : (i+1)*nModes]
 	}
+	sc.groups, sc.arena = out, arena
 	return out
+}
+
+// keepMerged copies the merged context's mapped rows out of sc.
+func (sc *cmpScratch) keepMerged() []relRow {
+	return slices.Clone(sc.lists[len(sc.lists)-1])
 }
 
 // epOutcome records one endpoint's complete pass-1 (or pass-2) effect in
@@ -670,18 +694,19 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 			data[i].replay = o
 			return
 		}
-		start, end := pairs[i][0], pairs[i][1]
+		cone := mg.g.Cone(pairs[i][0], pairs[i][1])
 		perMode := make([][]sta.ThroughRel, len(mg.ctxs))
 		for m, ctx := range mg.ctxs {
-			perMode[m] = ctx.ThroughRelations(start, end)
+			perMode[m] = ctx.ThroughRelations(cone)
 		}
 		data[i].perMode = perMode
-		data[i].merged = mg.mctx.ThroughRelations(start, end)
+		data[i].merged = mg.mctx.ThroughRelations(cone)
 	})
 	if err := cx.Err(); err != nil {
 		return added, err
 	}
 	p3Replayed := 0
+	sc := mg.newScratch()
 	for i, pair := range pairs {
 		if o := data[i].replay; o != nil {
 			p3Replayed++
@@ -690,7 +715,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span, res *EquivalenceRe
 			continue
 		}
 		mis0, pes0 := mg.Report.Pass3Mismatch, mg.Report.PessimisticGroups
-		n := mg.pass3(pair, data[i].perMode, data[i].merged, res)
+		n := mg.pass3(sc, pair, data[i].perMode, data[i].merged, res)
 		added += n
 		if n == 0 && res == nil {
 			// An emitting pair invalidates its own endpoint (the fix pins
@@ -723,18 +748,24 @@ type endpointPass struct {
 // refining, endpoints with an outcome recorded in the previous iteration
 // replay it without touching any relation row. Every context first fills
 // the rows of the endpoints without a replay (pass.fill, one batched
-// cone propagation), in parallel across contexts; the per-endpoint
-// gathers then run in parallel as memo reads. Classification and fix
-// emission stay sequential, in ends order with groups in key order, so
-// emitted constraints, counters and res are deterministic.
-// forward receives each endpoint that has ambiguous groups, with their
-// startpoints in key order.
+// cone propagation), in parallel across contexts. Each remaining
+// endpoint is then gathered and classified on the worker that takes it,
+// in scratch reused across the worker's endpoints; the worker keeps only
+// the endpoint's outcome, its fixes and, with fixes, a copy of its
+// merged rows. The outcomes fold and the fixes emit sequentially, in ends
+// order with groups in key order, so emitted constraints, counters and
+// res are deterministic. forward receives each endpoint that has
+// ambiguous groups, with their startpoints in key order.
 func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.NodeID,
 	pass endpointPass, res *EquivalenceResult, forward func(end graph.NodeID, starts []graph.NodeID)) (int, error) {
 	recorded := mg.memo.epOut[pass.idx]
 	type endpointWork struct {
-		replay *epOutcome
-		groups []group
+		outcome  *epOutcome
+		replayed bool
+		nGroups  int
+		fixes    []fixEntry
+		merged   []relRow          // kept only with fixes, for emitFixes
+		eq       EquivalenceResult // the endpoint's verdicts, when classifying
 	}
 	var cold []graph.NodeID
 	for _, end := range ends {
@@ -744,70 +775,86 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 	}
 	mg.eachContext(cx, func(ctx *sta.Context) { pass.fill(ctx, cold) })
 	work := make([]endpointWork, len(ends))
+	// The free scratch of the call's workers: no more scratch exists than
+	// workers run, so returning one never blocks.
+	free := make(chan *cmpScratch, mg.opt.parallelism())
 	forEachParallel(cx, len(ends), mg.opt.parallelism(), func(i int) {
-		end := ends[i]
-		if o := recorded[end]; o != nil {
-			work[i].replay = o
+		w, end := &work[i], ends[i]
+		if w.outcome = recorded[end]; w.outcome != nil {
+			w.replayed = true
 			return
 		}
-		lists := make([][]relRow, len(mg.ctxs)+1)
-		for m, ctx := range mg.ctxs {
-			lists[m] = mg.mapRows(m, pass.relations(ctx, end))
+		var sc *cmpScratch
+		select {
+		case sc = <-free:
+		default:
+			sc = mg.newScratch()
 		}
-		lists[len(mg.ctxs)] = mg.mapRows(len(mg.ctxs), pass.relations(mg.mctx, end))
-		work[i].groups = mg.gatherGroups(lists)
+		defer func() { free <- sc }()
+		for m, ctx := range mg.ctxs {
+			mg.mapRows(sc, m, pass.relations(ctx, end))
+		}
+		mg.mapRows(sc, len(mg.ctxs), pass.relations(mg.mctx, end))
+		groups := mg.gatherGroups(sc)
+		o := &epOutcome{}
+		for j := range groups {
+			g := &groups[j]
+			v, target, merged := g.compare()
+			switch {
+			case v == ambiguous:
+				o.ambiguous++
+				// Keys sort by start, so a repeated start is adjacent.
+				if n := len(o.forwardStarts); n == 0 || o.forwardStarts[n-1] != g.key.start {
+					o.forwardStarts = append(o.forwardStarts, g.key.start)
+				}
+			case res != nil:
+				w.eq.record(mg, v, g.key, "", target, merged)
+			case v == pessimistic:
+				o.mismatch++
+				o.pessim++
+			case v == excess || v == optimistic:
+				o.mismatch++
+				w.fixes = append(w.fixes, fixEntry{key: g.key, state: target})
+			}
+		}
+		w.outcome, w.nGroups = o, len(groups)
+		if len(w.fixes) > 0 {
+			w.merged = sc.keepMerged()
+		}
 	})
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
-	// Replayed endpoints' groups are absent from `groups`, as are those of
-	// computed endpoints without fixes. That is safe for emitFixes: its
-	// closure checks only ever look up groups at the endpoints of the
-	// fixes themselves, and fix endpoints' groups are all present. Fixes
-	// accumulate across endpoints so the emission step can aggregate
-	// clock-pair kills into few constraints.
-	groups := map[relKey]*groupStates{}
+	// Replayed endpoints' merged sets are absent from `merged`, as are
+	// those of computed endpoints without fixes. That is safe for
+	// emitFixes: its closure checks only ever look up groups at the
+	// endpoints of the fixes themselves, and fix endpoints' merged sets
+	// are all present. Fixes accumulate across endpoints so the emission
+	// step can aggregate clock-pair kills into few constraints.
+	merged := map[relKey]relation.Set{}
 	var fixes []fixEntry
 	nGroups, replayed := 0, 0
 	for i := range work {
-		end := ends[i]
-		o := work[i].replay
-		if o != nil {
+		w, end := &work[i], ends[i]
+		o := w.outcome
+		switch {
+		case w.replayed:
 			replayed++
-		} else {
-			o = &epOutcome{}
-			var endFixes []fixEntry
-			for _, g := range work[i].groups {
-				v, target, merged := g.compare()
-				switch {
-				case v == ambiguous:
-					o.ambiguous++
-					// Keys sort by start, so a repeated start is adjacent.
-					if n := len(o.forwardStarts); n == 0 || o.forwardStarts[n-1] != g.key.start {
-						o.forwardStarts = append(o.forwardStarts, g.key.start)
-					}
-				case res != nil:
-					res.record(mg, v, g.key, "", target, merged)
-				case v == pessimistic:
-					o.mismatch++
-					o.pessim++
-				case v == excess || v == optimistic:
-					o.mismatch++
-					endFixes = append(endFixes, fixEntry{key: g.key, state: target})
-				}
+		case res != nil:
+			res.MatchedGroups += w.eq.MatchedGroups
+			res.PessimisticGroups += w.eq.PessimisticGroups
+			res.OptimisticMismatches = append(res.OptimisticMismatches, w.eq.OptimisticMismatches...)
+		case len(w.fixes) > 0:
+			fixes = append(fixes, w.fixes...)
+			for _, r := range w.merged {
+				merged[r.key] = r.set
 			}
-			nGroups += len(work[i].groups)
-			if len(endFixes) > 0 {
-				fixes = append(fixes, endFixes...)
-				for j := range work[i].groups {
-					groups[work[i].groups[j].key] = &work[i].groups[j].groupStates
-				}
-			} else if res == nil {
-				// Fixless outcome: replayable next iteration while the
-				// endpoint stays outside the invalidation frontier.
-				mg.memo.recordEp(pass.idx, end, o)
-			}
+		default:
+			// Fixless outcome: replayable next iteration while the
+			// endpoint stays outside the invalidation frontier.
+			mg.memo.recordEp(pass.idx, end, o)
 		}
+		nGroups += w.nGroups
 		*pass.ambiguous += o.ambiguous
 		*pass.mismatch += o.mismatch
 		mg.Report.PessimisticGroups += o.pessim
@@ -815,7 +862,7 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 			forward(end, o.forwardStarts)
 		}
 	}
-	added := mg.emitFixes(fixes, groups, pass.stage, pass.rule)
+	added := mg.emitFixes(fixes, merged, pass.stage, pass.rule)
 	sp.Add("path_groups", int64(nGroups))
 	sp.Add("fixes", int64(len(fixes)))
 	sp.Add("replayed_endpoints", int64(replayed))
@@ -870,7 +917,11 @@ func fixException(state relation.State, check relation.CheckType) *sdc.Exception
 //   - Pass-1 entries (start sta.AnyStart) aggregate over endpoints only.
 //   - Corrective setup and hold twins collapse into one unrestricted
 //     exception (see addFalsePath).
-func (mg *Merger) emitFixes(fixes []fixEntry, groups map[relKey]*groupStates, stage, rule string) int {
+//
+// merged holds the merged mode's state set of every path group at the
+// fixes' endpoints; a group it lacks is one the merged mode does not
+// time.
+func (mg *Merger) emitFixes(fixes []fixEntry, merged map[relKey]relation.Set, stage, rule string) int {
 	if len(fixes) == 0 {
 		return 0
 	}
@@ -896,7 +947,7 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[relKey]*groupStates, st
 	// between one start and one end mismatches with the same false
 	// target, one unscoped false path covers the whole group — the
 	// paper's "set_false_path -to rX/D" CSTR1 form. The check is safe
-	// here because `groups` contains every pair of the group.
+	// here because `merged` covers every pair of the group.
 	type groupID struct{ start, end graph.NodeID }
 	fixedKeys := map[relKey]bool{}
 	for _, f := range fixes {
@@ -910,15 +961,9 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[relKey]*groupStates, st
 	}
 	// One pass over all groups: any validly timed, unfixed pair disables
 	// its (start, end) group.
-	for gk, gs := range groups {
+	for gk, set := range merged {
 		gid := groupID{gk.start, gk.end}
-		if ok, interesting := groupOK[gid]; !interesting || !ok {
-			continue
-		}
-		if gs.merged.Empty() {
-			continue
-		}
-		if !fixedKeys[gk] && !gs.merged.Equal(relation.NewSet(relation.StateFalse)) {
+		if groupOK[gid] && !fixedKeys[gk] && mergedTimes(set) {
 			groupOK[gid] = false
 		}
 	}
@@ -1019,11 +1064,7 @@ func (mg *Merger) emitFixes(fixes []fixEntry, groups map[relKey]*groupStates, st
 				return true
 			}
 			gk := relKey{start: s, end: e, launch: k.launch, capture: k.capture, check: k.check}
-			gs, exists := groups[gk]
-			if !exists {
-				return true // no such path group
-			}
-			return fixedKeys[gk] || !mergedTimes(gs)
+			return fixedKeys[gk] || !mergedTimes(merged[gk])
 		}
 		var aggStarts, soloStarts []graph.NodeID
 		for _, s := range ss {
@@ -1227,7 +1268,7 @@ func (mg *Merger) affectedEndpoints(excs []*sdc.Exception) []bool {
 // check still classifies: the pair's own start and end, which carry the
 // whole pair group (pass 2's granularity), and merged nodes marked
 // Ambiguous. It returns how many constraints it added.
-func (mg *Merger) pass3(pair [2]graph.NodeID, perModeTR [][]sta.ThroughRel, mergedTR []sta.ThroughRel, res *EquivalenceResult) int {
+func (mg *Merger) pass3(sc *cmpScratch, pair [2]graph.NodeID, perModeTR [][]sta.ThroughRel, mergedTR []sta.ThroughRel, res *EquivalenceResult) int {
 	// Member through rows per node, mapped into the merged namespace
 	// when the merged mode times that node.
 	perMode := make([]map[graph.NodeID][]sta.Rel, len(mg.ctxs))
@@ -1264,17 +1305,16 @@ func (mg *Merger) pass3(pair [2]graph.NodeID, perModeTR [][]sta.ThroughRel, merg
 		}
 	}
 
-	lists := make([][]relRow, len(mg.ctxs)+1)
 	for _, tr := range mergedTR {
 		n := tr.Node
 		if res == nil && (n == pair[0] || n == pair[1]) {
 			continue
 		}
 		for m := range mg.ctxs {
-			lists[m] = mg.mapRows(m, perMode[m][n])
+			mg.mapRows(sc, m, perMode[m][n])
 		}
-		lists[len(mg.ctxs)] = mg.mapRows(len(mg.ctxs), tr.States)
-		for _, g := range mg.gatherGroups(lists) {
+		mg.mapRows(sc, len(mg.ctxs), tr.States)
+		for _, g := range mg.gatherGroups(sc) {
 			if g.merged.Empty() {
 				continue // only groups the merged mode times through n
 			}

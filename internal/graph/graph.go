@@ -418,35 +418,52 @@ func (g *Graph) BackwardReach(seeds []NodeID) []bool {
 	return mark
 }
 
-// ConeBetween returns the nodes lying on some propagation path from start
-// to end (inclusive), in topological order.
-func (g *Graph) ConeBetween(start, end NodeID) []NodeID {
-	fwd := g.ForwardReach([]NodeID{start})
+// Cone is the part of the graph between one start and one end: the
+// nodes lying on some propagation path from Start to End (inclusive).
+// It depends on the graph alone, so one cone serves every mode that
+// inspects the pair.
+type Cone struct {
+	Start, End NodeID
+	In         []bool   // per graph node: inside the cone
+	Nodes      []NodeID // the cone's nodes in topological order
+	byID       []NodeID // the cone's nodes in id order
+}
+
+// Cone builds the start→end cone.
+func (g *Graph) Cone(start, end NodeID) *Cone {
+	in := g.ForwardReach([]NodeID{start})
 	bwd := g.BackwardReach([]NodeID{end})
-	var cone []NodeID
+	for id, b := range bwd {
+		in[id] = in[id] && b
+	}
+	c := &Cone{Start: start, End: end, In: in}
 	for _, id := range g.topo {
-		if fwd[id] && bwd[id] {
-			cone = append(cone, id)
+		if in[id] {
+			c.Nodes = append(c.Nodes, id)
 		}
 	}
-	return cone
+	c.byID = slices.Clone(c.Nodes)
+	slices.Sort(c.byID)
+	return c
+}
+
+// Index returns a cone node's position among the cone's nodes in id
+// order: a dense row number for per-node cone arrays.
+func (c *Cone) Index(n NodeID) int {
+	i, _ := slices.BinarySearch(c.byID, n)
+	return i
 }
 
 // ReconvergencePoints returns the cone nodes between start and end that
 // have two or more in-cone fanins — the candidate "through" points pass 3
 // of the refinement algorithm inspects.
 func (g *Graph) ReconvergencePoints(start, end NodeID) []NodeID {
-	fwd := g.ForwardReach([]NodeID{start})
-	bwd := g.BackwardReach([]NodeID{end})
+	c := g.Cone(start, end)
 	var out []NodeID
-	for _, id := range g.topo {
-		if !fwd[id] || !bwd[id] {
-			continue
-		}
+	for _, id := range c.Nodes {
 		inCone := 0
 		for _, ai := range g.in[id] {
-			from := g.arcs[ai].From
-			if fwd[from] && bwd[from] {
+			if c.In[g.arcs[ai].From] {
 				inCone++
 			}
 		}

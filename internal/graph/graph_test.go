@@ -138,7 +138,7 @@ func TestConeBetween(t *testing.T) {
 	g := paperGraph(t)
 	rCCP, _ := g.NodeByName("rC/CP")
 	rZD, _ := g.NodeByName("rZ/D")
-	cone := g.ConeBetween(rCCP, rZD)
+	cone := g.Cone(rCCP, rZD).Nodes
 	names := map[string]bool{}
 	for _, id := range cone {
 		names[g.Node(id).Name] = true
@@ -217,14 +217,31 @@ func TestConeSubsetProperty(t *testing.T) {
 		for _, e := range ends {
 			fwd := g.ForwardReach([]NodeID{s})
 			bwd := g.BackwardReach([]NodeID{e})
-			cone := g.ConeBetween(s, e)
+			c := g.Cone(s, e)
+			cone := c.Nodes
 			inCone := map[NodeID]bool{}
+			rows := map[int]bool{}
 			for _, n := range cone {
 				if !fwd[n] || !bwd[n] {
 					t.Fatalf("cone node %s outside fwd∩bwd for %s→%s",
 						g.Node(n).Name, g.Node(s).Name, g.Node(e).Name)
 				}
 				inCone[n] = true
+				rows[c.Index(n)] = true
+			}
+			for id, in := range c.In {
+				if in != (fwd[id] && bwd[id]) || in != inCone[NodeID(id)] {
+					t.Fatalf("Cone.In[%s] = %v for %s→%s", g.Node(NodeID(id)).Name, in,
+						g.Node(s).Name, g.Node(e).Name)
+				}
+			}
+			for r := range rows {
+				if r < 0 || r >= len(cone) {
+					t.Fatalf("Cone.Index row %d outside [0, %d)", r, len(cone))
+				}
+			}
+			if len(rows) != len(cone) {
+				t.Fatalf("Cone.Index maps %d nodes onto %d rows", len(cone), len(rows))
 			}
 			for _, r := range g.ReconvergencePoints(s, e) {
 				if !inCone[r] {

@@ -118,7 +118,7 @@ func poisonSlabs(n int) {
 		for j := range s {
 			s[j] = bad
 		}
-		slabPool.Put(s)
+		slabList.put(s)
 	}
 }
 

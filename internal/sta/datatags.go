@@ -2,7 +2,6 @@ package sta
 
 import (
 	"math"
-	"sync"
 
 	"modemerge/internal/graph"
 	"modemerge/internal/library"
@@ -44,19 +43,17 @@ type tagSet struct {
 const tagIndexThreshold = 16
 
 // slabEntries sizes a pooled slab at 64 KiB of 32-byte entries: small
-// slabs keep the pooled bytes that survive a collection close to what
-// the propagations in flight use.
+// slabs keep the pooled bytes close to what the propagations in flight
+// use.
 const slabEntries = 2048
 
 type tagSlab [slabEntries]tagEntry
 
-// The pools serve every context, so a fresh one (a sign-off run, a cache
-// miss) reuses what an earlier one released. A sync.Pool field in a
-// Context would also keep that whole context alive through the next
-// collection.
+// The free lists serve every context, so a fresh one (a sign-off run, a
+// cache miss) reuses what an earlier one released.
 var (
-	slabPool  = sync.Pool{New: func() any { return new(tagSlab) }}
-	arenaPool sync.Pool // *propArena
+	slabList  freeList[tagSlab]
+	arenaList freeList[propArena]
 )
 
 // propArena is the transient storage of one data propagation. Each
@@ -86,7 +83,7 @@ type propArena struct {
 
 // newArena borrows an arena with a zeroed tag array of n nodes.
 func newArena(n int) *propArena {
-	a, _ := arenaPool.Get().(*propArena)
+	a := arenaList.get()
 	if a == nil {
 		a = &propArena{}
 	}
@@ -104,11 +101,11 @@ func (a *propArena) release() {
 	}
 	a.touched = a.touched[:0]
 	for i, s := range a.slabs {
-		slabPool.Put(s)
+		slabList.put(s)
 		a.slabs[i] = nil
 	}
 	a.slabs, a.off, a.cur = a.slabs[:0], 0, nil
-	arenaPool.Put(a)
+	arenaList.put(a)
 }
 
 // begin starts filling a node whose tag count is at most est.
@@ -122,7 +119,11 @@ func (a *propArena) begin(est int) {
 	default:
 		a.carved = true
 		if len(a.slabs) == 0 || a.off+est > slabEntries {
-			a.slabs = append(a.slabs, slabPool.Get().(*tagSlab))
+			s := slabList.get()
+			if s == nil {
+				s = new(tagSlab)
+			}
+			a.slabs = append(a.slabs, s)
 			a.off = 0
 		}
 		a.cur = a.slabs[len(a.slabs)-1][a.off : a.off : a.off+est]

@@ -357,56 +357,41 @@ func combineSuff(a, b suffStatus) suffStatus {
 	return suffSome
 }
 
-// ThroughRelations computes pass-3 timing relationships: for every node on
-// a path between start and end, the constraint states of the path subset
-// through that node. It combines forward tags (prefix exception progress)
-// from a propagation seeded at start and restricted to the start→end cone
-// with a backward all/none/some completion DP per exception. Results are
-// memoized per (start, end) pair unless DisableRelationMemo. The returned
-// slice is shared and must not be mutated.
-func (ctx *Context) ThroughRelations(start, end graph.NodeID) []ThroughRel {
+// ThroughRelations computes pass-3 timing relationships: for every node
+// of the cone between start and end, the constraint states of the path
+// subset through that node. It combines forward tags (prefix exception
+// progress) from a propagation seeded at start and restricted to the
+// cone with a backward all/none/some completion DP per exception. The
+// cone depends on the graph alone, so callers comparing several modes
+// build it once per pair. Results are memoized per (start, end) pair
+// unless DisableRelationMemo. The returned slice is shared and must not
+// be mutated.
+func (ctx *Context) ThroughRelations(cone *graph.Cone) []ThroughRel {
 	if ctx.Opt.DisableRelationMemo {
-		return ctx.throughRelations(start, end)
+		return ctx.throughRelations(cone)
 	}
 	rc := ctx.relSlots()
-	key := [2]graph.NodeID{start, end}
+	key := [2]graph.NodeID{cone.Start, cone.End}
 	if v, ok := rc.through.Load(key); ok {
 		rc.hits.Add(1)
 		return v.([]ThroughRel)
 	}
-	out := ctx.throughRelations(start, end)
+	out := ctx.throughRelations(cone)
 	rc.through.Store(key, out)
 	rc.misses.Add(1)
 	return out
 }
 
-func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
+func (ctx *Context) throughRelations(cone *graph.Cone) []ThroughRel {
 	g := ctx.G
-	fwd := g.ForwardReach([]graph.NodeID{start})
-	bwd := g.BackwardReach([]graph.NodeID{end})
-	cone := make([]bool, g.NumNodes())
-	var coneNodes []graph.NodeID // topological order
-	for _, id := range g.Topo() {
-		if fwd[id] && bwd[id] {
-			cone[id] = true
-			coneNodes = append(coneNodes, id)
-		}
-	}
+	start, end, coneNodes := cone.Start, cone.End, cone.Nodes
 	if len(coneNodes) == 0 {
 		return nil
-	}
-	// A cone node's row in the suffix DP is its index in id order: a
-	// node-indexed array would cost a graph-sized allocation per pair.
-	byID := slices.Clone(coneNodes)
-	slices.Sort(byID)
-	row := func(n graph.NodeID) int {
-		r, _ := slices.BinarySearch(byID, n)
-		return r
 	}
 
 	tags, release := ctx.propagate(propOpts{
 		withStart:  true,
-		nodeFilter: cone,
+		nodeFilter: cone.In,
 		seedFilter: func(s graph.NodeID) bool { return s == start },
 	})
 	defer release()
@@ -428,7 +413,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 		// Reverse topological order over cone nodes.
 		for ci := len(coneNodes) - 1; ci >= 0; ci-- {
 			n := coneNodes[ci]
-			at := row(n) * w
+			at := cone.Index(n) * w
 			for p := int8(0); p <= full; p++ {
 				acc := suffNone
 				if n == end {
@@ -444,11 +429,11 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 						continue
 					}
 					a := g.Arc(ai)
-					if !cone[a.To] || a.Kind == graph.LaunchArc && n != start {
+					if !cone.In[a.To] || a.Kind == graph.LaunchArc && n != start {
 						continue
 					}
 					pp := exc.advanceOne(i, p, a.To, sdc.EdgeBoth)
-					sStat := st[row(a.To)*w+int(pp)]
+					sStat := st[cone.Index(a.To)*w+int(pp)]
 					if first {
 						acc = sStat
 						first = false
@@ -484,7 +469,7 @@ func (ctx *Context) throughRelations(start, end graph.NodeID) []ThroughRel {
 			continue
 		}
 		tr := ThroughRel{Node: n, Name: g.Node(n).Name}
-		nRow := row(n)
+		nRow := cone.Index(n)
 		gen++
 		touched = touched[:0]
 		for _, te := range entries {

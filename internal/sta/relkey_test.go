@@ -248,7 +248,7 @@ func TestPackedRowsMatchNameFold(t *testing.T) {
 						pairs++
 						want := refThroughFold(ctx, r.Key.Start, end)
 						got := map[string]refFold{}
-						for _, tr := range ctx.ThroughRelations(r.Key.Start, end) {
+						for _, tr := range ctx.ThroughRelations(ctx.G.Cone(r.Key.Start, end)) {
 							what := mode.Name + " pass3 " + fx.g.Node(r.Key.Start).Name + " -through " + tr.Name + " -> " + fx.g.Node(end).Name
 							checkRowOrder(t, ctx, what, tr.States)
 							if len(tr.States) > 0 {

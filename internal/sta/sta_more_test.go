@@ -341,7 +341,7 @@ func TestThroughRelationsRespectConstants(t *testing.T) {
 create_clock -name clkA -period 10 [get_ports clk1]
 set_case_analysis 0 rB/Q
 `)
-	rels := ctx.ThroughRelations(nodeID(t, ctx, "rA/CP"), nodeID(t, ctx, "rY/D"))
+	rels := ctx.ThroughRelations(ctx.G.Cone(nodeID(t, ctx, "rA/CP"), nodeID(t, ctx, "rY/D")))
 	for _, tr := range rels {
 		if len(tr.States) > 0 {
 			t.Errorf("node %s reports states on a dead cone", tr.Name)

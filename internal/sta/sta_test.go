@@ -265,7 +265,7 @@ set_false_path -through inv3/Z
 `)
 	start := nodeID(t, ctx, "rC/CP")
 	end := nodeID(t, ctx, "rZ/D")
-	rels := ctx.ThroughRelations(start, end)
+	rels := ctx.ThroughRelations(ctx.G.Cone(start, end))
 	byName := map[string]ThroughRel{}
 	for _, r := range rels {
 		byName[r.Name] = r
