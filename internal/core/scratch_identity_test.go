@@ -42,18 +42,19 @@ var comparePassGoldens = map[string]comparePassGolden{
 }
 
 // TestComparePassScratchIdentity merges designs A–E (seed 1) clique by
-// clique at Parallelism 1, 2 and 4, with no Slow knob and with both,
-// checks every merge's equivalence, and checks the equivalence of a
-// KeepSubsetExceptions merge (an optimistic one, so the mismatch listing
-// is non-empty). Merged SDC, Report counters and EquivalenceResults must
-// equal the goldens in every configuration: the comparator's reused
+// clique, checks every merge's equivalence, and checks the equivalence
+// of a KeepSubsetExceptions merge (an optimistic one, so the mismatch
+// listing is non-empty). Merged SDC, Report counters and
+// EquivalenceResults must equal the goldens: the comparator's reused
 // scratch must never leak one endpoint's groups into another's verdicts.
-// Under the race detector only design B runs (the smallest, yet with
-// pass-2 and pass-3 fixes and optimistic mismatches): the five designs
-// would take many minutes.
+// Every design runs at Parallelism 1, 2 and 4. Design B (the smallest,
+// yet with pass-2 and pass-3 fixes and optimistic mismatches) also runs
+// them with both Slow knobs, which make the larger designs many times
+// slower (TestSlowKnobEquivalence holds the knobs byte-identical on its
+// own fixtures). Under the race detector only design B runs.
 func TestComparePassScratchIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("five paper designs at six configurations are not short")
+		t.Skip("five paper designs at three parallelisms are not short")
 	}
 	for _, c := range experiments.PaperDesigns(1)[:5] {
 		c := c
@@ -72,10 +73,13 @@ func TestComparePassScratchIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, ok := comparePassGoldens[c.Label]
+			slows := []core.SlowPaths{{}}
+			if c.Label == "B" {
+				slows = append(slows, core.SlowPaths{NoRelationCache: true, NoCacheTransfer: true})
+			}
 			for _, par := range []int{1, 2, 4} {
-				for _, slow := range []core.SlowPaths{{}, {NoRelationCache: true, NoCacheTransfer: true}} {
-					opt := core.Options{Parallelism: par, Slow: slow}
-					got := comparePassFingerprint(t, p, cliques, opt)
+				for _, slow := range slows {
+					got := comparePassFingerprint(t, p, cliques, core.Options{Parallelism: par, Slow: slow})
 					if !ok {
 						t.Errorf("no golden; got %#v", got)
 						return
