@@ -2,11 +2,14 @@ package core
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"modemerge/internal/gen"
 	"modemerge/internal/graph"
 	"modemerge/internal/relation"
+	"modemerge/internal/sdc"
 	"modemerge/internal/sta"
 )
 
@@ -152,5 +155,66 @@ func TestKeptRowsOutliveScratchReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kept, want) {
 		t.Errorf("kept rows changed under scratch reuse:\n got %+v\nwant %+v", kept, want)
+	}
+}
+
+// TestEmitFixesClosure emits hand-built pass-2 fixes against hand-built
+// merged rows and checks the exact SDC. Clock ids are gatherFixture's
+// ("a" = 0, "fast" = 1).
+//
+//   - fast→fast setup, MCP 2, fixes rA→rX and rB→rY: the merged mode
+//     validly times the unfixed rA→rY, so rA keeps its own endpoint; rB→rX
+//     has no row and a timed row of another check, so rB aggregates.
+//   - a→fast setup, MCP 3, fixes rA→rX and rC→rY: rC→rX is timed but a
+//     fix of another state (max delay 4) names its key, and rA→rY's row
+//     is false only, so both aggregate over both endpoints.
+func TestEmitFixesClosure(t *testing.T) {
+	mg, node := gatherFixture(t)
+	mg.design, mg.merged, mg.Report = mg.g.Design, &sdc.Mode{}, &Report{}
+	rA, rB, rC := node("rA/CP"), node("rB/CP"), node("rC/CP")
+	rX, rY := node("rX/D"), node("rY/D")
+	key := func(start, end graph.NodeID, launch, capture int32, check relation.CheckType) relKey {
+		return relKey{start: start, end: end, launch: launch, capture: capture, check: check}
+	}
+	valid := relation.NewSet(relation.StateValid)
+	fixes := []fixEntry{
+		{key(rA, rX, 0, 1, relation.Setup), relation.MCP(3)},
+		{key(rA, rX, 1, 1, relation.Setup), relation.MCP(2)},
+		{key(rC, rX, 0, 1, relation.Setup), relation.MaxDelay(4)},
+		{key(rB, rY, 1, 1, relation.Setup), relation.MCP(2)},
+		{key(rC, rY, 0, 1, relation.Setup), relation.MCP(3)},
+	}
+	merged := map[graph.NodeID][]relRow{
+		rX: {
+			{key(rA, rX, 0, 1, relation.Setup), valid},
+			{key(rA, rX, 1, 1, relation.Setup), valid},
+			{key(rB, rX, 1, 1, relation.Hold), valid},
+			{key(rC, rX, 0, 1, relation.Setup), valid},
+		},
+		rY: {
+			{key(rA, rY, 0, 1, relation.Setup), relation.NewSet(relation.StateFalse)},
+			{key(rA, rY, 1, 1, relation.Setup), valid},
+			{key(rB, rY, 1, 1, relation.Setup), valid},
+			{key(rC, rY, 0, 1, relation.Setup), valid},
+		},
+	}
+	if n := mg.emitFixes(fixes, merged, "data_refine/pass2", "test"); n != 4 {
+		t.Errorf("emitFixes added %d constraints, want 4", n)
+	}
+	var got []string
+	for _, e := range mg.merged.Exceptions {
+		got = append(got, sdc.WriteException(e))
+	}
+	want := []string{
+		"set_max_delay 4 -setup -from [get_clocks {a}] -through [get_pins {rC/CP}] -through [get_pins {rX/D}] -to [get_clocks {fast}]",
+		"set_multicycle_path 3 -setup -from [get_clocks {a}] -through [get_pins {rA/CP rC/CP}] -through [get_pins {rX/D rY/D}] -to [get_clocks {fast}]",
+		"set_multicycle_path 2 -setup -from [get_clocks {fast}] -through [get_pins {rB/CP}] -through [get_pins {rX/D rY/D}] -to [get_clocks {fast}]",
+		"set_multicycle_path 2 -setup -from [get_clocks {fast}] -through [get_pins {rA/CP}] -through [get_pins {rX/D}] -to [get_clocks {fast}]",
+	}
+	for i := range want {
+		want[i] += " -comment \"inferred by relationship refinement\"\n"
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("emitted SDC:\n%s\nwant:\n%s", strings.Join(got, ""), strings.Join(want, ""))
 	}
 }

@@ -754,8 +754,10 @@ type endpointPass struct {
 // the endpoint's outcome, its fixes and, with fixes, a copy of its
 // merged rows. The outcomes fold and the fixes emit sequentially, in ends
 // order with groups in key order, so emitted constraints, counters and
-// res are deterministic. forward receives each endpoint that has
-// ambiguous groups, with their startpoints in key order.
+// res are deterministic. Child spans time the three steps: fill,
+// classify (gather and compare) and emit (fold and emitFixes). forward
+// receives each endpoint that has ambiguous groups, with their
+// startpoints in key order.
 func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.NodeID,
 	pass endpointPass, res *EquivalenceResult, forward func(end graph.NodeID, starts []graph.NodeID)) (int, error) {
 	recorded := mg.memo.epOut[pass.idx]
@@ -773,7 +775,10 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 			cold = append(cold, end)
 		}
 	}
+	fsp := sp.Child("fill")
 	mg.eachContext(cx, func(ctx *sta.Context) { pass.fill(ctx, cold) })
+	fsp.Finish()
+	csp := sp.Child("classify")
 	work := make([]endpointWork, len(ends))
 	// The free scratch of the call's workers: no more scratch exists than
 	// workers run, so returning one never blocks.
@@ -822,16 +827,19 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 			w.merged = sc.keepMerged()
 		}
 	})
+	csp.Finish()
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
-	// Replayed endpoints' merged sets are absent from `merged`, as are
+	esp := sp.Child("emit")
+	defer esp.Finish()
+	// Replayed endpoints' merged rows are absent from `merged`, as are
 	// those of computed endpoints without fixes. That is safe for
-	// emitFixes: its closure checks only ever look up groups at the
-	// endpoints of the fixes themselves, and fix endpoints' merged sets
-	// are all present. Fixes accumulate across endpoints so the emission
-	// step can aggregate clock-pair kills into few constraints.
-	merged := map[relKey]relation.Set{}
+	// emitFixes: its closure checks only ever read rows at the endpoints
+	// of the fixes themselves, and fix endpoints' merged rows are all
+	// present. Fixes accumulate across endpoints so the emission step can
+	// aggregate clock-pair kills into few constraints.
+	merged := map[graph.NodeID][]relRow{}
 	var fixes []fixEntry
 	nGroups, replayed := 0, 0
 	for i := range work {
@@ -846,9 +854,7 @@ func (mg *Merger) comparePass(cx context.Context, sp *obs.Span, ends []graph.Nod
 			res.OptimisticMismatches = append(res.OptimisticMismatches, w.eq.OptimisticMismatches...)
 		case len(w.fixes) > 0:
 			fixes = append(fixes, w.fixes...)
-			for _, r := range w.merged {
-				merged[r.key] = r.set
-			}
+			merged[end] = w.merged
 		default:
 			// Fixless outcome: replayable next iteration while the
 			// endpoint stays outside the invalidation frontier.
@@ -918,10 +924,10 @@ func fixException(state relation.State, check relation.CheckType) *sdc.Exception
 //   - Corrective setup and hold twins collapse into one unrestricted
 //     exception (see addFalsePath).
 //
-// merged holds the merged mode's state set of every path group at the
-// fixes' endpoints; a group it lacks is one the merged mode does not
+// merged holds the merged mode's rows at each of the fixes' endpoints,
+// in key order; a group without a row is one the merged mode does not
 // time.
-func (mg *Merger) emitFixes(fixes []fixEntry, merged map[relKey]relation.Set, stage, rule string) int {
+func (mg *Merger) emitFixes(fixes []fixEntry, merged map[graph.NodeID][]relRow, stage, rule string) int {
 	if len(fixes) == 0 {
 		return 0
 	}
@@ -961,10 +967,12 @@ func (mg *Merger) emitFixes(fixes []fixEntry, merged map[relKey]relation.Set, st
 	}
 	// One pass over all groups: any validly timed, unfixed pair disables
 	// its (start, end) group.
-	for gk, set := range merged {
-		gid := groupID{gk.start, gk.end}
-		if groupOK[gid] && !fixedKeys[gk] && mergedTimes(set) {
-			groupOK[gid] = false
+	for _, rows := range merged {
+		for _, r := range rows {
+			gid := groupID{r.key.start, r.key.end}
+			if groupOK[gid] && !fixedKeys[r.key] && mergedTimes(r.set) {
+				groupOK[gid] = false
+			}
 		}
 	}
 	added := 0
@@ -1057,28 +1065,24 @@ func (mg *Merger) emitFixes(fixes []fixEntry, merged map[relKey]relation.Set, st
 		// Cartesian closure: a pair absent from the fixes may still be
 		// safely covered when its path group either has no live paths
 		// (constraining nothing is harmless) or is already false in the
-		// merged mode. Only pairs the merged mode validly times exclude
-		// their startpoint from the aggregate.
-		closureSafe := func(s, e graph.NodeID) bool {
-			if pairs[groupID{s, e}] {
-				return true
+		// merged mode. Only unfixed pairs the merged mode validly times,
+		// found in one walk over the ends' rows, exclude their startpoint
+		// from the aggregate (its own pairs are fixed keys).
+		excluded := map[graph.NodeID]bool{}
+		for _, e := range es {
+			for _, r := range merged[e] {
+				if r.key.launch == k.launch && r.key.capture == k.capture && r.key.check == k.check &&
+					mergedTimes(r.set) && !fixedKeys[r.key] {
+					excluded[r.key.start] = true
+				}
 			}
-			gk := relKey{start: s, end: e, launch: k.launch, capture: k.capture, check: k.check}
-			return fixedKeys[gk] || !mergedTimes(merged[gk])
 		}
 		var aggStarts, soloStarts []graph.NodeID
 		for _, s := range ss {
-			ok := true
-			for _, e := range es {
-				if !closureSafe(s, e) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				aggStarts = append(aggStarts, s)
-			} else {
+			if excluded[s] {
 				soloStarts = append(soloStarts, s)
+			} else {
+				aggStarts = append(aggStarts, s)
 			}
 		}
 		if len(aggStarts) > 0 {

@@ -184,8 +184,20 @@ type vtok struct {
 	line int
 }
 
+// vtokenize lexes src into its tokens. A first scan counts them, so the
+// token slice is allocated once at its final size.
 func vtokenize(src string) ([]vtok, error) {
-	var toks []vtok
+	n := 0
+	if err := vscan(src, func(string, int) { n++ }); err != nil {
+		return nil, err
+	}
+	toks := make([]vtok, 0, n)
+	vscan(src, func(text string, line int) { toks = append(toks, vtok{text, line}) })
+	return toks, nil
+}
+
+// vscan calls tok with every token of src and its line, in order.
+func vscan(src string, tok func(text string, line int)) error {
 	line := 1
 	i, n := 0, len(src)
 	for i < n {
@@ -209,11 +221,11 @@ func vtokenize(src string) ([]vtok, error) {
 				i++
 			}
 			if i+1 >= n {
-				return nil, fmt.Errorf("verilog line %d: unterminated block comment", line)
+				return fmt.Errorf("verilog line %d: unterminated block comment", line)
 			}
 			i += 2
 		case strings.IndexByte("()[]{},;.=:", c) >= 0:
-			toks = append(toks, vtok{string(c), line})
+			tok(src[i:i+1], line)
 			i++
 		case c == '\\':
 			// Escaped identifier: up to whitespace.
@@ -221,7 +233,7 @@ func vtokenize(src string) ([]vtok, error) {
 			for j < n && src[j] != ' ' && src[j] != '\t' && src[j] != '\n' && src[j] != '\r' {
 				j++
 			}
-			toks = append(toks, vtok{src[i+1 : j], line})
+			tok(src[i+1:j], line)
 			i = j
 		default:
 			j := i
@@ -229,13 +241,13 @@ func vtokenize(src string) ([]vtok, error) {
 				j++
 			}
 			if j == i {
-				return nil, fmt.Errorf("verilog line %d: unexpected character %q", line, string(c))
+				return fmt.Errorf("verilog line %d: unexpected character %q", line, string(c))
 			}
-			toks = append(toks, vtok{src[i:j], line})
+			tok(src[i:j], line)
 			i = j
 		}
 	}
-	return toks, nil
+	return nil
 }
 
 func isVlogWordChar(c byte) bool {

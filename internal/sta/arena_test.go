@@ -97,15 +97,37 @@ func plainPropagation(ctx *Context, o propOpts) []tagSet {
 	return a.tags
 }
 
-// tagDiffs lists the nodes whose entries (tag, arrival and order) differ.
-func tagDiffs(g *graph.Graph, got, want []tagSet) []string {
+// tagDiffs lists the nodes whose entries (tag, arrival and order)
+// differ; with tagsOnly, whose tags or their order differ.
+func tagDiffs(g *graph.Graph, got, want []tagSet, tagsOnly bool) []string {
+	same := func(a, b tagEntry) bool { return a == b }
+	if tagsOnly {
+		same = func(a, b tagEntry) bool { return a.tag == b.tag }
+	}
 	var out []string
 	for id := range want {
-		if !slices.Equal(got[id].entries, want[id].entries) {
+		if !slices.EqualFunc(got[id].entries, want[id].entries, same) {
 			out = append(out, g.Node(graph.NodeID(id)).Name)
 		}
 	}
 	return out
+}
+
+// sharedNodes counts the nodes whose entries are another node's.
+func sharedNodes(tags []tagSet) int {
+	first := map[*tagEntry]bool{}
+	n := 0
+	for _, m := range tags {
+		if len(m.entries) == 0 {
+			continue
+		}
+		if p := &m.entries[0]; first[p] {
+			n++
+		} else {
+			first[p] = true
+		}
+	}
+	return n
 }
 
 // poisonSlabs returns n slabs full of a tag no propagation makes to the
@@ -127,26 +149,46 @@ func poisonSlabs(n int) {
 // reference: repeated on one context, concurrently on one context, and
 // after poisoned slabs went into the pool. The fixture seeds several
 // tags at input ports, tracks startpoints (pass 2, past
-// tagIndexThreshold at some nodes) and advances through-exceptions. No
-// node of a propagation outgrows its estimate, so a direct arena check
-// overfills a carved node and confirms that it and the next node keep
-// their entries.
+// tagIndexThreshold at some nodes) and advances through-exceptions.
+// The relation-mode (tagsOnly) cases, whose single-fanin nodes share
+// their source's entries, must match the reference's tags and order on
+// every node and share at least minShared nodes; after each of their
+// runs an arrival-reading pass-3 cone propagation, the narrowest, must
+// reuse the released arena (and poisoned slabs) and still match its
+// reference exactly. No node of a propagation outgrows its estimate, so
+// a direct arena check overfills a carved node and confirms that it and
+// the next node keep their entries.
 func TestPropagateArenaIdentity(t *testing.T) {
 	ctx := arenaFixture(t, 12)
 	g := ctx.G
 	var cone []bool
-	for _, end := range g.Endpoints() {
-		if len(ctx.G.InArcs(end)) > 0 {
-			cone = g.BackwardReach([]graph.NodeID{end})
+	var end graph.NodeID
+	for _, e := range g.Endpoints() {
+		if len(ctx.G.InArcs(e)) > 0 {
+			cone, end = g.BackwardReach([]graph.NodeID{e}), e
 		}
 	}
+	rows := ctx.StartEndRelations(end)
+	if len(rows) == 0 {
+		t.Fatalf("endpoint %s has no start-end rows", g.Node(end).Name)
+	}
+	start := rows[0].Key.Start
+	p3 := propOpts{withStart: true, nodeFilter: g.Cone(start, end).In,
+		seedFilter: func(s graph.NodeID) bool { return s == start }}
+	rel := func(o propOpts) propOpts { o.tagsOnly = true; return o }
+	p3Want := plainPropagation(ctx, p3)
 	cases := []struct {
-		name string
-		o    propOpts
+		name      string
+		o         propOpts
+		minShared int
 	}{
-		{"pass1", propOpts{}},
-		{"pass2", propOpts{withStart: true}},
-		{"pass2-cone", propOpts{withStart: true, nodeFilter: cone}},
+		{"pass1", propOpts{}, 0},
+		{"pass2", propOpts{withStart: true}, 0},
+		{"pass2-cone", propOpts{withStart: true, nodeFilter: cone}, 0},
+		{"rel-pass1", rel(propOpts{}), 1700},
+		{"rel-pass2", rel(propOpts{withStart: true}), 1700},
+		{"rel-pass2-cone", rel(propOpts{withStart: true, nodeFilter: cone}), 20},
+		{"rel-pass3-cone", rel(p3), 15},
 	}
 	for _, c := range cases {
 		want := plainPropagation(ctx, c.o)
@@ -163,20 +205,39 @@ func TestPropagateArenaIdentity(t *testing.T) {
 				}
 			}
 		}
-		if c.name != "pass2-cone" && (seeded == 0 || advanced == 0) {
+		if c.o.nodeFilter == nil && (seeded == 0 || advanced == 0) {
 			t.Fatalf("%s: fixture covers %d multi-seed input ports and %d advanced tags; want both", c.name, seeded, advanced)
 		}
 		if c.o.withStart && c.o.nodeFilter == nil && maxTags <= tagIndexThreshold {
 			t.Fatalf("%s: at most %d tags per node; the dedupe index is never used", c.name, maxTags)
 		}
 
+		if n := sharedNodes(want); n != 0 {
+			t.Fatalf("%s: the reference shares %d nodes' entries", c.name, n)
+		}
+
 		poisonSlabs(4)
 		for i := 0; i < 3; i++ {
 			tags, release := ctx.propagate(c.o)
-			if diff := tagDiffs(g, tags, want); len(diff) > 0 {
+			if diff := tagDiffs(g, tags, want, c.o.tagsOnly); len(diff) > 0 {
 				t.Errorf("%s: repeat %d differs from the reference at %v", c.name, i, diff)
 			}
+			shared := sharedNodes(tags)
+			switch {
+			case !c.o.tagsOnly && shared != 0:
+				t.Errorf("%s: %d nodes share entries though arrivals are read", c.name, shared)
+			case shared < c.minShared:
+				t.Errorf("%s: %d nodes share their source's entries, want at least %d", c.name, shared, c.minShared)
+			}
 			release()
+			if c.o.tagsOnly {
+				poisonSlabs(2)
+				tags, release := ctx.propagate(p3)
+				if diff := tagDiffs(g, tags, p3Want, false); len(diff) > 0 {
+					t.Errorf("%s: a pass-3 cone run after repeat %d differs from the reference at %v", c.name, i, diff)
+				}
+				release()
+			}
 		}
 		var wg sync.WaitGroup
 		errs := make([][]string, 4)
@@ -186,7 +247,7 @@ func TestPropagateArenaIdentity(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 2; i++ {
 					tags, release := ctx.propagate(c.o)
-					errs[w] = append(errs[w], tagDiffs(g, tags, want)...)
+					errs[w] = append(errs[w], tagDiffs(g, tags, want, c.o.tagsOnly)...)
 					release()
 				}
 			}(w)

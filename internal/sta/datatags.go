@@ -144,6 +144,12 @@ func (a *propArena) finish(id graph.NodeID) {
 	a.touched = append(a.touched, id)
 }
 
+// share gives node id the entries of another node.
+func (a *propArena) share(id graph.NodeID, src tagSet) {
+	a.tags[id] = src
+	a.touched = append(a.touched, id)
+}
+
 func (a *propArena) add(t dataTag, arr arrival) {
 	if a.mask == 0 {
 		for i := range a.cur {
@@ -224,6 +230,9 @@ type propOpts struct {
 	nodeFilter []bool
 	// seedFilter, when non-nil, restricts which startpoints seed tags.
 	seedFilter func(graph.NodeID) bool
+	// tagsOnly is set by callers that read tags and never arrivals (the
+	// relation passes): single-fanin pins share their source's entries.
+	tagsOnly bool
 }
 
 // propagate runs one transient data propagation (propagateInto) into a
@@ -244,6 +253,14 @@ func (ctx *Context) propagate(o propOpts) (tags []tagSet, release func()) {
 // set_input_delay (one tag per reference clock). Tags move over net and
 // combinational arcs, transitions follow arc unateness, and exception
 // progress vectors advance at every traversed node.
+//
+// With o.tagsOnly a node shares its source's entries instead of
+// re-emitting them when it seeds nothing, has no exception anchor (so
+// advance is the identity there) and has exactly one live in-arc, a
+// positive-unate non-launch arc: its tags then equal the source's, entry
+// for entry and in the same order. Only the arrivals would differ, so a
+// tagsOnly propagation carries no arrivals a caller may read. The plain
+// reference arena never shares.
 func (ctx *Context) propagateInto(o propOpts, ar *propArena) {
 	g := ctx.G
 	out := ar.tags
@@ -266,8 +283,9 @@ func (ctx *Context) propagateInto(o propOpts, ar *propArena) {
 			(o.seedFilter == nil || o.seedFilter(id))
 
 		// Upper-bound the node's tag count from its in-arc sources and
-		// input delays so its entries are carved from a slab once.
-		est := 0
+		// input delays so its entries are carved from a slab once, and
+		// find the one live in-arc a shared node has.
+		est, live, only := 0, 0, int32(-1)
 		if seeds {
 			est = 2 * len(ctx.ioByPort[id])
 		}
@@ -281,14 +299,24 @@ func (ctx *Context) propagateInto(o propOpts, ar *propArena) {
 			}
 			if a.Kind == graph.LaunchArc {
 				est += 2 * len(ctx.ClockTags[a.From])
+				live, only = live+1, -1
 				continue
+			}
+			n := len(out[a.From].entries)
+			if n > 0 {
+				live, only = live+1, ai
 			}
 			switch a.Unate() {
 			case library.PositiveUnate, library.NegativeUnate:
-				est += len(out[a.From].entries)
+				est += n
 			default:
-				est += 2 * len(out[a.From].entries)
+				est += 2 * n
 			}
+		}
+		if o.tagsOnly && !ar.plain && live == 1 && only >= 0 && !seeds &&
+			g.Arc(only).Unate() == library.PositiveUnate && len(ctx.exc.anchors(id)) == 0 {
+			ar.share(id, out[g.Arc(only).From])
+			continue
 		}
 		ar.begin(est)
 

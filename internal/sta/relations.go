@@ -393,6 +393,7 @@ func (ctx *Context) throughRelations(cone *graph.Cone) []ThroughRel {
 		withStart:  true,
 		nodeFilter: cone.In,
 		seedFilter: func(s graph.NodeID) bool { return s == start },
+		tagsOnly:   true,
 	})
 	defer release()
 
@@ -463,7 +464,7 @@ func (ctx *Context) throughRelations(cone *graph.Cone) []ThroughRel {
 	var out []ThroughRel
 	for _, n := range coneNodes {
 		entries := tags[n].entries
-		if len(entries) == 0 || !liveBwd[n] {
+		if len(entries) == 0 || !liveBwd.has(n) {
 			// No live paths start→n or n→end in this mode: the node's
 			// path subset is empty here and contributes no states.
 			continue
@@ -541,16 +542,25 @@ func (ctx *Context) throughRelations(cone *graph.Cone) []ThroughRel {
 	return out
 }
 
+// nodeBits is a set of graph nodes, one bit per node.
+type nodeBits []uint64
+
+func newNodeBits(n int) nodeBits { return make(nodeBits, (n+63)/64) }
+
+func (b nodeBits) has(id graph.NodeID) bool { return b[id>>6]&(1<<(uint32(id)&63)) != 0 }
+
+func (b nodeBits) set(id graph.NodeID) { b[id>>6] |= 1 << (uint32(id) & 63) }
+
 // liveBackwardReach marks the nodes from which the endpoint is reachable
 // over arcs live in this mode (disabled arcs, disabled nodes and
 // case-constant nodes block).
-func (ctx *Context) liveBackwardReach(end graph.NodeID) []bool {
+func (ctx *Context) liveBackwardReach(end graph.NodeID) nodeBits {
 	g := ctx.G
-	mark := make([]bool, g.NumNodes())
+	mark := newNodeBits(g.NumNodes())
 	if ctx.NodeDisabled[end] || ctx.Consts[end].Known() {
 		return mark
 	}
-	mark[end] = true
+	mark.set(end)
 	stack := []graph.NodeID{end}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -560,10 +570,10 @@ func (ctx *Context) liveBackwardReach(end graph.NodeID) []bool {
 				continue
 			}
 			from := g.Arc(ai).From
-			if mark[from] || ctx.NodeDisabled[from] || ctx.Consts[from].Known() {
+			if mark.has(from) || ctx.NodeDisabled[from] || ctx.Consts[from].Known() {
 				continue
 			}
-			mark[from] = true
+			mark.set(from)
 			stack = append(stack, from)
 		}
 	}

@@ -30,7 +30,15 @@ import (
 //   - through memoizes per-(start,end) pass-3 slices, each computed from a
 //     seeded cone propagation.
 //   - liveBwd memoizes each endpoint's live backward reach, which the
-//     through-relation walk reads.
+//     through-relation walk reads, as a graph-sized bitset.
+//
+// Relation rows read a tag's launch, start, transition and progress
+// vector, never its arrivals, so the fills and the pass-3 walk propagate
+// with propOpts.tagsOnly: a node that seeds nothing, has no exception
+// anchor and one live in-arc, a positive-unate non-launch arc, shares
+// its source's entries instead of re-emitting them (the same tags in the
+// same order). Such a propagation carries no arrivals a caller may read;
+// slack analysis and TraceWorstArrival run without tagsOnly.
 //
 // Callers must treat returned slices as immutable.
 type relCache struct {
@@ -40,7 +48,7 @@ type relCache struct {
 	pass1    []atomic.Pointer[[]Rel]
 	startEnd []atomic.Pointer[[]Rel]
 	through  sync.Map // [2]graph.NodeID{start,end} → []ThroughRel
-	liveBwd  sync.Map // graph.NodeID end → []bool live backward reach
+	liveBwd  sync.Map // graph.NodeID end → nodeBits live backward reach
 
 	hits, misses atomic.Int64
 }
@@ -68,13 +76,13 @@ func (rc *relCache) slots(startTracked bool) []atomic.Pointer[[]Rel] {
 // only on disables and case constants, never on exceptions, so entries
 // stay valid across exception-only rebuilds (and transfer with
 // AdoptRelationResults).
-func (ctx *Context) liveBwdMemo(end graph.NodeID) []bool {
+func (ctx *Context) liveBwdMemo(end graph.NodeID) nodeBits {
 	if ctx.Opt.DisableRelationMemo {
 		return ctx.liveBackwardReach(end)
 	}
 	rc := &ctx.rel
 	if v, ok := rc.liveBwd.Load(end); ok {
-		return v.([]bool)
+		return v.(nodeBits)
 	}
 	b := ctx.liveBackwardReach(end)
 	rc.liveBwd.Store(end, b)
@@ -160,7 +168,7 @@ func (ctx *Context) fillRelations(ends []graph.NodeID, startTracked bool) {
 // relationRows computes the relation rows of the given endpoints from one
 // propagation (start-tracked for pass 2) over the union of their cones.
 func (ctx *Context) relationRows(ends []graph.NodeID, startTracked bool) [][]Rel {
-	tags, release := ctx.propagate(propOpts{withStart: startTracked, nodeFilter: ctx.G.BackwardReach(ends)})
+	tags, release := ctx.propagate(propOpts{withStart: startTracked, nodeFilter: ctx.G.BackwardReach(ends), tagsOnly: true})
 	defer release()
 	f := ctx.newRelFolder(startTracked)
 	out := make([][]Rel, len(ends))

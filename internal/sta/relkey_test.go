@@ -128,7 +128,7 @@ func refThroughFold(ctx *Context, start, end graph.NodeID) map[string]refFold {
 	out := map[string]refFold{}
 	for id, in := range cone {
 		n := graph.NodeID(id)
-		if !in || len(tags[n].entries) == 0 || !live[n] {
+		if !in || len(tags[n].entries) == 0 || !live.has(n) {
 			continue
 		}
 		fold := refFold{}
